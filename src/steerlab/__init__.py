@@ -32,6 +32,7 @@ from .protocol import (
     RoundRecord,
     SimConfig,
     SimStats,
+    Transcript,
     empirical_key_rate,
     read_transcript,
     run_protocol,

@@ -168,6 +168,12 @@ def parity_probabilities(mu: complex) -> ParityDistribution:
     return ParityDistribution(p_even=(1.0 + t) / 2.0, p_odd=(1.0 - t) / 2.0)
 
 
+def _poisson_cutoff(lam: float) -> int:
+    # ceil(lam + 12 sqrt(lam + 1) + 20): the default truncation of a
+    # Poisson law with mean lam, shared by default_cutoff and the sampler.
+    return math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
+
+
 def default_cutoff(mu: complex) -> int:
     """Default Fock truncation cutoff for |mu>.
 
@@ -175,8 +181,7 @@ def default_cutoff(mu: complex) -> int:
     respect to the Chernoff tail requirement enforced by
     minimal_admissible_cutoff.
     """
-    lam = _mean_photon_number(_require_finite(mu, "mu"))
-    return math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
+    return _poisson_cutoff(_mean_photon_number(_require_finite(mu, "mu")))
 
 
 def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND) -> int:
@@ -330,10 +335,9 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
         raise ValueError("Poisson means must be finite and nonnegative")
     odd = np.empty(lams.shape, dtype=bool)
-    for lam in np.unique(lams):
+    for lam in np.unique(lams).tolist():
         mask = lams == lam
-        cutoff = math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
-        cdf = np.cumsum(_poisson_pmf_table(float(lam), cutoff))
+        cdf = np.cumsum(_poisson_pmf_table(lam, _poisson_cutoff(lam)))
         n = np.searchsorted(cdf, uniforms[mask], side="left")
         odd[mask] = (n & 1).astype(bool)
     return odd

@@ -5,12 +5,9 @@ Each round: Alice prepares |alpha + beta> with probability p_plus (else
 displacement (gamma1 = -(alpha + beta) or gamma2 = -(alpha - beta)) is
 announced publicly, Bob applies it to his system and samples parity, and,
 when a Gaussian-cloning eavesdropper is present, Eve applies the same
-announced displacement to her clone and samples parity as well.  Sifting
-is a pass-through here: there is no basis mismatch to discard, but the
-stage exists conceptually so channel models that corrupt announcements
-could hook into it later.  Eve hears the announcement before measuring,
-which is the stronger adversary (and the announcement precedes all
-measurements anyway).
+announced displacement to her clone and samples parity as well.  Eve
+hears the announcement before measuring, which is the stronger adversary
+(and the announcement precedes all measurements anyway).
 
 Random-stream discipline
 ------------------------
@@ -23,16 +20,28 @@ in parallel without changing the transcript.  Parity draws map a single
 uniform through the Poisson CDF exactly as the scalar sequential search in
 coherent.poisson_draw does for means up to 30.  Identical configs produce
 bit-identical transcripts.
+
+Transcript layout
+-----------------
+The announced gamma depends only on the preparation, so a round is one of
+at most eight kinds (prep, gamma, bob, eve).  A run keeps one uint8 kind
+code per round, prep << 2 | bob << 1 | eve (bits set for PLUS and ODD),
+beside the table of kinds; ``Transcript`` builds ``RoundRecord``s from
+them only when a caller indexes or iterates.  The JSONL codec works on
+the same kinds: the encoder renders one line tail per kind and fills in
+the round index, and the decoder maps tails it has seen back to kinds,
+parsing every other line with ``json.loads``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -45,10 +54,10 @@ __all__ = [
     "Prep",
     "SimConfig",
     "RoundRecord",
+    "Transcript",
     "SimStats",
     "ProtocolResult",
     "run_protocol",
-    "sift",
     "empirical_key_rate",
     "write_transcript",
     "read_transcript",
@@ -94,6 +103,43 @@ class RoundRecord(NamedTuple):
     eve_outcome: Parity | None = None
 
 
+class Transcript(Sequence[RoundRecord]):
+    """Read-only sequence view of the rounds of one run.
+
+    Round i is ``RoundRecord(i, *kinds[codes[i]])``.  Length, indexing,
+    slicing and iteration give the same records a list would, and a
+    transcript compares equal to a list of equal records.
+    """
+
+    __slots__ = ("_codes", "_kinds")
+
+    def __init__(self, codes: np.ndarray, kinds: tuple):
+        self._codes = codes
+        self._kinds = kinds
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(len(self))[key]]
+        i = range(len(self))[key]
+        return RoundRecord(i, *self._kinds[self._codes[i]])
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        kinds = self._kinds
+        for i, code in enumerate(self._codes.tolist()):
+            yield RoundRecord(i, *kinds[code])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Transcript)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Transcript(rounds={len(self)})"
+
+
 @dataclass(frozen=True)
 class SimStats:
     n_plus: int
@@ -107,7 +153,7 @@ class SimStats:
 @dataclass(frozen=True)
 class ProtocolResult:
     stats: SimStats
-    transcript: list[RoundRecord]
+    transcript: Transcript
 
 
 def _squared_modulus(values: np.ndarray) -> np.ndarray:
@@ -116,12 +162,16 @@ def _squared_modulus(values: np.ndarray) -> np.ndarray:
     return values**2
 
 
+def _parity(odd: bool) -> Parity:
+    return Parity.ODD if odd else Parity.EVEN
+
+
 def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolResult:
     """Simulate the configured number of rounds.
 
-    ``keep_transcript=False`` skips building the per-round records (the
-    aggregate statistics are unchanged); useful for large repetition
-    studies.
+    ``keep_transcript=False`` leaves the transcript empty and skips its
+    kind codes (the aggregate statistics are unchanged); useful for large
+    repetition studies.
     """
     rounds = int(config.rounds)
     alpha, beta = config.alpha, config.beta
@@ -170,34 +220,21 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
         empirical_rate=rate,
     )
 
-    transcript: list[RoundRecord] = []
-    if keep_transcript:
-        plus_list = plus.tolist()
-        gamma_list = gamma.tolist()
-        bob_list = bob_odd.tolist()
-        eve_list = eve_odd.tolist() if eve_odd is not None else None
-        for i in range(rounds):
-            transcript.append(
-                RoundRecord(
-                    index=i,
-                    prep=Prep.PLUS if plus_list[i] else Prep.MINUS,
-                    announced_gamma=complex(gamma_list[i]),
-                    bob_outcome=Parity.ODD if bob_list[i] else Parity.EVEN,
-                    eve_outcome=None
-                    if eve_list is None
-                    else (Parity.ODD if eve_list[i] else Parity.EVEN),
-                )
-            )
-    return ProtocolResult(stats=stats, transcript=transcript)
-
-
-def sift(transcript: list[RoundRecord]) -> list[RoundRecord]:
-    """Sifting stage: a pass-through in this game.
-
-    There is no basis mismatch to discard; the stage exists so channel
-    models that corrupt announcements can drop rounds here later.
-    """
-    return list(transcript)
+    if not keep_transcript:
+        return ProtocolResult(stats=stats, transcript=Transcript(np.empty(0, np.uint8), ()))
+    codes = (plus.astype(np.uint8) << 2) | (bob_odd.astype(np.uint8) << 1)
+    if eve_odd is not None:
+        codes |= eve_odd.astype(np.uint8)
+    kinds = tuple(
+        (
+            Prep.PLUS if code & 4 else Prep.MINUS,
+            complex(gamma1 if code & 4 else gamma2),
+            _parity(code & 2),
+            None if eve_odd is None else _parity(code & 1),
+        )
+        for code in range(8)
+    )
+    return ProtocolResult(stats=stats, transcript=Transcript(codes, kinds))
 
 
 def empirical_key_rate(stats: SimStats) -> float:
@@ -211,6 +248,16 @@ def empirical_key_rate(stats: SimStats) -> float:
 
 _PARITY_LETTER = {Parity.EVEN: "E", Parity.ODD: "O"}
 _LETTER_PARITY = {"E": Parity.EVEN, "O": Parity.ODD}
+
+# Every line starts with the index field; the tail is the rest of the line.
+_HEAD = '{"i":'
+
+# Lines encoded per write, which bounds the text held at once.
+_WRITE_CHUNK = 1 << 16
+
+# A run has at most eight distinct tails; the cap only bounds the decoder's
+# cache on files whose gammas vary from line to line.
+_MAX_CACHED_TAILS = 64
 
 
 def _record_to_json(record: RoundRecord) -> str:
@@ -226,40 +273,93 @@ def _record_to_json(record: RoundRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def write_transcript(transcript: list[RoundRecord], sink) -> None:
+def _record_tail(record: RoundRecord) -> str:
+    """The JSONL line of ``record`` after its index, newline included."""
+    return _record_to_json(record._replace(index=0))[len(_HEAD) + 1:] + "\n"
+
+
+def _cached_tails(records: Iterable[RoundRecord]) -> Iterator[tuple[int, str]]:
+    # Keyed by the reprs of gamma's parts: equal complex values need not
+    # encode alike (0.0 == -0.0), equal reprs do.
+    tails: dict[tuple, str] = {}
+    for record in records:
+        gamma = record.announced_gamma
+        key = (record.prep, record.bob_outcome, record.eve_outcome, repr(gamma.real), repr(gamma.imag))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _record_tail(record)
+        yield record.index, tail
+
+
+def _write_lines(transcript: Iterable[RoundRecord], fh) -> None:
+    # (index, line tail) per round, each distinct tail rendered once.
+    if isinstance(transcript, Transcript):
+        tails = [_record_tail(RoundRecord(0, *kind)) for kind in transcript._kinds]
+        pairs = zip(range(len(transcript)), map(tails.__getitem__, transcript._codes.tolist()))
+    else:
+        pairs = _cached_tails(transcript)
+    while text := "".join([f"{_HEAD}{i}{tail}" for i, tail in islice(pairs, _WRITE_CHUNK)]):
+        fh.write(text)
+
+
+def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     """Serialize records as JSONL, one object per line, UTF-8, LF endings.
 
     ``sink`` may be a path or a text file object.  The ``eve`` field is
     omitted, not null-encoded, when a round has no eavesdropper outcome.
+    Each line is byte-identical to ``json.dumps`` of the record with
+    compact separators; the text is written in chunks of whole lines.
     """
-    lines = "".join(_record_to_json(r) + "\n" for r in transcript)
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
+            _write_lines(transcript, fh)
     else:
-        sink.write(lines)
+        _write_lines(transcript, sink)
 
 
-def read_transcript(source) -> list[RoundRecord]:
-    """Parse a JSONL transcript back into records."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+def _decode_record(obj) -> RoundRecord:
+    return RoundRecord(
+        index=int(obj["i"]),
+        prep=Prep(obj["prep"]),
+        announced_gamma=complex(obj["gamma_re"], obj["gamma_im"]),
+        bob_outcome=_LETTER_PARITY[obj["bob"]],
+        eve_outcome=_LETTER_PARITY[obj["eve"]] if "eve" in obj else None,
+    )
+
+
+def _decode_lines(lines: Iterable[str]) -> list[RoundRecord]:
+    # Tails of lines that were exactly the encoding of their record, mapped
+    # to that record's fields.  A line '{"i":' + canonical digits + such a
+    # tail is then the encoding of the same fields at that index, so it
+    # decodes to them without json.loads.
+    kinds: dict[str, tuple] = {}
     records: list[RoundRecord] = []
-    for line in io.StringIO(text):
+    append = records.append
+    for line in lines:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        records.append(
-            RoundRecord(
-                index=int(obj["i"]),
-                prep=Prep(obj["prep"]),
-                announced_gamma=complex(obj["gamma_re"], obj["gamma_im"]),
-                bob_outcome=_LETTER_PARITY[obj["bob"]],
-                eve_outcome=_LETTER_PARITY[obj["eve"]] if "eve" in obj else None,
-            )
-        )
+        cut = line.find(",")
+        kind = kinds.get(line[cut:]) if cut > 0 else None
+        if kind is not None and line.startswith(_HEAD):
+            digits = line[len(_HEAD):cut]
+            if digits.isascii() and digits.isdigit() and (len(digits) == 1 or digits[0] != "0"):
+                append(RoundRecord(int(digits), *kind))
+                continue
+        record = _decode_record(json.loads(line))
+        append(record)
+        if len(kinds) < _MAX_CACHED_TAILS and line == _record_to_json(record):
+            kinds[line[cut:]] = record[1:]
     return records
+
+
+def read_transcript(source) -> list[RoundRecord]:
+    """Parse a JSONL transcript back into records.
+
+    ``source`` may be a path or a text file object; it is read one line
+    at a time.  Blank lines and whitespace around a line are ignored.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return _decode_lines(fh)
+    return _decode_lines(source)

@@ -17,6 +17,7 @@ from steerlab.coherent import (
     parity_probabilities,
     poisson_draw,
     sample_parity,
+    _poisson_cutoff,
 )
 
 
@@ -149,6 +150,14 @@ class TestParityByTruncation:
                 t = parity_by_truncation(mu, default_cutoff(mu))
                 assert abs(d.p_even - t.p_even) <= 1e-10
                 assert abs(d.p_odd - t.p_odd) <= 1e-10
+
+    def test_shared_cutoff_matches_the_sampler_formula_on_numpy_means(self):
+        # batch_parity_is_odd used to evaluate the formula inline on the
+        # numpy means it tabulates; the shared helper takes Python floats.
+        lams = np.concatenate([np.linspace(0.0, 50.0, 501), np.geomspace(1e-9, 1e7, 400)])
+        for lam in lams:
+            inline = math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
+            assert _poisson_cutoff(lam.item()) == inline
 
     def test_default_cutoff_dominates_chernoff_minimum(self):
         for lam in [0.0, 0.1, 1.0, 4.0, 16.0, 100.0, 1000.0]:

@@ -1,8 +1,11 @@
+import hashlib
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.coherent import Parity
 from steerlab.keyrate import binary_entropy, bob_error, eve_error
@@ -11,10 +14,10 @@ from steerlab.protocol import (
     RoundRecord,
     SimConfig,
     SimStats,
+    Transcript,
     empirical_key_rate,
     read_transcript,
     run_protocol,
-    sift,
     write_transcript,
 )
 from steerlab.steering import GaussianCloneChannel, IdealChannel, LhsMixtureChannel
@@ -82,6 +85,27 @@ class TestRunProtocol:
         write_transcript(run_protocol(config).transcript, second)
         assert first.getvalue() == second.getvalue()
 
+    def test_transcript_is_a_read_only_record_sequence(self):
+        config = SimConfig(
+            alpha=1.0, beta=0.5, channel=GaussianCloneChannel(eta=0.4), rounds=60, seed=21
+        )
+        view = run_protocol(config).transcript
+        records = list(view)
+        assert isinstance(view, Transcript)
+        assert len(view) == 60
+        assert [r.index for r in records] == list(range(60))
+        assert all(type(r) is RoundRecord for r in records)
+        assert view[7] == records[7] and view[-1] == records[-1]
+        assert view[5:40:3] == records[5:40:3]
+        assert isinstance(view[5:9], list)
+        assert view == records and records == view
+        assert view != records[:-1] and view != records[::-1]
+        assert view != tuple(records)
+        with pytest.raises(IndexError):
+            view[60]
+        with pytest.raises(TypeError):
+            view[0] = records[0]
+
     def test_keep_transcript_flag_preserves_stats(self):
         config = SimConfig(alpha=1.0, beta=0.5, rounds=3000, seed=8)
         with_records = run_protocol(config, keep_transcript=True)
@@ -96,12 +120,6 @@ class TestRunProtocol:
         )
         assert result.stats.empirical_q01 is None
         assert 0.0 <= result.stats.empirical_p01 <= 1.0
-
-    def test_sifting_is_a_pass_through(self):
-        result = run_protocol(SimConfig(alpha=1.0, beta=0.5, rounds=100, seed=12))
-        sifted = sift(result.transcript)
-        assert sifted == result.transcript
-        assert sifted is not result.transcript
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +174,27 @@ class TestEmpiricalKeyRate:
         assert abs(rate - binary_entropy(q)) < 0.01
 
 
+# SHA-256 of the JSONL transcripts of 2000-round runs (alpha=1, beta=0.5),
+# recorded before the transcript became columnar.  A change to the codec,
+# the stream discipline or the sampler that moves a single byte fails here.
+GOLDEN_TRANSCRIPTS = [
+    ("ideal", 7, "ab9d166ae7e370d36f928bf263666e39ebabebcf89a6f374974b761c64e33dd7"),
+    ("ideal", 2024, "127befa1ab8e5cc705add52d0ca2b308ca86498e982ae6223d8c297d228e9b35"),
+    ("clone", 7, "27f428d988fff7eb1a352f229bf584ee8eb3a71327fbcaa540a6a2ce6d82937e"),
+    ("clone", 2024, "95c3d15f2b179e4cfed6a398562d7cb17473d4d6100936553579ce846a0a3050"),
+]
+
+
+@pytest.mark.parametrize("channel,seed,digest", GOLDEN_TRANSCRIPTS)
+def test_golden_transcript_hashes(tmp_path, channel, seed, digest):
+    model = GaussianCloneChannel(eta=0.6) if channel == "clone" else IdealChannel()
+    config = SimConfig(alpha=1.0, beta=0.5, channel=model, rounds=2000, seed=seed)
+    path = tmp_path / "golden.jsonl"
+    write_transcript(run_protocol(config).transcript, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert read_transcript(path) == run_protocol(config).transcript
+
+
 class TestTranscriptCodec:
     def test_empty_transcript(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -201,3 +240,183 @@ class TestTranscriptCodec:
             assert obj["eve"] in ("E", "O")
             assert isinstance(obj["i"], int)
         assert read_transcript(path) == result.transcript
+
+
+def _reference_encode(records) -> str:
+    """The encoder before kind templates: json.dumps on every record."""
+    lines = []
+    for r in records:
+        obj = {
+            "i": r.index,
+            "prep": r.prep.value,
+            "gamma_re": r.announced_gamma.real,
+            "gamma_im": r.announced_gamma.imag,
+            "bob": "O" if r.bob_outcome is Parity.ODD else "E",
+        }
+        if r.eve_outcome is not None:
+            obj["eve"] = "O" if r.eve_outcome is Parity.ODD else "E"
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def _reference_decode(text: str) -> list[RoundRecord]:
+    """The decoder before the template fast path: json.loads on every line."""
+    letters = {"E": Parity.EVEN, "O": Parity.ODD}
+    records = []
+    for line in io.StringIO(text):
+        line = line.strip()
+        if not line:
+            continue
+        obj = json.loads(line)
+        records.append(
+            RoundRecord(
+                index=int(obj["i"]),
+                prep=Prep(obj["prep"]),
+                announced_gamma=complex(obj["gamma_re"], obj["gamma_im"]),
+                bob_outcome=letters[obj["bob"]],
+                eve_outcome=letters[obj["eve"]] if "eve" in obj else None,
+            )
+        )
+    return records
+
+
+def _exact(records) -> list[tuple]:
+    # Equality of records treats 0.0 and -0.0 alike; reprs do not.
+    return [
+        (type(r.index), r.index, r.prep, repr(r.announced_gamma), r.bob_outcome, r.eve_outcome)
+        for r in records
+    ]
+
+
+def _assert_decodes_like_reference(text: str, tmp_path) -> None:
+    path = tmp_path / "case.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        file_text = fh.read()  # universal newlines, as a path source is read
+    for source, reference_text in ((lambda: io.StringIO(text), text), (lambda: path, file_text)):
+        try:
+            expected = _reference_decode(reference_text)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                read_transcript(source())
+        else:
+            assert _exact(read_transcript(source())) == _exact(expected)
+
+
+_TAIL = ',"prep":"+","gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O"}'
+# Two canonical lines put _TAIL among the decoder's known tails, so the
+# line under test meets the fast path.
+_PRIMER = '{"i":0' + _TAIL + "\n" + '{"i":1' + _TAIL + "\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"i":2' + _TAIL,
+        '{"i":10' + _TAIL,
+        '{"i":0' + _TAIL,
+        '{"i":007' + _TAIL,
+        '{"i":1_0' + _TAIL,
+        '{"i":\u0663' + _TAIL,
+        '{"i":-1' + _TAIL,
+        '{"i":1.0' + _TAIL,
+        '{"i":1e1' + _TAIL,
+        '{"i": 3' + _TAIL,
+        '{"i":true' + _TAIL,
+        '{"i":"4"' + _TAIL,
+        '{"prep":"+","i":5,"gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O"}',
+        '{"i":6,"eve":"O","bob":"E","gamma_im":0.0,"gamma_re":-1.5,"prep":"+"}',
+        '{"i":7' + _TAIL[:-1] + ',"i":9}',
+        '{"i":8' + _TAIL[:-1] + ',"i":-2}',
+        '{"i":9' + _TAIL + "   ",
+        '  \t{"i":11' + _TAIL,
+        '{"i":12' + _TAIL + "}",
+        '{"i":13' + _TAIL[:-1],
+        '{"i":14' + _TAIL.replace("-1.5", "-1.50"),
+        '{"i":15' + _TAIL.replace("0.0", "-0.0"),
+        "[1, 2]",
+    ],
+)
+def test_fast_path_decodes_like_json_loads(tmp_path, line):
+    _assert_decodes_like_reference(_PRIMER + line + "\n" + '{"i":16' + _TAIL + "\n", tmp_path)
+
+
+def test_tail_with_a_repeated_index_key_is_never_a_template(tmp_path):
+    # The first line decodes to index 5 and re-encodes differently, so its
+    # tail must not be learned: the second line's "i" is also 5, not 6.
+    repeated = ',"prep":"+","gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O","i":5}'
+    text = '{"i":5' + repeated + "\n" + '{"i":6' + repeated + "\n"
+    assert [r.index for r in read_transcript(io.StringIO(text))] == [5, 5]
+    _assert_decodes_like_reference(text, tmp_path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_blank_lines_whitespace_and_line_endings(tmp_path, newline):
+    lines = [
+        "",
+        '{"i":0' + _TAIL,
+        "   ",
+        '\t{"i":1' + _TAIL + "  ",
+        '{"i":2' + _TAIL,
+        "",
+    ]
+    _assert_decodes_like_reference(newline.join(lines) + newline, tmp_path)
+
+
+def test_signed_zero_gamma_encodes_like_json_dumps(tmp_path):
+    # complex(-1.5, 0.0) == complex(-1.5, -0.0), so a tail cache keyed by
+    # value would merge the two lines.
+    records = [
+        RoundRecord(0, Prep.PLUS, complex(-1.5, 0.0), Parity.EVEN, Parity.ODD),
+        RoundRecord(1, Prep.PLUS, complex(-1.5, -0.0), Parity.EVEN, Parity.ODD),
+        RoundRecord(2, Prep.MINUS, complex(-0.0, 0.0), Parity.ODD, None),
+        RoundRecord(3, Prep.MINUS, complex(0.0, 0.0), Parity.ODD, None),
+        RoundRecord(4, Prep.PLUS, complex(-1.5, -0.0), Parity.EVEN, Parity.ODD),
+    ]
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    assert buf.getvalue() == _reference_encode(records)
+    assert '"gamma_im":-0.0' in buf.getvalue().splitlines()[1]
+    assert _exact(read_transcript(io.StringIO(buf.getvalue()))) == _exact(records)
+
+
+_GAMMAS = st.one_of(
+    st.sampled_from([complex(-1.5, 0.0), complex(-1.5, -0.0), complex(-0.5, 0.0), complex(0.0, -0.0)]),
+    st.builds(complex, st.floats(allow_nan=False), st.floats(allow_nan=False)),
+)
+_RECORDS = st.lists(
+    st.builds(
+        RoundRecord,
+        index=st.integers(min_value=0, max_value=10**12),
+        prep=st.sampled_from(Prep),
+        announced_gamma=_GAMMAS,
+        bob_outcome=st.sampled_from(Parity),
+        eve_outcome=st.one_of(st.none(), st.sampled_from(Parity)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+def test_write_then_read_round_trip(records):
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    assert buf.getvalue() == _reference_encode(records)
+    assert _exact(read_transcript(io.StringIO(buf.getvalue()))) == _exact(records)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    rounds=st.integers(min_value=1, max_value=300),
+    eta=st.one_of(st.none(), st.floats(min_value=0.0, max_value=math.pi / 2)),
+)
+def test_view_encodes_like_its_records(seed, rounds, eta):
+    channel = IdealChannel() if eta is None else GaussianCloneChannel(eta=eta)
+    config = SimConfig(alpha=1.0, beta=0.5, channel=channel, rounds=rounds, seed=seed)
+    view = run_protocol(config).transcript
+    buf = io.StringIO()
+    write_transcript(view, buf)
+    assert buf.getvalue() == _reference_encode(list(view))
+    assert _exact(read_transcript(io.StringIO(buf.getvalue()))) == _exact(view)
