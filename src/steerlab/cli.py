@@ -41,6 +41,7 @@ from .coherent import (
 from .output import (
     STDOUT_MARKER,
     curve_svg,
+    open_atomic,
     region_svg,
     rows_to_csv,
     to_json_document,
@@ -278,11 +279,8 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
     )
     result = protocol.run_protocol(config, keep_transcript=args.transcript is not None)
     if args.transcript is not None:
-        import io as _io
-
-        buf = _io.StringIO()
-        protocol.write_transcript(result.transcript, buf)
-        write_text(args.transcript, buf.getvalue())
+        with open_atomic(args.transcript) as fh:
+            protocol.write_transcript(result.transcript, fh)
     stats = result.stats
     stats_obj = {
         "n_plus": stats.n_plus,

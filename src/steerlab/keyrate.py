@@ -60,10 +60,6 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 
-_GRID_STEP = 1e-3
-_REFINE_TOL = 1e-8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class CloneOutput:
@@ -221,60 +217,23 @@ def optimize_eve(
     eta_lo: float = 0.0,
     eta_hi: float = HALF_PI,
 ) -> EveOptimum:
-    """Maximize I(A:E) over eta in [eta_lo, eta_hi].
+    """Maximize I(A:E) over eta in [eta_lo, eta_hi]: the maximum is at eta_hi.
 
-    Grid scan at step 1e-3 followed by golden-section refinement of the
-    bracketing interval down to width 1e-8; ties break toward smaller eta.
-    On the full closed interval the unconstrained maximum sits at
-    eta = pi/2 where Eve keeps everything; capping the interval at pi/4
-    (Eve's clone no better than Bob's) yields the symmetric-clone optimum.
+    I(A:E) is non-decreasing in eta on [0, pi/2].  Eve's offset after the
+    announced displacement, |alpha +- beta| (1 - sin eta), falls as eta
+    grows; her odd-parity probability (1 - exp(-2 |delta|^2)) / 2 rises
+    with the offset and stays below 1/2; and H2 is increasing on [0, 1/2].
+    So her error Q01 falls, H2(Q01) falls and I(A:E) = 1 - H2(Q01) rises.
+    On the full interval the maximum sits at eta = pi/2 where Eve keeps
+    everything; capping the interval at pi/4 (Eve's clone no better than
+    Bob's) yields the symmetric-clone optimum.
     """
     if not (0.0 <= eta_lo < eta_hi <= HALF_PI + 1e-12):
         raise ValueError(
             f"need 0 <= eta_lo < eta_hi <= pi/2, got [{eta_lo!r}, {eta_hi!r}]"
         )
-
-    def info(eta: float) -> float:
-        return 1.0 - binary_entropy(eve_error(alpha, beta, eta))
-
-    etas = []
-    k = 0
-    while True:
-        eta = eta_lo + k * _GRID_STEP
-        if eta >= eta_hi:
-            break
-        etas.append(eta)
-        k += 1
-    etas.append(eta_hi)
-
-    best_eta = etas[0]
-    best_val = info(best_eta)
-    for eta in etas[1:]:
-        val = info(eta)
-        if val > best_val:
-            best_eta, best_val = eta, val
-
-    lo = max(eta_lo, best_eta - _GRID_STEP)
-    hi = min(eta_hi, best_eta + _GRID_STEP)
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = info(c)
-    fd = info(d)
-    while hi - lo > _REFINE_TOL:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = info(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = info(d)
-
-    candidates = [(info(lo), lo), (fc, c), (fd, d), (info(hi), hi), (best_val, best_eta)]
-    top = max(v for v, _ in candidates)
-    eta_star = min(e for v, e in candidates if v == top)
-    point = key_rate_point(alpha, beta, eta_star)
-    return EveOptimum(eta_star=eta_star, i_ae_star=point.i_ae, rate_at_star=point.rate)
+    point = key_rate_point(alpha, beta, eta_hi)
+    return EveOptimum(eta_star=eta_hi, i_ae_star=point.i_ae, rate_at_star=point.rate)
 
 
 def key_rate_curve(alpha: float, beta: float, eta_grid: list[float]) -> list[KeyRatePoint]:

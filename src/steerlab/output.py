@@ -14,10 +14,12 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 __all__ = [
     "STDOUT_MARKER",
     "format_number",
+    "open_atomic",
     "write_text",
     "rows_to_csv",
     "to_json_document",
@@ -37,16 +39,21 @@ def format_number(value) -> str:
     return str(value)
 
 
-def write_text(path: str, text: str) -> None:
-    """Write text to ``path`` atomically, or to stdout for the "-" marker."""
+@contextmanager
+def open_atomic(path: str):
+    """Text file for ``path`` that appears there only if the block completes.
+
+    Writes go to a temp file in the same directory, renamed over ``path``
+    on success and removed on any exception.  The "-" marker yields stdout.
+    """
     if path == STDOUT_MARKER:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-steerlab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -54,6 +61,12 @@ def write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to ``path`` atomically, or to stdout for the "-" marker."""
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def rows_to_csv(header: list[str], rows: list[list]) -> str:

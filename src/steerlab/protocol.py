@@ -47,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherent import Parity, batch_parity_is_odd
-from .keyrate import HALF_PI, binary_entropy
-from .steering import Channel, GaussianCloneChannel, IdealChannel, LhsMixtureChannel
+from .keyrate import binary_entropy
+from .steering import Channel, IdealChannel
 
 __all__ = [
     "Prep",
@@ -85,9 +85,7 @@ class SimConfig:
             raise ValueError("alpha and beta must be finite")
         if not (0.0 <= self.p_plus <= 1.0):
             raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus!r}")
-        if not isinstance(
-            self.channel, (IdealChannel, GaussianCloneChannel, LhsMixtureChannel)
-        ):
+        if not isinstance(self.channel, Channel):
             raise ValueError(f"unknown channel model: {self.channel!r}")
         if int(self.rounds) != self.rounds or self.rounds < 1:
             raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
@@ -185,18 +183,17 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     prep_amp = np.where(plus, alpha + beta, alpha - beta)
     gamma = np.where(plus, gamma1, gamma2)
 
-    channel = config.channel
-    eve_received: np.ndarray | None = None
-    if isinstance(channel, IdealChannel):
-        bob_received = prep_amp
-    elif isinstance(channel, GaussianCloneChannel):
-        bob_received = prep_amp * math.cos(abs(channel.eta))
-        eve_received = prep_amp * math.cos(HALF_PI - channel.eta)
+    components = config.channel.components(prep_amp)
+    if len(components) == 1:
+        _, bob_received, eve_received = components[0]
     else:
-        cum = np.cumsum(channel.weights)
-        idx = np.searchsorted(cum, u[:, 1], side="right")
-        idx = np.minimum(idx, len(channel.states) - 1)
-        bob_received = np.asarray(channel.states, dtype=complex)[idx]
+        # A preparation-independent mixture: scalar amplitudes, one drawn
+        # per round by the round's component uniform.
+        weights, bobs, eves = zip(*components)
+        idx = np.searchsorted(np.cumsum(weights), u[:, 1], side="right")
+        idx = np.minimum(idx, len(components) - 1)
+        bob_received = np.asarray(bobs, dtype=complex)[idx]
+        eve_received = None if eves[0] is None else np.asarray(eves, dtype=complex)[idx]
 
     bob_odd = batch_parity_is_odd(_squared_modulus(bob_received + gamma), u[:, 2])
     eve_odd: np.ndarray | None = None

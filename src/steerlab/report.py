@@ -195,11 +195,13 @@ def _optimum_section() -> list[str]:
     lines = [
         "## 4. Eve's optimal cloning parameter: unconstrained vs symmetric cap",
         "",
-        "Over the full closed interval [0, pi/2] Eve's information is maximal",
-        "at eta = pi/2, where she keeps the entire amplitude and the rate is",
-        "negative.  Capping the interval at pi/4 (Eve's clone no better than",
-        "Bob's) moves the optimum to the symmetric point, where the two error",
-        "probabilities coincide and the rate is exactly zero.",
+        "Eve's error falls as her clone grows, so her information I(A:E) is",
+        "non-decreasing in eta and is maximal at the upper end of the allowed",
+        "interval.  Over the full interval [0, pi/2] that is eta = pi/2, where",
+        "she keeps the entire amplitude, I(A:E) = 1 and the rate is negative.",
+        "Capping the interval at pi/4 (Eve's clone no better than Bob's) puts",
+        "the optimum at the symmetric point, where the two error probabilities",
+        "coincide and the rate is exactly zero.",
         "",
     ]
     lines += _table(

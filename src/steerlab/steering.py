@@ -13,10 +13,18 @@ which preparation-independent (unsteerable) channel models nominally keep
 inside [1/4, 3/4]; a value outside the window is a steering violation.
 
 Channels: Ideal passes the state through, GaussianClone keeps the
-cos-scaled copy, and LhsMixture replaces the state by a fixed mixture of
-coherent states regardless of the preparation.  Mixtures enter through
-convex combination of parity probabilities (parity is linear in the
-density operator), so no density-matrix machinery is needed.
+cos-scaled copy (Eve the sin-scaled one), and LhsMixture replaces the
+state by a fixed mixture of coherent states regardless of the
+preparation.  A channel's ``components`` maps prepared amplitudes (a
+scalar or a numpy array) to the mixture (weight, Bob's amplitude, Eve's
+amplitude or None); the protocol samples the same map.  Mixtures enter
+through convex combination of parity probabilities (parity is linear in
+the density operator), so no density-matrix machinery is needed.
+
+With the canonical displacements gamma1 = -(alpha + beta) and
+gamma2 = -(alpha - beta) each branch probability depends on beta alone,
+so a region sweep evaluates the two branches once per beta and forms
+p b1 + (1 - p) b2 over the p grid, bitwise what steering_sum gives.
 
 The closed-form boundary of the steerable region in the (beta, p) plane
 is provided for comparison; the model it derives from is not reproduced
@@ -31,7 +39,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .coherent import EXCLUDED_REGION_EPS, Parity, parity_probabilities
+from .keyrate import bob_amplitude_factor, eve_amplitude_factor
 
 __all__ = [
     "LOWER_BOUND",
@@ -101,6 +112,10 @@ class SteeringScenario:
 class IdealChannel:
     """Noiseless pass-through."""
 
+    def components(self, prepared):
+        """One component: the prepared amplitude itself, no eavesdropper."""
+        return ((1.0, prepared, None),)
+
 
 @dataclass(frozen=True)
 class GaussianCloneChannel:
@@ -111,6 +126,11 @@ class GaussianCloneChannel:
     def __post_init__(self):
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta!r}")
+
+    def components(self, prepared):
+        """One component: Bob's cos|eta| clone and Eve's sin(eta) clone."""
+        bob, eve = bob_amplitude_factor(self.eta), eve_amplitude_factor(self.eta)
+        return ((1.0, prepared * bob, prepared * eve),)
 
 
 @dataclass(frozen=True)
@@ -132,35 +152,35 @@ class LhsMixtureChannel:
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
 
+    def components(self, prepared):
+        """The fixed states, whatever was prepared.
+
+        That independence is exactly what makes the model unsteerable.
+        """
+        return tuple((w, s, None) for w, s in zip(self.weights, self.states))
+
 
 Channel = IdealChannel | GaussianCloneChannel | LhsMixtureChannel
-
-
-def received_components(channel: Channel, prepared: complex) -> list[tuple[float, complex]]:
-    """Mixture of coherent amplitudes the receiver holds, pre-displacement.
-
-    For LhsMixture the result does not depend on ``prepared``; that
-    independence is exactly what makes the model unsteerable.
-    """
-    if isinstance(channel, IdealChannel):
-        return [(1.0, complex(prepared))]
-    if isinstance(channel, GaussianCloneChannel):
-        return [(1.0, complex(prepared) * math.cos(abs(channel.eta)))]
-    if isinstance(channel, LhsMixtureChannel):
-        return list(zip(channel.weights, channel.states))
-    raise ValueError(f"unknown channel model: {channel!r}")
 
 
 def _conditional_probability(
     channel: Channel, prepared: complex, gamma: complex, outcome: Parity
 ) -> float:
     total = 0.0
-    for weight, component in received_components(channel, prepared):
-        total += weight * parity_probabilities(component + gamma).prob(outcome)
+    for weight, bob, _ in channel.components(prepared):
+        total += weight * parity_probabilities(bob + gamma).prob(outcome)
     return total
 
 
-def steering_verdict(total: float, excluded: bool = False) -> Verdict:
+def _branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
+    # P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta).
+    ens, outcome = scenario.ensemble, scenario.outcome
+    plus = _conditional_probability(channel, complex(ens.alpha + ens.beta), scenario.gamma1, outcome)
+    minus = _conditional_probability(channel, complex(ens.alpha - ens.beta), scenario.gamma2, outcome)
+    return plus, minus
+
+
+def steering_verdict(total: float) -> Verdict:
     """Classify a probability sum against the [1/4, 3/4] window.
 
     Bounds are inclusive; equality at either edge (within TIE_TOL) is
@@ -190,17 +210,14 @@ def steering_sum(scenario: SteeringScenario, channel: Channel) -> SteeringEvalua
     branches see the same mixture.
     """
     ens = scenario.ensemble
-    plus_amp = complex(ens.alpha + ens.beta)
-    minus_amp = complex(ens.alpha - ens.beta)
-    p_branch1 = _conditional_probability(channel, plus_amp, scenario.gamma1, scenario.outcome)
-    p_branch2 = _conditional_probability(channel, minus_amp, scenario.gamma2, scenario.outcome)
+    p_branch1, p_branch2 = _branch_probabilities(scenario, channel)
     total = ens.p_plus * p_branch1 + (1.0 - ens.p_plus) * p_branch2
     excluded = (
         abs(ens.alpha) < EXCLUDED_REGION_EPS and abs(ens.beta) < EXCLUDED_REGION_EPS
     )
     return SteeringEvaluation(
         sum=total,
-        verdict=steering_verdict(total, excluded),
+        verdict=steering_verdict(total),
         excluded_region=excluded,
     )
 
@@ -270,25 +287,29 @@ def region_sweep(
 
     Uses gamma1 = -(alpha + beta), gamma2 = -(alpha - beta) and the even
     outcome at every grid point.  Rows come out in row-major order (beta
-    outer, p inner); grid points are independent, so the sweep could be
-    parallelized with results reassembled by index, and identical inputs
-    always produce identical tables.
+    outer, p inner); each sum is bitwise steering_sum's for that cell,
+    from two branch probabilities per beta (see the module docstring).
     """
     beta_grid = [float(b) for b in beta_grid]
     p_grid = [float(p) for p in p_grid]
     _validate_grid(beta_grid, "beta_grid")
     _validate_grid(p_grid, "p_grid")
+    if not all(0.0 <= p <= 1.0 for p in p_grid):
+        raise ValueError("p_grid must lie in [0, 1]")
+    ps = np.array(p_grid)
     rows: list[RegionPoint] = []
     for beta in beta_grid:
-        gamma1 = complex(-(alpha + beta))
-        gamma2 = complex(-(alpha - beta))
-        for p in p_grid:
-            scenario = SteeringScenario(
-                ensemble=PreparationEnsemble(alpha=alpha, beta=beta, p_plus=p),
-                gamma1=gamma1,
-                gamma2=gamma2,
-                outcome=Parity.EVEN,
-            )
-            ev = steering_sum(scenario, channel)
-            rows.append(RegionPoint(beta=beta, p=p, sum=ev.sum, verdict=ev.verdict))
+        # p_plus does not enter the branch probabilities.
+        scenario = SteeringScenario(
+            ensemble=PreparationEnsemble(alpha=alpha, beta=beta, p_plus=0.5),
+            gamma1=-(alpha + beta),
+            gamma2=-(alpha - beta),
+            outcome=Parity.EVEN,
+        )
+        p_branch1, p_branch2 = _branch_probabilities(scenario, channel)
+        sums = (ps * p_branch1 + (1.0 - ps) * p_branch2).tolist()
+        rows += [
+            RegionPoint(beta=beta, p=p, sum=total, verdict=steering_verdict(total))
+            for p, total in zip(p_grid, sums)
+        ]
     return rows

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -93,6 +94,24 @@ class TestSteerRegionCommand:
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") > 20
         assert "<polyline" in svg
+
+    # SHA-256 of the 40-step CSV, recorded before the sweep was reduced to
+    # two branch probabilities per beta.
+    @pytest.mark.parametrize(
+        "channel,digest",
+        [
+            ("ideal", "53244abf1f6a31ac2c77bd5ed985209baebaa53b026658ec1a0f29fdd478ddeb"),
+            ("clone", "cfc92c022082247a6d3ddefe736b25cc273c7b27d6ed4b66d760bc6514bfa93e"),
+        ],
+    )
+    def test_forty_step_csv_bytes(self, tmp_path, capsys, channel, digest):
+        out_path = tmp_path / "region.csv"
+        code, _, _ = run_cli(
+            ["steer-region", "--steps", "40", "--channel", channel, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_invalid_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -212,6 +231,27 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
         assert not missing_dir.exists()
+
+    def test_failed_transcript_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        from steerlab import protocol
+
+        write_transcript = protocol.write_transcript
+
+        def fail_midway(transcript, sink):
+            write_transcript(transcript[:5], sink)
+            raise RuntimeError("write failed midway")
+
+        monkeypatch.setattr(protocol, "write_transcript", fail_midway)
+        code, _, err = run_cli(
+            [
+                "protocol", "--rounds", "100", "--transcript", str(tmp_path / "t.jsonl"),
+                "--out", str(tmp_path / "s.json"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "write failed midway" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_success_returns_zero(self, capsys):
         code, _, _ = run_cli(["parity"], capsys)

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steerlab.keyrate import (
     HALF_PI,
@@ -159,12 +162,10 @@ class TestKeyRatePoint:
 
 class TestOptimizeEve:
     def test_unconstrained_maximum_at_interval_end(self):
-        # I(A:E) increases monotonically in eta, so the closed interval
-        # puts the optimum at pi/2 where Eve keeps everything; in floats
-        # the objective plateaus at exactly 1.0 just below pi/2 and ties
-        # break toward smaller eta within that plateau
+        # I(A:E) is non-decreasing in eta, so the closed interval puts the
+        # optimum at its upper end, pi/2, where Eve keeps everything
         result = optimize_eve(1.0, 0.5, 0.0, HALF_PI)
-        assert abs(result.eta_star - HALF_PI) < 1e-4
+        assert result.eta_star == HALF_PI
         assert result.i_ae_star == 1.0
         assert result.rate_at_star < 0.0
 
@@ -183,6 +184,22 @@ class TestOptimizeEve:
     def test_degenerate_interval(self):
         result = optimize_eve(1.0, 0.5, math.pi / 4, math.pi / 4 + 1e-6)
         assert abs(result.eta_star - math.pi / 4) < 2e-6
+
+    # Floating-point H2 wobbles by an ulp or two around its flat maximum at
+    # 1/2, so I(A:E) = 1 - H2 may dip by that much between nearby etas.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(min_value=-20.0, max_value=20.0),
+        beta=st.floats(min_value=-20.0, max_value=20.0),
+        etas=st.lists(st.floats(min_value=0.0, max_value=HALF_PI), min_size=2, max_size=2),
+    )
+    def test_eve_information_non_decreasing_in_eta(self, alpha, beta, etas):
+        assume(abs(alpha) >= 1e-6 or abs(beta) >= 1e-6)
+        lo, hi = sorted(etas)
+        tol = 4 * sys.float_info.epsilon
+        at_lo = key_rate_point(alpha, beta, lo).i_ae
+        assert key_rate_point(alpha, beta, hi).i_ae >= at_lo - tol
+        assert optimize_eve(alpha, beta, 0.0, HALF_PI).i_ae_star >= at_lo - tol
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):

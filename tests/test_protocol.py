@@ -174,20 +174,29 @@ class TestEmpiricalKeyRate:
         assert abs(rate - binary_entropy(q)) < 0.01
 
 
-# SHA-256 of the JSONL transcripts of 2000-round runs (alpha=1, beta=0.5),
-# recorded before the transcript became columnar.  A change to the codec,
-# the stream discipline or the sampler that moves a single byte fails here.
+# SHA-256 of the JSONL transcripts of 2000-round runs (alpha=1, beta=0.5).
+# The ideal and clone hashes were recorded before the transcript became
+# columnar, the mixture hash before the channels shared one component map.
+# A change to the codec, the stream discipline, the channel map or the
+# sampler that moves a single byte fails here.
 GOLDEN_TRANSCRIPTS = [
     ("ideal", 7, "ab9d166ae7e370d36f928bf263666e39ebabebcf89a6f374974b761c64e33dd7"),
     ("ideal", 2024, "127befa1ab8e5cc705add52d0ca2b308ca86498e982ae6223d8c297d228e9b35"),
     ("clone", 7, "27f428d988fff7eb1a352f229bf584ee8eb3a71327fbcaa540a6a2ce6d82937e"),
     ("clone", 2024, "95c3d15f2b179e4cfed6a398562d7cb17473d4d6100936553579ce846a0a3050"),
+    ("mixture", 7, "a9d6d8c74fc0f23b57c8f65d3df7fe54c7e14d8ea81a269f013e907583227d1b"),
 ]
+
+GOLDEN_CHANNELS = {
+    "ideal": IdealChannel(),
+    "clone": GaussianCloneChannel(eta=0.6),
+    "mixture": LhsMixtureChannel(states=(0.0, 1.0 + 0.5j, -0.3), weights=(0.25, 0.5, 0.25)),
+}
 
 
 @pytest.mark.parametrize("channel,seed,digest", GOLDEN_TRANSCRIPTS)
 def test_golden_transcript_hashes(tmp_path, channel, seed, digest):
-    model = GaussianCloneChannel(eta=0.6) if channel == "clone" else IdealChannel()
+    model = GOLDEN_CHANNELS[channel]
     config = SimConfig(alpha=1.0, beta=0.5, channel=model, rounds=2000, seed=seed)
     path = tmp_path / "golden.jsonl"
     write_transcript(run_protocol(config).transcript, path)

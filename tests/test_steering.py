@@ -11,7 +11,6 @@ from steerlab.steering import (
     PreparationEnsemble,
     SteeringScenario,
     Verdict,
-    received_components,
     region_sweep,
     steerable_region_bounds,
     steering_sum,
@@ -84,7 +83,7 @@ class TestSteeringSum:
 
     def test_lhs_components_preparation_independent(self):
         channel = LhsMixtureChannel(states=(0.2, 1.5j), weights=(0.7, 0.3))
-        assert received_components(channel, 1.5) == received_components(channel, -0.5)
+        assert channel.components(1.5) == channel.components(-0.5)
 
     def test_excluded_region_flagged(self):
         ev = steering_sum(canonical_scenario(0.0, 0.0, 0.5), IdealChannel())
@@ -178,3 +177,38 @@ class TestRegionSweep:
             region_sweep([1.0, 0.5], [0.5], 1.0, IdealChannel())
         with pytest.raises(ValueError):
             region_sweep([0.5], [1.0, 0.5], 1.0, IdealChannel())
+
+    @pytest.mark.parametrize(
+        "beta_grid,p_grid,alpha",
+        [
+            ([0.5], [0.5], float("nan")),
+            ([0.5, float("inf")], [0.5], 1.0),
+            ([0.5], [0.2, 1.5], 1.0),
+            ([0.5], [-0.1, 0.5], 1.0),
+            ([0.5], [0.2, float("nan"), 0.5], 1.0),
+            ([1e308], [0.5], 1e308),  # finite inputs, infinite displacement
+        ],
+    )
+    def test_invalid_inputs_rejected(self, beta_grid, p_grid, alpha):
+        with pytest.raises(ValueError):
+            region_sweep(beta_grid, p_grid, alpha, IdealChannel())
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.7, 2.3])
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            IdealChannel(),
+            GaussianCloneChannel(eta=math.pi / 4),
+            GaussianCloneChannel(eta=0.3),
+            LhsMixtureChannel(states=(0.3 + 0.1j, -0.5, 1.2j), weights=(0.2, 0.5, 0.3)),
+        ],
+    )
+    def test_matches_per_cell_steering_sum_bit_for_bit(self, channel, alpha):
+        betas = [0.05 + 2.95 * k / 29 for k in range(30)]
+        ps = [k / 29 for k in range(30)]
+        rows = region_sweep(betas, ps, alpha, channel)
+        cells = [(b, p) for b in betas for p in ps]
+        expected = [steering_sum(canonical_scenario(alpha, b, p), channel) for b, p in cells]
+        assert [(r.beta, r.p) for r in rows] == cells
+        assert [r.sum.hex() for r in rows] == [ev.sum.hex() for ev in expected]
+        assert [r.verdict for r in rows] == [ev.verdict for ev in expected]
