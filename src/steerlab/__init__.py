@@ -49,6 +49,7 @@ from .steering import (
     SteeringEvaluation,
     SteeringScenario,
     Verdict,
+    branch_probabilities,
     region_sweep,
     steerable_region_bounds,
     steering_sum,
@@ -56,7 +57,6 @@ from .steering import (
 )
 from .uncertainty import (
     EntropicSumResult,
-    FineGrainedInput,
     FineGrainedResult,
     GaussianBeamProfile,
     GriddedWavefunction,

@@ -53,6 +53,11 @@ __all__ = ["main", "build_parser"]
 _FORMATS = ("csv", "json", "svg")
 _SVG_COMMANDS = {"steer-region", "keyrate"}
 
+# Largest accepted --steps: the region sweep's memory grows with steps^2
+# (about 0.5 GB at 600), the key-rate curve's linearly (about 0.3 GB at 1e5).
+_MAX_REGION_STEPS = 500
+_MAX_KEYRATE_STEPS = 100_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -171,6 +176,8 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
+    if args.steps > _MAX_REGION_STEPS:
+        parser.error(f"--steps must be at most {_MAX_REGION_STEPS}")
     if not (args.beta_min < args.beta_max) or not (args.p_min < args.p_max):
         parser.error("ranges must satisfy min < max")
     if not (0.0 <= args.p_min and args.p_max <= 1.0):
@@ -217,6 +224,8 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
+    if args.steps > _MAX_KEYRATE_STEPS:
+        parser.error(f"--steps must be at most {_MAX_KEYRATE_STEPS}")
     eta_grid = [keyrate.HALF_PI * k / args.steps for k in range(args.steps + 1)]
     points = keyrate.key_rate_curve(args.alpha, args.beta, eta_grid)
     header = ["eta", "p01", "q01", "i_ab", "i_ae", "rate", "p01_sinh_form", "q01_sinh_form"]
@@ -318,14 +327,8 @@ def _cmd_uncertainty(args) -> int:
     entropic = uncertainty.entropic_sum_check(psi)
     state = complex(args.state_re, args.state_im)
     beta = complex(args.beta_re, args.beta_im)
-    fg_even = uncertainty.fine_grained_sum(
-        uncertainty.FineGrainedInput(state, beta, args.p_beta, Parity.EVEN),
-        uncertainty.FineGrainedInput(state, -beta, 1.0 - args.p_beta, Parity.EVEN),
-    )
-    fg_odd = uncertainty.fine_grained_sum(
-        uncertainty.FineGrainedInput(state, beta, args.p_beta, Parity.ODD),
-        uncertainty.FineGrainedInput(state, -beta, 1.0 - args.p_beta, Parity.ODD),
-    )
+    fg_even = uncertainty.fine_grained_sum(state, beta, args.p_beta, Parity.EVEN)
+    fg_odd = uncertainty.fine_grained_sum(state, beta, args.p_beta, Parity.ODD)
     min_ent = uncertainty.min_entropy_bound_check(state, beta)
     header = ["quantity", "value", "flag"]
     rows: list[list] = [

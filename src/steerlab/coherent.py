@@ -29,6 +29,7 @@ __all__ = [
     "ParityDistribution",
     "TruncatedParityDistribution",
     "CutoffTooSmallError",
+    "in_excluded_region",
     "displace",
     "fock_probability",
     "parity_probabilities",
@@ -43,6 +44,12 @@ __all__ = [
 # Joint smallness threshold below which the degenerate point of the
 # fine-grained relation is flagged; shared across modules.
 EXCLUDED_REGION_EPS = 1e-6
+
+
+def in_excluded_region(state: complex, beta: complex) -> bool:
+    """Both labels jointly within EXCLUDED_REGION_EPS of zero."""
+    return abs(state) < EXCLUDED_REGION_EPS and abs(beta) < EXCLUDED_REGION_EPS
+
 
 # Per-draw probability mass allowed beyond a truncation cutoff.
 POISSON_TAIL_BOUND = 1e-14

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .coherent import (
-    EXCLUDED_REGION_EPS,
     default_cutoff,
+    in_excluded_region,
     parity_by_truncation,
     parity_probabilities,
 )
@@ -114,7 +114,7 @@ def odd_parity_sinh_form(delta: complex) -> float:
 
 
 def _check_not_excluded(alpha: float, beta: float) -> None:
-    if abs(alpha) < EXCLUDED_REGION_EPS and abs(beta) < EXCLUDED_REGION_EPS:
+    if in_excluded_region(alpha, beta):
         raise ValueError(
             "alpha and beta are jointly inside the excluded region of the "
             "fine-grained relation"

@@ -8,7 +8,9 @@ with disagree:
    sinh-based alternate expression, with the Fock-truncation oracle as
    arbiter,
 2. the steerable-region boundary formula versus the boundary actually
-   swept out by the preparation-averaged unsteerable mixture,
+   swept out by the preparation-averaged unsteerable mixture (parity is
+   linear in the density operator, so the mixture's branch probabilities
+   are its pure states' pairs, taken once per beta and mixed over p),
 3. the displacement choice nominally forcing odd parity with certainty,
    versus the computed value,
 4. Eve's optimal cloning parameter: unconstrained versus capped at the
@@ -21,6 +23,8 @@ describes, formatted at 17 significant digits.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import keyrate, steering
 from .coherent import Parity
@@ -87,17 +91,24 @@ def _closed_vs_sinh_section() -> list[str]:
     return lines
 
 
-def _averaged_mixture_sum(alpha: float, beta: float, p: float) -> float:
-    channel = steering.LhsMixtureChannel(
-        states=(alpha + beta, alpha - beta), weights=(p, 1.0 - p)
-    )
+def _averaged_mixture_sums(alpha: float, beta: float) -> list[float]:
+    # Bitwise steering_sum with LhsMixtureChannel(states=(alpha+beta,
+    # alpha-beta), weights=(p, 1-p)) at p = k / _SWEEP_P_STEPS: each pure
+    # state's branch probabilities, mixed over p in steering_sum's order.
     scenario = steering.SteeringScenario(
-        ensemble=steering.PreparationEnsemble(alpha=alpha, beta=beta, p_plus=p),
+        ensemble=steering.PreparationEnsemble(alpha=alpha, beta=beta, p_plus=0.5),
         gamma1=-(alpha + beta),
         gamma2=-(alpha - beta),
         outcome=Parity.EVEN,
     )
-    return steering.steering_sum(scenario, channel).sum
+    (a11, a21), (a12, a22) = (
+        steering.branch_probabilities(scenario, steering.LhsMixtureChannel((state,), (1.0,)))
+        for state in (alpha + beta, alpha - beta)
+    )
+    p = np.arange(_SWEEP_P_STEPS + 1) / _SWEEP_P_STEPS
+    b1 = p * a11 + (1.0 - p) * a12
+    b2 = p * a21 + (1.0 - p) * a22
+    return (p * b1 + (1.0 - p) * b2).tolist()
 
 
 def _boundary_section() -> list[str]:
@@ -107,14 +118,15 @@ def _boundary_section() -> list[str]:
     for beta in _BOUNDARY_BETAS:
         bounds = steering.steerable_region_bounds(beta)
         formula_rows.append([beta, bounds.p_low, bounds.p_high, bounds.is_real])
-        crossings = []
-        prev_verdict = None
-        for k in range(_SWEEP_P_STEPS + 1):
-            p = k / _SWEEP_P_STEPS
-            verdict = steering.steering_verdict(_averaged_mixture_sum(alpha, beta, p))
-            if prev_verdict is not None and verdict is not prev_verdict:
-                crossings.append(p)
-            prev_verdict = verdict
+        verdicts = [
+            steering.steering_verdict(total)
+            for total in _averaged_mixture_sums(alpha, beta)
+        ]
+        crossings = [
+            k / _SWEEP_P_STEPS
+            for k in range(1, _SWEEP_P_STEPS + 1)
+            if verdicts[k] is not verdicts[k - 1]
+        ]
         crossing_rows.append(
             [beta, "none" if not crossings else " ".join(format_number(c) for c in crossings)]
         )

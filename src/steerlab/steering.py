@@ -21,10 +21,13 @@ amplitude or None); the protocol samples the same map.  Mixtures enter
 through convex combination of parity probabilities (parity is linear in
 the density operator), so no density-matrix machinery is needed.
 
-With the canonical displacements gamma1 = -(alpha + beta) and
-gamma2 = -(alpha - beta) each branch probability depends on beta alone,
-so a region sweep evaluates the two branches once per beta and forms
-p b1 + (1 - p) b2 over the p grid, bitwise what steering_sum gives.
+``branch_probabilities`` gives the two terms b1, b2 of S before the p_plus
+weighting.  With the canonical displacements gamma1 = -(alpha + beta) and
+gamma2 = -(alpha - beta) they depend on beta alone, so a region sweep
+evaluates them once per beta and forms p b1 + (1 - p) b2 over the p grid,
+bitwise what steering_sum gives.  By the same linearity in the density
+operator, the branch probabilities of a mixture whose weights vary with p
+are each state's branch probabilities, taken once and mixed over p.
 
 The closed-form boundary of the steerable region in the (beta, p) plane
 is provided for comparison; the model it derives from is not reproduced
@@ -41,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coherent import EXCLUDED_REGION_EPS, Parity, parity_probabilities
+from .coherent import Parity, in_excluded_region, parity_probabilities
 from .keyrate import bob_amplitude_factor, eve_amplitude_factor
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "RegionBoundary",
     "RegionPoint",
     "steering_verdict",
+    "branch_probabilities",
     "steering_sum",
     "steerable_region_bounds",
     "region_sweep",
@@ -147,8 +151,8 @@ class LhsMixtureChannel:
         object.__setattr__(self, "weights", weights)
         if len(states) != len(weights) or not states:
             raise ValueError("states and weights must be equal-length and nonempty")
-        if any(w < 0.0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0.0 for w in weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {weights!r}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
 
@@ -172,8 +176,8 @@ def _conditional_probability(
     return total
 
 
-def _branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
-    # P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta).
+def branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
+    """P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta); p_plus does not enter."""
     ens, outcome = scenario.ensemble, scenario.outcome
     plus = _conditional_probability(channel, complex(ens.alpha + ens.beta), scenario.gamma1, outcome)
     minus = _conditional_probability(channel, complex(ens.alpha - ens.beta), scenario.gamma2, outcome)
@@ -210,15 +214,12 @@ def steering_sum(scenario: SteeringScenario, channel: Channel) -> SteeringEvalua
     branches see the same mixture.
     """
     ens = scenario.ensemble
-    p_branch1, p_branch2 = _branch_probabilities(scenario, channel)
+    p_branch1, p_branch2 = branch_probabilities(scenario, channel)
     total = ens.p_plus * p_branch1 + (1.0 - ens.p_plus) * p_branch2
-    excluded = (
-        abs(ens.alpha) < EXCLUDED_REGION_EPS and abs(ens.beta) < EXCLUDED_REGION_EPS
-    )
     return SteeringEvaluation(
         sum=total,
         verdict=steering_verdict(total),
-        excluded_region=excluded,
+        excluded_region=in_excluded_region(ens.alpha, ens.beta),
     )
 
 
@@ -306,7 +307,7 @@ def region_sweep(
             gamma2=-(alpha - beta),
             outcome=Parity.EVEN,
         )
-        p_branch1, p_branch2 = _branch_probabilities(scenario, channel)
+        p_branch1, p_branch2 = branch_probabilities(scenario, channel)
         sums = (ps * p_branch1 + (1.0 - ps) * p_branch2).tolist()
         rows += [
             RegionPoint(beta=beta, p=p, sum=total, verdict=steering_verdict(total))

@@ -11,7 +11,9 @@ X = sqrt(2) x / sigma and P = sigma p / (sqrt(2) lambdabar):
   space, saturated by the same family,
 * fine-grained relation: a convex combination of displaced-parity outcome
   probabilities, nominally confined to [1/4, 3/4] away from the degenerate
-  point where both the state and the displacement vanish,
+  point where both the state and the displacement vanish; like the
+  steering sum (and, by linearity of parity in the density operator, a
+  mixture's branch probabilities), it mixes two branches by p_beta,
 * min-entropy chain:     H_inf(+beta) + H_inf(-beta) >= -2 log2(3/4),
   with H_inf = -log2 of the most likely parity outcome.
 
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
-    EXCLUDED_REGION_EPS,
     Parity,
     ParityDistribution,
     displace,
+    in_excluded_region,
     parity_probabilities,
 )
 
@@ -46,7 +48,6 @@ __all__ = [
     "MIN_ENTROPY_BOUND",
     "GaussianBeamProfile",
     "GriddedWavefunction",
-    "FineGrainedInput",
     "FineGrainedResult",
     "EntropicSumResult",
     "MinEntropyResult",
@@ -65,9 +66,6 @@ __all__ = [
 ENTROPIC_BOUND = math.log(math.pi * math.e)
 
 MIN_ENTROPY_BOUND = -2.0 * math.log2(0.75)
-
-FINE_GRAINED_LOWER = 0.25
-FINE_GRAINED_UPPER = 0.75
 
 # Standard evaluation grid: wide and fine enough that Riemann sums meet the
 # 1e-4 entropy tolerance across sigma_x in [0.25, 4].
@@ -300,27 +298,6 @@ def entropic_sum_check(psi: GriddedWavefunction) -> EntropicSumResult:
 
 
 @dataclass(frozen=True)
-class FineGrainedInput:
-    """One branch of the fine-grained combination.
-
-    ``beta`` labels the displaced-parity measurement chosen with
-    probability ``p_beta``; ``outcome`` is the parity whose probability
-    enters the combination.
-    """
-
-    state: complex
-    beta: complex
-    p_beta: float
-    outcome: Parity
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", complex(self.state))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if not (0.0 <= self.p_beta <= 1.0):
-            raise ValueError(f"p_beta must lie in [0, 1], got {self.p_beta!r}")
-
-
-@dataclass(frozen=True)
 class FineGrainedResult:
     value: float
     excluded_region: bool
@@ -333,31 +310,26 @@ def _displaced_parity(state: complex, beta: complex) -> ParityDistribution:
 
 
 def fine_grained_sum(
-    input_plus: FineGrainedInput, input_minus: FineGrainedInput
+    state: complex, beta: complex, p_beta: float, outcome: Parity
 ) -> FineGrainedResult:
     """Convex combination of displaced-parity outcome probabilities.
 
-    The two branches must use opposite displacements of the same state,
-    the same outcome, and branch probabilities summing to one.  The
-    result carries a flag marking the degenerate point where both the
+    The parity displaced by +beta is measured with probability ``p_beta``
+    and the one displaced by -beta otherwise:
+
+        p_beta P(outcome | state - beta) + (1 - p_beta) P(outcome | state + beta)
+
+    The result carries a flag marking the degenerate point where both the
     state and the displacement vanish.
     """
-    if abs(input_plus.p_beta + input_minus.p_beta - 1.0) > 1e-12:
-        raise ValueError("branch probabilities must sum to 1")
-    if input_minus.beta != -input_plus.beta:
-        raise ValueError("branches must use opposite displacements")
-    if input_minus.state != input_plus.state:
-        raise ValueError("branches must share the same state")
-    if input_minus.outcome is not input_plus.outcome:
-        raise ValueError("branches must request the same outcome")
-    state = input_plus.state
-    beta = input_plus.beta
-    outcome = input_plus.outcome
+    if not (0.0 <= p_beta <= 1.0):
+        raise ValueError(f"p_beta must lie in [0, 1], got {p_beta!r}")
+    state = complex(state)
+    beta = complex(beta)
     p_plus_branch = _displaced_parity(state, beta).prob(outcome)
     p_minus_branch = _displaced_parity(state, -beta).prob(outcome)
-    value = input_plus.p_beta * p_plus_branch + input_minus.p_beta * p_minus_branch
-    excluded = abs(state) < EXCLUDED_REGION_EPS and abs(beta) < EXCLUDED_REGION_EPS
-    return FineGrainedResult(value=value, excluded_region=excluded)
+    value = p_beta * p_plus_branch + (1.0 - p_beta) * p_minus_branch
+    return FineGrainedResult(value=value, excluded_region=in_excluded_region(state, beta))
 
 
 @dataclass(frozen=True)
@@ -384,12 +356,11 @@ def min_entropy_bound_check(state: complex, beta: complex) -> MinEntropyResult:
     h_plus = -math.log2(max(dist_plus.p_even, dist_plus.p_odd))
     h_minus = -math.log2(max(dist_minus.p_even, dist_minus.p_odd))
     total = h_plus + h_minus
-    excluded = abs(state) < EXCLUDED_REGION_EPS and abs(beta) < EXCLUDED_REGION_EPS
     return MinEntropyResult(
         h_inf_plus=h_plus,
         h_inf_minus=h_minus,
         sum=total,
         bound=MIN_ENTROPY_BOUND,
         satisfied=total >= MIN_ENTROPY_BOUND - 1e-12,
-        excluded_region=excluded,
+        excluded_region=in_excluded_region(state, beta),
     )

@@ -121,6 +121,13 @@ class TestSteerRegionCommand:
             main(["steer-region", "--p-max", "1.5"])
         assert exc.value.code == 2
 
+    def test_too_many_steps_exits_2(self, capsys):
+        # Rejected before any grid is built: the sweep's memory grows with steps^2.
+        with pytest.raises(SystemExit) as exc:
+            main(["steer-region", "--steps", "501"])
+        assert exc.value.code == 2
+        assert "--steps must be at most 500" in capsys.readouterr().err
+
 
 class TestKeyrateCommand:
     def test_pivot_row_and_endpoints(self, capsys):
@@ -155,6 +162,12 @@ class TestKeyrateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["keyrate", "--steps", "0"])
         assert exc.value.code == 2
+
+    def test_too_many_steps_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["keyrate", "--steps", "100001"])
+        assert exc.value.code == 2
+        assert "--steps must be at most 100000" in capsys.readouterr().err
 
 
 class TestProtocolCommand:
@@ -220,6 +233,30 @@ class TestUncertaintyCommand:
         assert code == 0
         rows = {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
         assert rows["fine_grained_even"][1] == "excluded_region"
+
+    # SHA-256 of the CSV, recorded while the fine-grained sum still took
+    # one input object per branch.
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            ([], "04af23688d8e705cf711ddeb0c612b99585314f211dc11d5dd8777edce415957"),
+            (
+                ["--state-re=0", "--beta-re=0"],
+                "2f4fb59168e47166cd8478ab872114dfb68b9e0f67c39beefb8125f5db7cef92",
+            ),
+            (
+                [
+                    "--state-re=0.3", "--state-im=-0.4", "--beta-re=0.7",
+                    "--beta-im=0.2", "--p-beta=0.3",
+                ],
+                "7281d91ac5a0871a44dd52ace07e2a68065b6cce1658fba1309d469d40e855bc",
+            ),
+        ],
+    )
+    def test_csv_bytes(self, capsys, args, digest):
+        code, out, _ = run_cli(["uncertainty"] + args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

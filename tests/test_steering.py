@@ -11,6 +11,7 @@ from steerlab.steering import (
     PreparationEnsemble,
     SteeringScenario,
     Verdict,
+    branch_probabilities,
     region_sweep,
     steerable_region_bounds,
     steering_sum,
@@ -96,6 +97,29 @@ class TestSteeringSum:
             LhsMixtureChannel(states=(0.0, 1.0), weights=(0.5, 0.6))
         with pytest.raises(ValueError):
             LhsMixtureChannel(states=(), weights=())
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (float("nan"), 0.5),
+            (float("nan"), float("nan")),
+            (float("inf"), 0.0),
+            (1.0, float("-inf")),
+        ],
+    )
+    def test_non_finite_mixture_weights_rejected(self, weights):
+        # abs(nan - 1) > tol is False, so the sum check alone lets NaN through.
+        with pytest.raises(ValueError):
+            LhsMixtureChannel(states=(0.0, 1.0), weights=weights)
+
+    def test_branch_probabilities_are_the_unweighted_terms(self):
+        channel = GaussianCloneChannel(eta=0.4)
+        plus, minus = 1.2 + 0.6, 1.2 - 0.6
+        b1, b2 = branch_probabilities(canonical_scenario(1.2, 0.6, 0.3), channel)
+        assert b1 == parity_probabilities(plus * math.cos(0.4) - plus).p_even
+        assert b2 == parity_probabilities(minus * math.cos(0.4) - minus).p_even
+        ev = steering_sum(canonical_scenario(1.2, 0.6, 0.3), channel)
+        assert ev.sum == 0.3 * b1 + (1.0 - 0.3) * b2
 
 
 class TestVerdict:

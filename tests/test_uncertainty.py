@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from steerlab.coherent import Parity
+from steerlab.coherent import Parity, parity_probabilities
 from steerlab.uncertainty import (
     ENTROPIC_BOUND,
     MIN_ENTROPY_BOUND,
-    FineGrainedInput,
     GaussianBeamProfile,
     GriddedWavefunction,
     differential_entropy,
@@ -145,18 +144,12 @@ class TestEntropicSum:
 
 class TestFineGrained:
     def test_degenerate_point_flagged(self):
-        result = fine_grained_sum(
-            FineGrainedInput(0, 0, 0.5, Parity.EVEN),
-            FineGrainedInput(0, 0, 0.5, Parity.EVEN),
-        )
+        result = fine_grained_sum(0, 0, 0.5, Parity.EVEN)
         assert result.value == pytest.approx(1.0, abs=1e-15)
         assert result.excluded_region
 
     def test_vacuum_with_displacement_two(self):
-        result = fine_grained_sum(
-            FineGrainedInput(0, 2.0, 0.5, Parity.EVEN),
-            FineGrainedInput(0, -2.0, 0.5, Parity.EVEN),
-        )
+        result = fine_grained_sum(0, 2.0, 0.5, Parity.EVEN)
         assert result.value == pytest.approx((1 + math.exp(-8)) / 2, abs=1e-12)
         assert result.value == pytest.approx(0.5001677, abs=1e-7)
         assert not result.excluded_region
@@ -167,39 +160,24 @@ class TestFineGrained:
             state = complex(*rng.normal(size=2))
             beta = complex(*rng.normal(size=2))
             p = float(rng.uniform())
-            even = fine_grained_sum(
-                FineGrainedInput(state, beta, p, Parity.EVEN),
-                FineGrainedInput(state, -beta, 1.0 - p, Parity.EVEN),
-            )
-            odd = fine_grained_sum(
-                FineGrainedInput(state, beta, p, Parity.ODD),
-                FineGrainedInput(state, -beta, 1.0 - p, Parity.ODD),
-            )
+            even = fine_grained_sum(state, beta, p, Parity.EVEN)
+            odd = fine_grained_sum(state, beta, p, Parity.ODD)
             assert abs(even.value + odd.value - 1.0) < 1e-12
 
-    def test_probability_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fine_grained_sum(
-                FineGrainedInput(0, 1.0, 0.6, Parity.EVEN),
-                FineGrainedInput(0, -1.0, 0.6, Parity.EVEN),
-            )
+    def test_weights_branches_by_p_beta(self):
+        # p_beta weights the parity displaced by +beta, i.e. of |state - beta>.
+        state, beta, p = 0.3 - 0.4j, 0.7 + 0.2j, 0.3
+        minus = parity_probabilities(state - beta).p_odd
+        plus = parity_probabilities(state + beta).p_odd
+        result = fine_grained_sum(state, beta, p, Parity.ODD)
+        assert result.value == p * minus + (1.0 - p) * plus
+        assert fine_grained_sum(state, beta, 1.0, Parity.ODD).value == minus
+        assert fine_grained_sum(state, beta, 0.0, Parity.ODD).value == plus
 
-    def test_mismatched_branches_rejected(self):
+    @pytest.mark.parametrize("p_beta", [-0.1, 1.5, float("nan")])
+    def test_p_beta_outside_unit_interval_rejected(self, p_beta):
         with pytest.raises(ValueError):
-            fine_grained_sum(
-                FineGrainedInput(0, 1.0, 0.5, Parity.EVEN),
-                FineGrainedInput(0, -2.0, 0.5, Parity.EVEN),
-            )
-        with pytest.raises(ValueError):
-            fine_grained_sum(
-                FineGrainedInput(0, 1.0, 0.5, Parity.EVEN),
-                FineGrainedInput(1.0, -1.0, 0.5, Parity.EVEN),
-            )
-        with pytest.raises(ValueError):
-            fine_grained_sum(
-                FineGrainedInput(0, 1.0, 0.5, Parity.EVEN),
-                FineGrainedInput(0, -1.0, 0.5, Parity.ODD),
-            )
+            fine_grained_sum(0, 1.0, p_beta, Parity.EVEN)
 
 
 class TestMinEntropy:
