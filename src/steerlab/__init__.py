@@ -45,7 +45,6 @@ from .steering import (
     LhsMixtureChannel,
     PreparationEnsemble,
     RegionBoundary,
-    RegionPoint,
     SteeringEvaluation,
     SteeringScenario,
     Verdict,

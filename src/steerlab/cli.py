@@ -28,6 +28,8 @@ over [0, pi/2].
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 
@@ -57,6 +59,9 @@ _SVG_COMMANDS = {"steer-region", "keyrate"}
 # (about 0.5 GB at 600), the key-rate curve's linearly (about 0.3 GB at 1e5).
 _MAX_REGION_STEPS = 500
 _MAX_KEYRATE_STEPS = 100_000
+# Largest accepted --rounds: a run holds all rounds at once, about 86 MB per
+# 1e6 rounds, so this keeps it near 0.5 GB.
+_MAX_ROUNDS = 5_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,9 +190,9 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
     channel = _make_channel(args)
     beta_grid = _linspace(args.beta_min, args.beta_max, args.steps)
     p_grid = _linspace(args.p_min, args.p_max, args.steps)
-    points = steering.region_sweep(beta_grid, p_grid, args.alpha, channel)
+    sums = steering.region_sweep(beta_grid, p_grid, args.alpha, channel).ravel().tolist()
+    verdicts = [steering.steering_verdict(total).value for total in sums]
     header = ["beta", "p", "sum", "verdict"]
-    rows = [[pt.beta, pt.p, pt.sum, pt.verdict.value] for pt in points]
     meta = _meta(
         "steer-region",
         {
@@ -204,19 +209,19 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
     if args.format == "svg":
         boundary = []
         for beta in beta_grid:
-            if abs(beta) < 1e-6:
+            if abs(beta) < steering._BOUNDARY_SINGULAR_EPS:
                 continue
             b = steering.steerable_region_bounds(beta)
             if b.is_real:
                 boundary.append((beta, b.p_low, b.p_high))
         svg = region_svg(
-            [(pt.beta, pt.p, pt.verdict.value) for pt in points],
-            boundary,
-            (args.beta_min, args.beta_max),
-            (args.p_min, args.p_max),
+            beta_grid, p_grid, verdicts, boundary,
+            (args.beta_min, args.beta_max), (args.p_min, args.p_max),
         )
         write_text(args.out, svg)
     else:
+        cells = itertools.product(beta_grid, p_grid)
+        rows = [[b, p, total, v] for (b, p), total, v in zip(cells, sums, verdicts)]
         _emit_table(args, header, rows, meta)
     return 0
 
@@ -276,6 +281,8 @@ def _make_channel(args):
 def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.rounds > _MAX_ROUNDS:
+        parser.error(f"--rounds must be at most {_MAX_ROUNDS}")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
     config = protocol.SimConfig(
@@ -371,8 +378,15 @@ def _cmd_uncertainty(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the tree costs several times a short command's own work, and
+    # parsing leaves it unchanged, so one instance serves every main() call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "format", None) == "svg" and args.command not in _SVG_COMMANDS:
         parser.error("svg output is only available for steer-region and keyrate")

@@ -54,6 +54,11 @@ def in_excluded_region(state: complex, beta: complex) -> bool:
 # Per-draw probability mass allowed beyond a truncation cutoff.
 POISSON_TAIL_BOUND = 1e-14
 
+# Most entries a Poisson table may have: a 2^22-entry table and its work
+# arrays take a few hundred MB.  Larger means or cutoffs raise ValueError
+# before anything is searched or allocated.
+MAX_TABLE_ENTRIES = 2**22
+
 # Above this mean the scalar sampler switches from sequential inversion to
 # the PTRS rejection sampler.
 _INVERSION_MEAN_LIMIT = 30.0
@@ -236,18 +241,31 @@ def _poisson_pmf_table(lam: float, cutoff: int) -> np.ndarray:
     return np.exp(log_pmf)
 
 
+def _require_table_fits(last: float, what: str) -> None:
+    # A table over n = 0..last has last + 1 entries.
+    if last + 1 > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"{what} needs a Poisson table of at least {last + 1:.6g} entries, "
+            f"above the limit of {MAX_TABLE_ENTRIES}"
+        )
+
+
 def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistribution:
     """Parity probabilities from partial Poisson sums up to ``cutoff``.
 
     The partial sums are not renormalized; the unaccounted mass is
     returned in ``tail_bound``.  Raises CutoffTooSmallError when the
-    requested cutoff cannot guarantee a tail below POISSON_TAIL_BOUND.
+    requested cutoff cannot guarantee a tail below POISSON_TAIL_BOUND, and
+    ValueError when the table would exceed MAX_TABLE_ENTRIES (any
+    admissible cutoff is above the mean).
     """
     mu = _require_finite(mu, "mu")
     if cutoff < 0 or int(cutoff) != cutoff:
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
     cutoff = int(cutoff)
     lam = _mean_photon_number(mu)
+    _require_table_fits(lam, f"mean photon number {lam:g}")
+    _require_table_fits(cutoff, f"cutoff {cutoff}")
     min_cutoff = minimal_admissible_cutoff(lam)
     if cutoff < min_cutoff:
         raise CutoffTooSmallError(cutoff, min_cutoff)
@@ -333,7 +351,8 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     uniforms[i] <= CDF_{lams[i]}(n) over a table truncated at the default
     cutoff (tail below POISSON_TAIL_BOUND), then reports whether n is odd.
     For means <= 30 the mapping from uniform to photon number is identical
-    to the scalar sequential search in poisson_draw.
+    to the scalar sequential search in poisson_draw.  Raises ValueError
+    when a mean's table would exceed MAX_TABLE_ENTRIES.
     """
     lams = np.asarray(lams, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
@@ -343,8 +362,10 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         raise ValueError("Poisson means must be finite and nonnegative")
     odd = np.empty(lams.shape, dtype=bool)
     for lam in np.unique(lams).tolist():
+        cutoff = _poisson_cutoff(lam)
+        _require_table_fits(cutoff, f"Poisson mean {lam:g}")
         mask = lams == lam
-        cdf = np.cumsum(_poisson_pmf_table(lam, _poisson_cutoff(lam)))
+        cdf = np.cumsum(_poisson_pmf_table(lam, cutoff))
         n = np.searchsorted(cdf, uniforms[mask], side="left")
         odd[mask] = (n & 1).astype(bool)
     return odd

@@ -10,6 +10,7 @@ so failures never leave partial artifacts behind.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -144,24 +145,26 @@ def _svg_axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
 
 
 def region_svg(
-    points: list[tuple[float, float, str]],
+    beta_grid: list[float],
+    p_grid: list[float],
+    verdicts: list[str],
     boundary: list[tuple[float, float, float]],
     beta_range: tuple[float, float],
     p_range: tuple[float, float],
 ) -> str:
     """Two-tone verdict grid with the closed-form boundary overlaid.
 
-    ``points`` is (beta, p, verdict-name) per cell; any verdict other than
-    within_bounds renders in the violating tone.  ``boundary`` rows are
-    (beta, p_low, p_high); branches outside the p range are clipped.
+    ``verdicts`` holds one verdict name per cell in row-major order (beta
+    outer, p inner); any verdict other than within_bounds renders in the
+    violating tone.  Cell sizes come from the number of distinct grid
+    values.  ``boundary`` rows are (beta, p_low, p_high); branches outside
+    the p range are clipped.
     """
-    betas = sorted({b for b, _, _ in points})
-    ps = sorted({p for _, p, _ in points})
-    cell_w = (beta_range[1] - beta_range[0]) / max(len(betas), 1) or 1.0
-    cell_h = (p_range[1] - p_range[0]) / max(len(ps), 1) or 1.0
+    cell_w = (beta_range[1] - beta_range[0]) / max(len(set(beta_grid)), 1) or 1.0
+    cell_h = (p_range[1] - p_range[0]) / max(len(set(p_grid)), 1) or 1.0
     frame = _Frame(beta_range[0], beta_range[1], p_range[0], p_range[1])
     parts = _svg_open()
-    for beta, p, verdict in points:
+    for (beta, p), verdict in zip(itertools.product(beta_grid, p_grid), verdicts):
         color = _COLOR_WITHIN if verdict == "within_bounds" else _COLOR_VIOLATING
         x = frame.x(beta - cell_w / 2)
         y = frame.y(p + cell_h / 2)

@@ -25,9 +25,11 @@ the density operator), so no density-matrix machinery is needed.
 weighting.  With the canonical displacements gamma1 = -(alpha + beta) and
 gamma2 = -(alpha - beta) they depend on beta alone, so a region sweep
 evaluates them once per beta and forms p b1 + (1 - p) b2 over the p grid,
-bitwise what steering_sum gives.  By the same linearity in the density
-operator, the branch probabilities of a mixture whose weights vary with p
-are each state's branch probabilities, taken once and mixed over p.
+bitwise what steering_sum gives; it returns the sums as one (beta, p)
+array and leaves verdicts to the caller (``steering_verdict`` per cell).
+By the same linearity in the density operator, the branch probabilities
+of a mixture whose weights vary with p are each state's branch
+probabilities, taken once and mixed over p.
 
 The closed-form boundary of the steerable region in the (beta, p) plane
 is provided for comparison; the model it derives from is not reproduced
@@ -59,7 +61,6 @@ __all__ = [
     "Channel",
     "SteeringEvaluation",
     "RegionBoundary",
-    "RegionPoint",
     "steering_verdict",
     "branch_probabilities",
     "steering_sum",
@@ -105,6 +106,8 @@ class SteeringScenario:
     outcome: Parity
 
     def __post_init__(self):
+        if not isinstance(self.outcome, Parity):
+            raise ValueError(f"outcome must be a Parity, got {self.outcome!r}")
         object.__setattr__(self, "gamma1", complex(self.gamma1))
         object.__setattr__(self, "gamma2", complex(self.gamma2))
         for g in (self.gamma1, self.gamma2):
@@ -263,14 +266,6 @@ def steerable_region_bounds(beta: float) -> RegionBoundary:
     return RegionBoundary(p_low=p_low.real, p_high=p_high.real, is_real=arg >= 0.0)
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    beta: float
-    p: float
-    sum: float
-    verdict: Verdict
-
-
 def _validate_grid(grid: list[float], name: str) -> None:
     if not grid:
         raise ValueError(f"{name} must be nonempty")
@@ -283,13 +278,14 @@ def region_sweep(
     p_grid: list[float],
     alpha: float,
     channel: Channel,
-) -> list[RegionPoint]:
+) -> np.ndarray:
     """Steering sums over a (beta, p) grid with the canonical displacements.
 
     Uses gamma1 = -(alpha + beta), gamma2 = -(alpha - beta) and the even
-    outcome at every grid point.  Rows come out in row-major order (beta
-    outer, p inner); each sum is bitwise steering_sum's for that cell,
-    from two branch probabilities per beta (see the module docstring).
+    outcome at every grid point.  Returns a float64 array of shape
+    (len(beta_grid), len(p_grid)); entry [i, j] is bitwise steering_sum's
+    value at (beta_grid[i], p_grid[j]), from two branch probabilities per
+    beta (see the module docstring).
     """
     beta_grid = [float(b) for b in beta_grid]
     p_grid = [float(p) for p in p_grid]
@@ -298,8 +294,8 @@ def region_sweep(
     if not all(0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("p_grid must lie in [0, 1]")
     ps = np.array(p_grid)
-    rows: list[RegionPoint] = []
-    for beta in beta_grid:
+    sums = np.empty((len(beta_grid), len(p_grid)))
+    for row, beta in zip(sums, beta_grid):
         # p_plus does not enter the branch probabilities.
         scenario = SteeringScenario(
             ensemble=PreparationEnsemble(alpha=alpha, beta=beta, p_plus=0.5),
@@ -308,9 +304,5 @@ def region_sweep(
             outcome=Parity.EVEN,
         )
         p_branch1, p_branch2 = branch_probabilities(scenario, channel)
-        sums = (ps * p_branch1 + (1.0 - ps) * p_branch2).tolist()
-        rows += [
-            RegionPoint(beta=beta, p=p, sum=total, verdict=steering_verdict(total))
-            for p, total in zip(p_grid, sums)
-        ]
-    return rows
+        row[:] = ps * p_branch1 + (1.0 - ps) * p_branch2
+    return sums

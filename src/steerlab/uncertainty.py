@@ -324,6 +324,8 @@ def fine_grained_sum(
     """
     if not (0.0 <= p_beta <= 1.0):
         raise ValueError(f"p_beta must lie in [0, 1], got {p_beta!r}")
+    if not isinstance(outcome, Parity):
+        raise ValueError(f"outcome must be a Parity, got {outcome!r}")
     state = complex(state)
     beta = complex(beta)
     p_plus_branch = _displaced_parity(state, beta).prob(outcome)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from steerlab import protocol
 from steerlab.cli import main
 
 
@@ -35,10 +36,33 @@ class TestParityCommand:
             main(["parity", "--re", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--re", "1e10"], ["--cutoff", "10000000000"]],
+    )
+    def test_oversized_oracle_table_exits_1(self, capsys, argv):
+        code, _, err = run_cli(["parity", "--oracle", *argv], capsys)
+        assert code == 1
+        assert "Poisson table" in err
+
     def test_svg_not_allowed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["parity", "--format", "svg"])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    def test_options_do_not_carry_into_the_next_call(self, capsys):
+        # main() reuses one parser across calls in a process.
+        _, first, _ = run_cli(["parity", "--re", "1", "--oracle"], capsys)
+        with pytest.raises(SystemExit):
+            main(["parity", "--re", "x"])
+        capsys.readouterr()
+        _, plain, _ = run_cli(["parity"], capsys)
+        _, again, _ = run_cli(["parity", "--re", "1", "--oracle"], capsys)
+        assert again == first
+        assert plain.splitlines()[1].startswith("closed_form,1,")
+        assert len(plain.splitlines()) == 2
 
 
 class TestSteerRegionCommand:
@@ -109,6 +133,64 @@ class TestSteerRegionCommand:
         code, _, _ = run_cli(
             ["steer-region", "--steps", "40", "--channel", channel, "--out", str(out_path)],
             capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    # SHA-256 of the 40-step SVG and JSON, recorded before the sweep
+    # returned one (beta, p) array.
+    @pytest.mark.parametrize(
+        "channel,fmt,digest",
+        [
+            ("ideal", "svg", "e7245a0aeb72ac3189eccd03bd90c943d0a9a6cce7f7802ed74c9d3db7ea8425"),
+            ("clone", "svg", "2c300592ed5c0e5a4baa0af61c4a347633534675172c9c1a358e3998898589bf"),
+            ("ideal", "json", "c6dd21b8a5d36ae70229f1d66b9840711d2942737f0520b8dc26f4aeefd68786"),
+            ("clone", "json", "33ad4fb8cc7132b736bf9f62b15c4a9231caddefac0f17e990c29dcb2b1ceb8b"),
+        ],
+    )
+    def test_forty_step_svg_and_json_bytes(self, tmp_path, capsys, channel, fmt, digest):
+        out_path = tmp_path / f"region.{fmt}"
+        code, _, _ = run_cli(
+            ["steer-region", "--steps", "40", "--channel", channel, "--format", fmt,
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    # SHA-256 recorded at the same commit.  The first three ranges hold 10
+    # grid points but only 2 or 3 distinct values, which set the cell size
+    # (on the subnormal ranges counting repeats would change the bytes); the
+    # last two put betas at and near 0, where the boundary formula is skipped.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["--beta-min", "1", "--beta-max", "1.0000000000000002", "--steps", "10"],
+                "0cf91ea93e988c7e068c1babc8a37040e28dfdaa839687aa2298795b1c8271ac",
+            ),
+            (
+                ["--beta-min", "0", "--beta-max", "1e-323", "--steps", "10"],
+                "af3f0a7bb457f7697978ee1615aff664e132dbab481ef806943b5db7f0ca7c67",
+            ),
+            (
+                ["--p-min", "0", "--p-max", "1e-323", "--steps", "10"],
+                "d946227b8914c8eab1a7e04e117d83f29f39f355cad242f8f2541c6be5a9a859",
+            ),
+            (
+                ["--beta-min=-1", "--beta-max", "1", "--steps", "11"],
+                "787344e4b9d48d7526bb3993812f781f0b04a47511baa0552681814146523458",
+            ),
+            (
+                ["--beta-min=-2e-6", "--beta-max", "2e-6", "--steps", "5"],
+                "77351fc6fe7e7e2d301cfe0815cbdd0f3c8dda6d980214f567065465a25f967a",
+            ),
+        ],
+    )
+    def test_edge_range_svg_bytes(self, tmp_path, capsys, argv, digest):
+        out_path = tmp_path / "region.svg"
+        code, _, _ = run_cli(
+            ["steer-region", *argv, "--format", "svg", "--out", str(out_path)], capsys
         )
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
@@ -202,6 +284,30 @@ class TestProtocolCommand:
         for line in lines:
             obj = json.loads(line)
             assert obj["bob"] in ("E", "O")
+
+    def test_too_many_rounds_exits_2_before_any_draw(self, capsys, monkeypatch):
+        # The run holds every round in memory; the cap keeps it near 0.5 GB.
+        def fail(*args, **kwargs):
+            raise AssertionError("protocol ran past the --rounds cap")
+
+        monkeypatch.setattr(protocol, "run_protocol", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["protocol", "--rounds", "5000001"])
+        assert exc.value.code == 2
+        assert "--rounds must be at most 5000000" in capsys.readouterr().err
+
+    def test_oversized_poisson_table_exits_1(self, tmp_path, capsys):
+        # alpha 1e5 would need a table of about 8.6e8 entries; the limit
+        # check raises before any table is built.
+        out_path = tmp_path / "stats.csv"
+        code, _, err = run_cli(
+            ["protocol", "--channel", "clone", "--alpha", "1e5", "--rounds", "10",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "Poisson table" in err
+        assert not out_path.exists()
 
     def test_csv_stats(self, capsys):
         code, out, _ = run_cli(

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steerlab import coherent
 from steerlab.coherent import (
     CutoffTooSmallError,
+    MAX_TABLE_ENTRIES,
     Parity,
     ParityDistribution,
     batch_parity_is_odd,
@@ -163,6 +165,59 @@ class TestParityByTruncation:
         for lam in [0.0, 0.1, 1.0, 4.0, 16.0, 100.0, 1000.0]:
             mu = math.sqrt(lam)
             assert default_cutoff(mu) >= minimal_admissible_cutoff(lam)
+
+
+class TestTableLimit:
+    # Every case runs against a small patched limit, so no test builds a
+    # table anywhere near MAX_TABLE_ENTRIES.
+    LIMIT = 100
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(coherent, "MAX_TABLE_ENTRIES", self.LIMIT)
+
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("searched or allocated past the limit")
+
+        monkeypatch.setattr(coherent, "minimal_admissible_cutoff", fail)
+        monkeypatch.setattr(coherent, "_poisson_pmf_table", fail)
+
+    def test_truncation_rejects_large_mean_before_the_cutoff_search(self, no_table):
+        with pytest.raises(ValueError, match="mean photon number"):
+            parity_by_truncation(10.0, 10)  # lam = 100: at least 101 entries
+
+    def test_truncation_rejects_large_cutoff_before_the_cutoff_search(self, no_table):
+        with pytest.raises(ValueError, match="cutoff 100"):
+            parity_by_truncation(0.0, self.LIMIT)
+
+    def test_truncation_at_the_limit_still_runs(self):
+        t = parity_by_truncation(1.0, self.LIMIT - 1)
+        assert t.p_odd == pytest.approx(parity_probabilities(1.0).p_odd, abs=1e-12)
+
+    def test_sampler_rejects_a_mean_whose_table_is_too_large(self, no_table):
+        lam = 40.0  # a 138-entry table
+        assert _poisson_cutoff(lam) + 1 > self.LIMIT
+        with pytest.raises(ValueError, match="Poisson mean 40"):
+            batch_parity_is_odd(np.full(3, lam), np.full(3, 0.5))
+
+    def test_sampler_checks_every_distinct_mean(self):
+        with pytest.raises(ValueError, match="Poisson mean 40"):
+            batch_parity_is_odd(np.array([0.5, 40.0, 0.5]), np.full(3, 0.5))
+
+    def test_sampler_below_the_limit_still_runs(self):
+        lam = 10.0
+        assert _poisson_cutoff(lam) + 1 <= self.LIMIT
+        assert batch_parity_is_odd(np.full(4, lam), np.full(4, 0.5)).shape == (4,)
+
+
+def test_table_limit_admits_the_largest_benchmark_mean():
+    # Clone runs at alpha 3000, beta 0.5, eta = pi/4 tabulate Bob's and
+    # Eve's displaced means |(alpha + beta)(factor - 1)|^2, about 7.7e5;
+    # checked on the arithmetic alone, nothing is allocated.
+    lam = ((3000.5) * (math.cos(math.pi / 4) - 1.0)) ** 2
+    assert _poisson_cutoff(lam) + 1 < MAX_TABLE_ENTRIES
 
 
 class TestSampling:

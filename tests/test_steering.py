@@ -112,6 +112,13 @@ class TestSteeringSum:
         with pytest.raises(ValueError):
             LhsMixtureChannel(states=(0.0, 1.0), weights=weights)
 
+    @pytest.mark.parametrize("outcome", ["even", "odd", None, 0])
+    def test_outcome_must_be_a_parity(self, outcome):
+        # Parity's prob() reads anything but Parity.EVEN as odd, so an
+        # unchecked "even" turned the ideal sum of 1 into 0.
+        with pytest.raises(ValueError):
+            canonical_scenario(1.0, 0.5, 0.5, outcome=outcome)
+
     def test_branch_probabilities_are_the_unweighted_terms(self):
         channel = GaussianCloneChannel(eta=0.4)
         plus, minus = 1.2 + 0.6, 1.2 - 0.6
@@ -171,28 +178,28 @@ class TestRegionBoundary:
 
 class TestRegionSweep:
     def test_ideal_channel_all_violating(self):
-        rows = region_sweep([0.5, 1.0], [0.0, 0.5, 1.0], 1.0, IdealChannel())
-        assert len(rows) == 6
-        for row in rows:
-            assert abs(row.sum - 1.0) < 1e-12
-            assert row.verdict is Verdict.VIOLATES_UPPER
+        sums = region_sweep([0.5, 1.0], [0.0, 0.5, 1.0], 1.0, IdealChannel())
+        assert sums.dtype == np.float64 and sums.shape == (2, 3)
+        for total in sums.ravel().tolist():
+            assert abs(total - 1.0) < 1e-12
+            assert steering_verdict(total) is Verdict.VIOLATES_UPPER
 
     def test_clone_large_beta_below_unity(self):
-        rows = region_sweep([3.0], [0.5], 1.0, GaussianCloneChannel(eta=math.pi / 4))
-        assert rows[0].sum < 1.0 - 1e-6
+        sums = region_sweep([3.0], [0.5], 1.0, GaussianCloneChannel(eta=math.pi / 4))
+        assert sums[0, 0] < 1.0 - 1e-6
 
     def test_row_major_order(self):
-        rows = region_sweep([0.5, 1.0], [0.1, 0.9], 1.0, IdealChannel())
-        assert [(r.beta, r.p) for r in rows] == [
-            (0.5, 0.1),
-            (0.5, 0.9),
-            (1.0, 0.1),
-            (1.0, 0.9),
-        ]
+        # Rows follow beta, columns follow p.
+        channel = GaussianCloneChannel(eta=0.5)
+        sums = region_sweep([0.5, 1.0], [0.1, 0.9], 1.0, channel)
+        assert sums.shape == (2, 2)
+        for i, beta in enumerate([0.5, 1.0]):
+            for j, p in enumerate([0.1, 0.9]):
+                assert sums[i, j] == steering_sum(canonical_scenario(1.0, beta, p), channel).sum
 
     def test_deterministic(self):
         args = ([0.3, 0.7, 1.5], [0.0, 0.25, 0.5, 1.0], 1.2, GaussianCloneChannel(eta=0.5))
-        assert region_sweep(*args) == region_sweep(*args)
+        assert np.array_equal(region_sweep(*args), region_sweep(*args))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -228,11 +235,13 @@ class TestRegionSweep:
         ],
     )
     def test_matches_per_cell_steering_sum_bit_for_bit(self, channel, alpha):
+        # A non-square grid, so a transposed array fails.
         betas = [0.05 + 2.95 * k / 29 for k in range(30)]
-        ps = [k / 29 for k in range(30)]
-        rows = region_sweep(betas, ps, alpha, channel)
+        ps = [k / 28 for k in range(29)]
+        sums = region_sweep(betas, ps, alpha, channel)
+        assert sums.shape == (30, 29)
         cells = [(b, p) for b in betas for p in ps]
         expected = [steering_sum(canonical_scenario(alpha, b, p), channel) for b, p in cells]
-        assert [(r.beta, r.p) for r in rows] == cells
-        assert [r.sum.hex() for r in rows] == [ev.sum.hex() for ev in expected]
-        assert [r.verdict for r in rows] == [ev.verdict for ev in expected]
+        flat = sums.ravel().tolist()
+        assert [total.hex() for total in flat] == [ev.sum.hex() for ev in expected]
+        assert [steering_verdict(total) for total in flat] == [ev.verdict for ev in expected]

@@ -179,6 +179,13 @@ class TestFineGrained:
         with pytest.raises(ValueError):
             fine_grained_sum(0, 1.0, p_beta, Parity.EVEN)
 
+    @pytest.mark.parametrize("outcome", ["even", "odd", None, True])
+    def test_outcome_must_be_a_parity(self, outcome):
+        # Parity's prob() reads anything but Parity.EVEN as odd, so an
+        # unchecked "even" returned the odd value 0.4323.
+        with pytest.raises(ValueError):
+            fine_grained_sum(0, 1.0, 0.5, outcome)
+
 
 class TestMinEntropy:
     def test_saturation_by_construction(self):
