@@ -33,7 +33,7 @@ import itertools
 import math
 import sys
 
-from . import __version__, keyrate, protocol, report, steering, uncertainty
+from . import __version__, coherent, keyrate, protocol, report, steering, uncertainty
 from .coherent import (
     Parity,
     default_cutoff,
@@ -153,6 +153,11 @@ def _cmd_parity(args) -> int:
     header = ["source", "p_even", "p_odd"]
     rows: list[list] = [["closed_form", closed.p_even, closed.p_odd]]
     if args.oracle:
+        if args.cutoff is None:
+            # default_cutoff cannot round an infinite mean; the oracle's
+            # table limit, checked here first, rejects it with its message.
+            lam = coherent._mean_photon_number(mu)
+            coherent._require_table_fits(lam + 1, f"mean photon number {lam:g}")
         cutoff = args.cutoff if args.cutoff is not None else default_cutoff(mu)
         truncated = parity_by_truncation(mu, cutoff)
         rows.append(["truncated", truncated.p_even, truncated.p_odd])
@@ -233,21 +238,6 @@ def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--steps must be at most {_MAX_KEYRATE_STEPS}")
     eta_grid = [keyrate.HALF_PI * k / args.steps for k in range(args.steps + 1)]
     points = keyrate.key_rate_curve(args.alpha, args.beta, eta_grid)
-    header = ["eta", "p01", "q01", "i_ab", "i_ae", "rate", "p01_sinh_form", "q01_sinh_form"]
-    rows = []
-    for pt in points:
-        rows.append(
-            [
-                pt.eta,
-                pt.p01,
-                pt.q01,
-                pt.i_ab,
-                pt.i_ae,
-                pt.rate,
-                keyrate.bob_error_sinh_form(args.alpha, args.beta, pt.eta),
-                keyrate.eve_error_sinh_form(args.alpha, args.beta, pt.eta),
-            ]
-        )
     if args.format == "svg":
         svg = curve_svg(
             [
@@ -259,16 +249,24 @@ def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
             "bits",
         )
         write_text(args.out, svg)
-    else:
-        _emit_table(
-            args,
-            header,
-            rows,
-            _meta(
-                "keyrate",
-                {"alpha": args.alpha, "beta": args.beta, "steps": args.steps},
-            ),
+        return 0
+    header = ["eta", "p01", "q01", "i_ab", "i_ae", "rate", "p01_sinh_form", "q01_sinh_form"]
+    rows = []
+    for pt in points:
+        sinh_forms = (
+            keyrate.bob_error_sinh_form(args.alpha, args.beta, pt.eta),
+            keyrate.eve_error_sinh_form(args.alpha, args.beta, pt.eta),
         )
+        for name, value in zip(header[6:], sinh_forms):
+            if not math.isfinite(value):
+                raise ValueError(f"column {name} is not finite at eta {pt.eta!r}: {value!r}")
+        rows.append([pt.eta, pt.p01, pt.q01, pt.i_ab, pt.i_ae, pt.rate, *sinh_forms])
+    _emit_table(
+        args,
+        header,
+        rows,
+        _meta("keyrate", {"alpha": args.alpha, "beta": args.beta, "steps": args.steps}),
+    )
     return 0
 
 

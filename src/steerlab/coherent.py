@@ -10,7 +10,9 @@ that single fact:
 * the number-state overlap probability is exp(-|mu|^2) |mu|^(2n) / n!,
 * the photon-number parity has the closed form
       p_even = (1 + exp(-2|mu|^2)) / 2,   p_odd = (1 - exp(-2|mu|^2)) / 2,
-* parity can be sampled by drawing a Poisson photon number.
+* parity can be sampled by drawing a Poisson photon number, here by
+  inverting the Poisson CDF tabulated over a window of about 24 sqrt(lam)
+  photon numbers around the mean, so a table costs O(sqrt(lam)).
 
 A brute-force truncated-sum evaluation of the parity probabilities is kept
 alongside the closed form as an independent oracle.
@@ -36,7 +38,6 @@ __all__ = [
     "parity_by_truncation",
     "default_cutoff",
     "minimal_admissible_cutoff",
-    "poisson_draw",
     "sample_parity",
     "batch_parity_is_odd",
 ]
@@ -55,13 +56,9 @@ def in_excluded_region(state: complex, beta: complex) -> bool:
 POISSON_TAIL_BOUND = 1e-14
 
 # Most entries a Poisson table may have: a 2^22-entry table and its work
-# arrays take a few hundred MB.  Larger means or cutoffs raise ValueError
-# before anything is searched or allocated.
+# arrays take a few hundred MB.  Larger means, cutoffs or sampler windows
+# raise ValueError before anything is searched or allocated.
 MAX_TABLE_ENTRIES = 2**22
-
-# Above this mean the scalar sampler switches from sequential inversion to
-# the PTRS rejection sampler.
-_INVERSION_MEAN_LIMIT = 30.0
 
 # exp(-lam) stays a normal double below this; term recursions start there.
 _DIRECT_EXP_LIMIT = 700.0
@@ -180,10 +177,22 @@ def parity_probabilities(mu: complex) -> ParityDistribution:
     return ParityDistribution(p_even=(1.0 + t) / 2.0, p_odd=(1.0 - t) / 2.0)
 
 
+def _poisson_half_width(lam: float) -> float:
+    # 12 sqrt(lam + 1) + 20: how far the tabulated photon numbers reach on
+    # either side of the mean lam.
+    return 12.0 * math.sqrt(lam + 1.0) + 20.0
+
+
 def _poisson_cutoff(lam: float) -> int:
     # ceil(lam + 12 sqrt(lam + 1) + 20): the default truncation of a
     # Poisson law with mean lam, shared by default_cutoff and the sampler.
-    return math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
+    return math.ceil(lam + _poisson_half_width(lam))
+
+
+def _poisson_window(lam: float) -> tuple[int, int]:
+    # Photon numbers lo..hi tabulated by the sampler: hi is the default
+    # cutoff, lo = max(0, floor(lam - 12 sqrt(lam + 1) - 20)).
+    return max(0, math.floor(lam - _poisson_half_width(lam))), _poisson_cutoff(lam)
 
 
 def default_cutoff(mu: complex) -> int:
@@ -221,8 +230,8 @@ def _poisson_pmf_table(lam: float, cutoff: int) -> np.ndarray:
     """Poisson weights for n = 0..cutoff.
 
     For lam <= 700 the table is the multiplicative recursion
-    p_0 = exp(-lam), p_n = p_{n-1} lam / n, matching the scalar sequential
-    search term by term; above that the terms come from log space.
+    p_0 = exp(-lam), p_n = p_{n-1} lam / n, which the sampler's windows
+    starting at 0 also use; above that the terms come from log space.
     """
     if lam == 0.0:
         table = np.zeros(cutoff + 1)
@@ -241,11 +250,10 @@ def _poisson_pmf_table(lam: float, cutoff: int) -> np.ndarray:
     return np.exp(log_pmf)
 
 
-def _require_table_fits(last: float, what: str) -> None:
-    # A table over n = 0..last has last + 1 entries.
-    if last + 1 > MAX_TABLE_ENTRIES:
+def _require_table_fits(entries: float, what: str) -> None:
+    if entries > MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"{what} needs a Poisson table of at least {last + 1:.6g} entries, "
+            f"{what} needs a Poisson table of at least {entries:.6g} entries, "
             f"above the limit of {MAX_TABLE_ENTRIES}"
         )
 
@@ -264,8 +272,10 @@ def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistributio
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
     cutoff = int(cutoff)
     lam = _mean_photon_number(mu)
-    _require_table_fits(lam, f"mean photon number {lam:g}")
-    _require_table_fits(cutoff, f"cutoff {cutoff}")
+    # A table over n = 0..cutoff has cutoff + 1 entries, and every
+    # admissible cutoff is above the mean.
+    _require_table_fits(lam + 1, f"mean photon number {lam:g}")
+    _require_table_fits(cutoff + 1, f"cutoff {cutoff}")
     min_cutoff = minimal_admissible_cutoff(lam)
     if cutoff < min_cutoff:
         raise CutoffTooSmallError(cutoff, min_cutoff)
@@ -276,83 +286,60 @@ def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistributio
     return TruncatedParityDistribution(p_even=p_even, p_odd=p_odd, tail_bound=tail)
 
 
-def _poisson_inversion(lam: float, rng: np.random.Generator) -> int:
-    # Sequential search: smallest n with u <= CDF(n); consumes one uniform.
-    u = rng.random()
-    p = math.exp(-lam)
-    cdf = p
-    n = 0
-    limit = minimal_admissible_cutoff(lam) + 1
-    while u > cdf and n < limit:
-        n += 1
-        p *= lam / n
-        cdf += p
-    return n
-
-
-def _poisson_ptrs(lam: float, rng: np.random.Generator) -> int:
-    # Hormann's transformed rejection with squeeze (PTRS); exact for
-    # lam >= 10, no normal approximation involved.
-    slam = math.sqrt(lam)
-    loglam = math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (
-            math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-            <= k * loglam - lam - math.lgamma(k + 1.0)
-        ):
-            return int(k)
-
-
-def poisson_draw(lam: float, rng: np.random.Generator) -> int:
-    """Draw one Poisson variate with mean lam from ``rng``.
-
-    Sequential-search inversion for lam <= 30 (one uniform per draw),
-    PTRS transformed rejection above.  Both are exact samplers; the split
-    and the uniform-consumption pattern are part of the reproducibility
-    contract.
-    """
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError(f"Poisson mean must be finite and nonnegative, got {lam!r}")
-    if lam == 0.0:
-        return 0
-    if lam <= _INVERSION_MEAN_LIMIT:
-        return _poisson_inversion(lam, rng)
-    return _poisson_ptrs(lam, rng)
-
-
 def sample_parity(mu: complex, rng: np.random.Generator) -> Parity:
     """Sample the photon-number parity of |mu>.
 
-    Draws a photon number from the Poisson law with mean |mu|^2 and
-    returns its parity; outcome frequencies converge to
+    Draws one uniform from ``rng`` and maps it to a photon number exactly
+    as batch_parity_is_odd does; outcome frequencies converge to
     parity_probabilities(mu).  Mutates only the supplied generator.
     """
     mu = _require_finite(mu, "mu")
-    n = poisson_draw(_mean_photon_number(mu), rng)
-    return Parity.ODD if n & 1 else Parity.EVEN
+    odd = batch_parity_is_odd(np.array([_mean_photon_number(mu)]), np.array([rng.random()]))
+    return Parity.ODD if odd[0] else Parity.EVEN
+
+
+def _poisson_window_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
+    """Poisson CDF over the photon numbers lo..hi of _poisson_window(lam).
+
+    A window starting at 0 is the running sum of the recursion from
+    exp(-lam), as in _poisson_pmf_table.  Any other window is built from
+    the ratios p_n / p_m about the mode m = floor(lam), which never exceed
+    1, and normalised by its own sum, so the last entry is exactly 1.0.
+    """
+    if lo == 0:
+        return np.cumsum(_poisson_pmf_table(lam, hi))
+    m = math.floor(lam)
+    above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
+    below = np.cumprod(np.arange(m, lo, -1) / lam)  # p_n / p_m, n = m-1..lo
+    cdf = np.cumsum(np.concatenate((below[::-1], [1.0], above)))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _poisson_quantile(lam: float, uniforms: np.ndarray) -> np.ndarray:
+    # Smallest n in the window with uniform <= CDF(n), for each uniform.
+    lo, hi = _poisson_window(lam)
+    # Far above 2^53 the rounded bounds lose the window; its half-width
+    # still bounds the entry count from below.
+    _require_table_fits(max(hi - lo + 1, _poisson_half_width(lam)), f"Poisson mean {lam:g}")
+    cdf = _poisson_window_cdf(lam, lo, hi)
+    return lo + np.searchsorted(cdf, uniforms, side="left")
 
 
 def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Vectorized parity sampling by single-uniform CDF inversion.
 
     Element i draws a photon number as the smallest n with
-    uniforms[i] <= CDF_{lams[i]}(n) over a table truncated at the default
-    cutoff (tail below POISSON_TAIL_BOUND), then reports whether n is odd.
-    For means <= 30 the mapping from uniform to photon number is identical
-    to the scalar sequential search in poisson_draw.  Raises ValueError
-    when a mean's table would exceed MAX_TABLE_ENTRIES.
+    uniforms[i] <= CDF_{lams[i]}(n), then reports whether n is odd.  Each
+    distinct mean lam gets one table over the window
+    lo = max(0, floor(lam - 12 sqrt(lam + 1) - 20)) to hi = default cutoff,
+    about 24 sqrt(lam) entries.  By the Chernoff bounds the mass above hi
+    is below POISSON_TAIL_BOUND and the mass below lo below exp(-72).
+    Windows starting at 0 (every mean up to about 184) hold the CDF from
+    the recursion p_0 = exp(-lam), p_n = p_{n-1} lam / n; higher windows
+    are built by ratios about the mode and normalised to end at exactly 1.
+    Raises ValueError when a mean's window would exceed MAX_TABLE_ENTRIES,
+    before it is allocated.
     """
     lams = np.asarray(lams, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
@@ -362,10 +349,6 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         raise ValueError("Poisson means must be finite and nonnegative")
     odd = np.empty(lams.shape, dtype=bool)
     for lam in np.unique(lams).tolist():
-        cutoff = _poisson_cutoff(lam)
-        _require_table_fits(cutoff, f"Poisson mean {lam:g}")
         mask = lams == lam
-        cdf = np.cumsum(_poisson_pmf_table(lam, cutoff))
-        n = np.searchsorted(cdf, uniforms[mask], side="left")
-        odd[mask] = (n & 1).astype(bool)
+        odd[mask] = (_poisson_quantile(lam, uniforms[mask]) & 1).astype(bool)
     return odd

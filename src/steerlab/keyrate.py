@@ -27,6 +27,7 @@ rate vanishes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .coherent import (
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 HALF_PI = math.pi / 2.0
+
+# Largest argument for which math.exp does not overflow.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,19 @@ def odd_parity_sinh_form(delta: complex) -> float:
 
     Kept only for side-by-side comparison; it exceeds the closed form
     everywhere away from delta = 0 and is not a probability for large
-    amplitudes.
+    amplitudes.  Where math.sinh overflows (|delta|^2 above about 710) the
+    same value is taken as (exp(x/2) - exp(-3x/2)) / 2 with x = |delta|^2;
+    it is inf where that overflows too (x above about 1420).
     """
     delta = complex(delta)
     m2 = delta.real * delta.real + delta.imag * delta.imag
-    return math.sinh(m2) * math.exp(-m2 / 2.0)
+    try:
+        return math.sinh(m2) * math.exp(-m2 / 2.0)
+    except OverflowError:
+        half = m2 / 2.0
+        if half > _MAX_EXP_ARG:
+            return math.inf
+        return (math.exp(half) - math.exp(-3.0 * half)) / 2.0
 
 
 def _check_not_excluded(alpha: float, beta: float) -> None:

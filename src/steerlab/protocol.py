@@ -17,8 +17,9 @@ master seed.  Round i owns the block of four uniforms at stream offsets
 Bob's parity draw, Eve's parity draw), so any round's randomness is a pure
 function of (seed, round index): rounds could be evaluated in any order or
 in parallel without changing the transcript.  Parity draws map a single
-uniform through the Poisson CDF exactly as the scalar sequential search in
-coherent.poisson_draw does for means up to 30.  Identical configs produce
+uniform through the Poisson CDF tabulated by coherent.batch_parity_is_odd,
+one table per distinct mean over about 24 sqrt(mean) photon numbers, as
+coherent.sample_parity does for one draw.  Identical configs produce
 bit-identical transcripts.
 
 Transcript layout

@@ -45,6 +45,12 @@ class TestParityCommand:
         assert code == 1
         assert "Poisson table" in err
 
+    def test_infinite_mean_exits_1_with_the_table_message(self, capsys):
+        # |1e200|^2 overflows to inf, which default_cutoff cannot round.
+        code, _, err = run_cli(["parity", "--oracle", "--re", "1e200"], capsys)
+        assert code == 1
+        assert "mean photon number inf needs a Poisson table" in err
+
     def test_svg_not_allowed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["parity", "--format", "svg"])
@@ -251,6 +257,51 @@ class TestKeyrateCommand:
         assert exc.value.code == 2
         assert "--steps must be at most 100000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # Recorded before the sinh form gained its overflow fallback;
+            # alpha 26 reaches |delta|^2 = 702, just below where sinh overflows.
+            (["--alpha", "20"], "60a246248d05115acffa356b1c18c10983bdc5d918930a84a555cdb2f6bef5c7"),
+            (["--alpha", "26", "--format", "json"],
+             "dd06ceaf3c06d08bb7e8bf4efcd242b72de663c4e8a1048d60865d899c62fd83"),
+        ],
+    )
+    def test_sinh_columns_keep_their_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(["keyrate", "--steps", "8", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_sinh_overflow_no_longer_fails(self, capsys):
+        # |delta|^2 reaches 930.25: math.sinh overflows, the value does not.
+        code, out, _ = run_cli(["keyrate", "--alpha", "30", "--steps", "4"], capsys)
+        assert code == 0
+        last = out.splitlines()[-1].split(",")
+        m2 = 30.5**2
+        assert float(last[6]) == pytest.approx(math.exp(m2 / 2) / 4, rel=1e-12)
+        assert math.isfinite(float(last[7]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_sinh_column_exits_1(self, tmp_path, capsys, fmt):
+        out_path = tmp_path / f"rate.{fmt}"
+        code, _, err = run_cli(
+            ["keyrate", "--alpha", "60", "--steps", "4", "--format", fmt, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        # Eve's offset at eta = 0 is the whole amplitude, 60.5.
+        assert "column q01_sinh_form is not finite at eta 0.0: inf" in err
+        assert not out_path.exists()
+
+    def test_svg_has_no_sinh_columns_to_overflow(self, tmp_path, capsys):
+        out_path = tmp_path / "rate.svg"
+        code, _, _ = run_cli(
+            ["keyrate", "--alpha", "60", "--steps", "4", "--format", "svg", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert out_path.read_text().startswith("<svg")
+
 
 class TestProtocolCommand:
     def test_fixed_seed_reproducible_json(self, tmp_path, capsys):
@@ -297,17 +348,29 @@ class TestProtocolCommand:
         assert "--rounds must be at most 5000000" in capsys.readouterr().err
 
     def test_oversized_poisson_table_exits_1(self, tmp_path, capsys):
-        # alpha 1e5 would need a table of about 8.6e8 entries; the limit
-        # check raises before any table is built.
+        # alpha 1e7 would need a sampler window of about 7e7 entries; the
+        # limit check raises before any table is built.
         out_path = tmp_path / "stats.csv"
         code, _, err = run_cli(
-            ["protocol", "--channel", "clone", "--alpha", "1e5", "--rounds", "10",
+            ["protocol", "--channel", "clone", "--alpha", "1e7", "--rounds", "10",
              "--out", str(out_path)],
             capsys,
         )
         assert code == 1
         assert "Poisson table" in err
         assert not out_path.exists()
+
+    def test_large_alpha_runs(self, capsys):
+        # Means of about 3.1e6: windows of about 4.2e4 entries, where a
+        # full 0..cutoff table would need 3.1e6.
+        code, out, _ = run_cli(
+            ["protocol", "--channel", "clone", "--alpha", "6000", "--rounds", "10",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        stats = json.loads(out)["rows"][0]
+        assert stats["n_plus"] + stats["n_minus"] == 10
 
     def test_csv_stats(self, capsys):
         code, out, _ = run_cli(

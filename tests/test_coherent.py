@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab import coherent
 from steerlab.coherent import (
@@ -17,10 +19,43 @@ from steerlab.coherent import (
     minimal_admissible_cutoff,
     parity_by_truncation,
     parity_probabilities,
-    poisson_draw,
     sample_parity,
     _poisson_cutoff,
+    _poisson_half_width,
+    _poisson_quantile,
+    _poisson_window,
 )
+
+
+def _ptrs_draw(lam: float, rng: np.random.Generator) -> int:
+    # Hormann's transformed rejection with squeeze (PTRS), "The transformed
+    # rejection method for generating Poisson random variables" (1993):
+    # exact for lam >= 10 and independent of any CDF table.
+    slam = math.sqrt(lam)
+    loglam = math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if (
+            math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
+            <= k * loglam - lam - math.lgamma(k + 1.0)
+        ):
+            return int(k)
+
+
+def _clone_mean(alpha: float, beta: float = 0.5) -> float:
+    # Bob's (and Eve's) displaced mean at eta = pi/4: |(alpha + beta)(cos(pi/4) - 1)|^2.
+    return ((alpha + beta) * (math.cos(math.pi / 4) - 1.0)) ** 2
 
 
 class TestDisplace:
@@ -220,6 +255,102 @@ def test_table_limit_admits_the_largest_benchmark_mean():
     assert _poisson_cutoff(lam) + 1 < MAX_TABLE_ENTRIES
 
 
+@pytest.mark.parametrize("alpha, fits", [(6000.0, True), (1e7, False)])
+def test_table_limit_applies_to_the_sampler_window(alpha, fits):
+    # Arithmetic only: at alpha 6000 the window holds about 4.2e4 entries
+    # (a full 0..cutoff table would need 3.1e6), at alpha 1e7 about 7e7.
+    lo, hi = _poisson_window(_clone_mean(alpha))
+    assert (hi - lo + 1 <= MAX_TABLE_ENTRIES) is fits
+
+
+class TestWindowedSampler:
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("allocated a window past the limit")
+
+        monkeypatch.setattr(coherent, "_poisson_window_cdf", fail)
+
+    @pytest.mark.parametrize("lam", [3.1e10, _clone_mean(1e7), 1e40, 1e300])
+    def test_oversized_window_rejected_before_it_is_built(self, no_table, lam):
+        # Above about 1e33 the rounded window bounds collapse onto the
+        # mean; the check must still see the window's true width.
+        assert _poisson_window(lam)[0] > 0
+        with pytest.raises(ValueError, match="Poisson table"):
+            batch_parity_is_odd(np.full(2, lam), np.full(2, 0.5))
+
+    def test_limit_applies_to_the_window_not_to_the_cutoff(self, monkeypatch):
+        monkeypatch.setattr(coherent, "MAX_TABLE_ENTRIES", 1000)
+        lo, hi = _poisson_window(1000.0)
+        assert hi - lo + 1 <= 1000 < hi + 1
+        assert batch_parity_is_odd(np.full(3, 1000.0), np.full(3, 0.5)).shape == (3,)
+        with pytest.raises(ValueError, match="Poisson mean 2000"):
+            batch_parity_is_odd(np.full(3, 2000.0), np.full(3, 0.5))
+
+    def test_window_starts_at_zero_up_to_mean_thirty(self):
+        for lam in np.linspace(0.0, 30.0, 3001).tolist():
+            assert _poisson_window(lam)[0] == 0
+
+    def test_window_width(self):
+        # hi - lo + 1 = 2h + 1 + (ceil(lam + h) - (lam + h)) + (lam - h - floor(lam - h))
+        # with h the half-width, so it lies in [2h + 1, 2h + 3).
+        lams = np.concatenate([np.linspace(0.0, 500.0, 5001), np.geomspace(1.0, 3e10, 5001)])
+        for lam in lams.tolist():
+            lo, hi = _poisson_window(lam)
+            h = _poisson_half_width(lam)
+            assert hi == _poisson_cutoff(lam)
+            assert hi - lo + 1 < 2.0 * h + 3.0
+            if lo > 0:
+                assert hi - lo + 1 >= 2.0 * h + 1.0 - 1e-6 * h
+
+    @pytest.mark.parametrize("lam", [250.0, 2.1e4, 1.9e5, 7.7e5, 3.1e6])
+    def test_matches_a_full_log_space_table(self, lam):
+        # Reference: the Poisson CDF over n = 0..hi, each term
+        # exp(n log lam - lam - lgamma(n + 1)).  Its terms carry a relative
+        # error of a few eps * hi * log(hi), so a uniform that close to a
+        # reference boundary may round either way; every other uniform
+        # must map to the same photon number.
+        lo, hi = _poisson_window(lam)
+        log_pmf = np.fromiter(map(math.lgamma, np.arange(1.0, hi + 2.0)), float, hi + 1)
+        np.subtract(np.arange(hi + 1) * math.log(lam) - lam, log_pmf, out=log_pmf)
+        reference = np.cumsum(np.exp(log_pmf, out=log_pmf))
+        assert reference[lo - 1] < math.exp(-72.0)  # the mass the window leaves out
+        tol = 8.0 * np.finfo(float).eps * hi * math.log(hi)
+
+        u = np.random.default_rng(20240611).random(20_000)
+        expected = np.searchsorted(reference, u, side="left")
+        drawn = _poisson_quantile(lam, u)
+        lower = reference[np.maximum(expected - 1, 0)]
+        upper = reference[np.minimum(expected, hi)]
+        near = (u - lower < tol) | (upper - u < tol)
+        assert near.mean() < 0.01
+        assert np.array_equal(drawn[~near], expected[~near])
+        assert np.all(np.abs(drawn[near] - expected[near]) <= 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(log_lam=st.floats(math.log(200.0), math.log(3e10)), seed=st.integers(0, 2**32 - 1))
+    def test_odd_fraction_matches_the_closed_form(self, log_lam, seed):
+        # Fixed before running: 5 binomial sigma (two-sided false alarm
+        # about 6e-7 per example).
+        lam = math.exp(log_lam)
+        n = 20_000
+        odd = batch_parity_is_odd(np.full(n, lam), np.random.default_rng(seed).random(n))
+        p_odd = parity_probabilities(math.sqrt(lam)).p_odd
+        sigma = math.sqrt(p_odd * (1.0 - p_odd) / n)
+        assert abs(odd.mean() - p_odd) < 5.0 * sigma
+
+    @pytest.mark.parametrize("lam", [40.0, 250.0, 2.1e4])
+    def test_agrees_with_ptrs(self, lam):
+        # Two independent exact samplers: sample means and variances agree
+        # within 5 sigma of their difference.
+        n = 20_000
+        rng = np.random.default_rng(8)
+        ptrs = np.array([_ptrs_draw(lam, rng) for _ in range(n)], dtype=float)
+        table = _poisson_quantile(lam, rng.random(n)).astype(float)
+        assert abs(ptrs.mean() - table.mean()) < 5.0 * math.sqrt(2.0 * lam / n)
+        assert abs(ptrs.var() - table.var()) < 5.0 * lam * math.sqrt(4.0 / n)
+
+
 class TestSampling:
     def test_vacuum_always_even(self):
         rng = np.random.default_rng(0)
@@ -235,9 +366,8 @@ class TestSampling:
         assert seq1  # smoke: single-draw path works
 
     def test_scalar_inversion_matches_batch_mapping(self):
-        # For means <= 30 the scalar sampler consumes one uniform per draw
-        # and must land on the same photon-number parity as the table
-        # inversion fed the same uniforms.
+        # sample_parity consumes one uniform per draw and lands on the same
+        # photon-number parity as the table inversion fed the same uniforms.
         mu = 1.2 + 0.7j
         lam = abs(mu) ** 2
         n = 2000
@@ -265,10 +395,12 @@ class TestSampling:
         assert abs(odd / n - p_odd) < 4 * sigma
 
     def test_ptrs_regime_moments_and_parity(self):
+        # The PTRS oracle itself, at the mean the scalar sampler once
+        # switched to it.
         lam = 40.0
         n = 10**5
         rng = np.random.default_rng(5)
-        draws = np.array([poisson_draw(lam, rng) for _ in range(n)])
+        draws = np.array([_ptrs_draw(lam, rng) for _ in range(n)])
         assert abs(draws.mean() - lam) < 4 * math.sqrt(lam / n)
         assert abs(draws.var() - lam) < 5 * lam * math.sqrt(2.0 / n)
         p_odd = parity_probabilities(math.sqrt(lam)).p_odd
@@ -276,8 +408,8 @@ class TestSampling:
         assert abs((draws % 2).mean() - p_odd) < 4 * sigma
 
     def test_invalid_mean_rejected(self):
-        rng = np.random.default_rng(0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                batch_parity_is_odd(np.array([bad]), np.array([0.5]))
         with pytest.raises(ValueError):
-            poisson_draw(-1.0, rng)
-        with pytest.raises(ValueError):
-            poisson_draw(float("nan"), rng)
+            sample_parity(complex(float("nan"), 0.0), np.random.default_rng(0))
