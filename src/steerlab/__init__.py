@@ -16,12 +16,10 @@ from .coherent import (
     sample_parity,
 )
 from .keyrate import (
-    CloneOutput,
     EveOptimum,
     KeyRatePoint,
     binary_entropy,
     bob_error,
-    clone,
     eve_error,
     key_rate_curve,
     key_rate_point,

@@ -59,9 +59,11 @@ _SVG_COMMANDS = {"steer-region", "keyrate"}
 # (about 0.5 GB at 600), the key-rate curve's linearly (about 0.3 GB at 1e5).
 _MAX_REGION_STEPS = 500
 _MAX_KEYRATE_STEPS = 100_000
-# Largest accepted --rounds: a run holds all rounds at once, about 86 MB per
-# 1e6 rounds, so this keeps it near 0.5 GB.
-_MAX_ROUNDS = 5_000_000
+# Largest accepted --rounds.  Memory does not set it, since rounds are
+# generated in fixed chunks; time and disk do.  Statistics take about 0.2 s
+# per 1e6 rounds, so the largest run ends in about 20 s, and its transcript
+# would take 6.7 GB (ideal channel) to 7.7 GB (clone channel) of disk.
+_MAX_ROUNDS = 100_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +327,9 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_uncertainty(args) -> int:
+    lo, hi = uncertainty.STANDARD_GRID_SIGMA_X_RANGE
+    if not lo <= args.sigma_x <= hi:
+        raise ValueError(f"--sigma-x must lie in [{lo:g}, {hi:g}], got {args.sigma_x!r}")
     profile = uncertainty.GaussianBeamProfile(
         x0=args.x0, k0=args.k0, sigma_x=args.sigma_x
     )

@@ -5,7 +5,9 @@ The cloning map splits a transmitted amplitude between Bob and Eve:
     |mu>|0>_E  ->  |mu cos|eta|>_B |mu (eta/|eta|) sin|eta|>_E
 
 For real eta the phase factor reduces to a sign, so Bob's factor is
-cos(eta) and Eve's is sin(eta).  After the announced corrective
+cos(eta) and Eve's is sin(eta).  This module holds the two factors; the
+map itself is steering.GaussianCloneChannel.components, which the steering
+sums and the protocol share.  After the announced corrective
 displacement, Bob holds |delta> with delta = (alpha +- beta)(cos eta - 1)
 and Eve holds |delta'> with delta' = (alpha +- beta)(sin eta - 1); odd
 parity on a prepared-even target is an error, with probability
@@ -39,10 +41,8 @@ from .coherent import (
 
 __all__ = [
     "HALF_PI",
-    "CloneOutput",
     "KeyRatePoint",
     "EveOptimum",
-    "clone",
     "bob_amplitude_factor",
     "eve_amplitude_factor",
     "odd_parity_closed_form",
@@ -65,12 +65,6 @@ HALF_PI = math.pi / 2.0
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class CloneOutput:
-    bob: complex
-    eve: complex
-
-
 def bob_amplitude_factor(eta: float) -> float:
     return math.cos(abs(eta))
 
@@ -80,24 +74,6 @@ def eve_amplitude_factor(eta: float) -> float:
     # at eta = pi/4 and exactly 1 at eta = pi/2, which makes the rate
     # pivot and the endpoint identities exact in floating point.
     return math.cos(HALF_PI - eta)
-
-
-def clone(state: complex, eta: float) -> CloneOutput:
-    """Split an amplitude between Bob (cos factor) and Eve (sin factor).
-
-    eta = 0 maps to (state, 0) by continuity.
-    """
-    state = complex(state)
-    if not (math.isfinite(state.real) and math.isfinite(state.imag)):
-        raise ValueError(f"state must be finite, got {state!r}")
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta!r}")
-    if eta == 0.0:
-        return CloneOutput(bob=state, eve=0j)
-    return CloneOutput(
-        bob=state * bob_amplitude_factor(eta),
-        eve=state * eve_amplitude_factor(eta),
-    )
 
 
 def odd_parity_closed_form(delta: complex) -> float:

@@ -22,16 +22,25 @@ one table per distinct mean over about 24 sqrt(mean) photon numbers, as
 coherent.sample_parity does for one draw.  Identical configs produce
 bit-identical transcripts.
 
+Chunked generation
+------------------
+A run is drawn, mapped and sampled in chunks of 2^16 rounds (``_CHUNK``),
+and its counts are summed over the chunks, so working memory stays flat
+as the run grows.  The generator hands out the counter-based stream in
+order, so consecutive chunk draws are exactly the uniforms of one draw of
+the whole run: the chunk size changes no statistic and no transcript byte.
+
 Transcript layout
 -----------------
 The announced gamma depends only on the preparation, so a round is one of
 at most eight kinds (prep, gamma, bob, eve).  A run keeps one uint8 kind
 code per round, prep << 2 | bob << 1 | eve (bits set for PLUS and ODD),
-beside the table of kinds; ``Transcript`` builds ``RoundRecord``s from
-them only when a caller indexes or iterates.  The JSONL codec works on
-the same kinds: the encoder renders one line tail per kind and fills in
-the round index, and the decoder maps tails it has seen back to kinds,
-parsing every other line with ``json.loads``.
+beside the table of kinds, so a transcript costs one byte per round.
+``Transcript`` builds ``RoundRecord``s from the codes only when a caller
+indexes or iterates.  The JSONL codec works on the same kinds: the
+encoder renders one line tail per kind and fills in the round index, and
+the decoder maps tails it has seen back to kinds, parsing every other
+line with ``json.loads``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +74,12 @@ __all__ = [
 ]
 
 _UNIFORMS_PER_ROUND = 4
+
+# Rounds handled at once: drawn, mapped and sampled by run_protocol,
+# converted to Python ints by Transcript, encoded per write by
+# write_transcript.  It bounds the working memory of each, and no output
+# depends on it.
+_CHUNK = 1 << 16
 
 
 class Prep(Enum):
@@ -102,6 +117,13 @@ class RoundRecord(NamedTuple):
     eve_outcome: Parity | None = None
 
 
+def _code_ints(codes: np.ndarray) -> Iterator[int]:
+    """The kind codes as Python ints, converted ``_CHUNK`` at a time."""
+    return chain.from_iterable(
+        codes[start:start + _CHUNK].tolist() for start in range(0, len(codes), _CHUNK)
+    )
+
+
 class Transcript(Sequence[RoundRecord]):
     """Read-only sequence view of the rounds of one run.
 
@@ -127,7 +149,7 @@ class Transcript(Sequence[RoundRecord]):
 
     def __iter__(self) -> Iterator[RoundRecord]:
         kinds = self._kinds
-        for i, code in enumerate(self._codes.tolist()):
+        for i, code in enumerate(_code_ints(self._codes)):
             yield RoundRecord(i, *kinds[code])
 
     def __eq__(self, other):
@@ -165,24 +187,12 @@ def _parity(odd: bool) -> Parity:
     return Parity.ODD if odd else Parity.EVEN
 
 
-def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolResult:
-    """Simulate the configured number of rounds.
-
-    ``keep_transcript=False`` leaves the transcript empty and skips its
-    kind codes (the aggregate statistics are unchanged); useful for large
-    repetition studies.
-    """
-    rounds = int(config.rounds)
+def _sample_chunk(config: SimConfig, u: np.ndarray):
+    """(plus, bob_odd, eve_odd or None) for the rounds whose uniforms are ``u``."""
     alpha, beta = config.alpha, config.beta
-    gamma1 = -(alpha + beta)
-    gamma2 = -(alpha - beta)
-
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u = rng.random((rounds, _UNIFORMS_PER_ROUND))
-
     plus = u[:, 0] < config.p_plus
     prep_amp = np.where(plus, alpha + beta, alpha - beta)
-    gamma = np.where(plus, gamma1, gamma2)
+    gamma = -prep_amp  # gamma1 or gamma2, the announced corrective displacement
 
     components = config.channel.components(prep_amp)
     if len(components) == 1:
@@ -200,10 +210,41 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     eve_odd: np.ndarray | None = None
     if eve_received is not None:
         eve_odd = batch_parity_is_odd(_squared_modulus(eve_received + gamma), u[:, 3])
+    return plus, bob_odd, eve_odd
 
-    n_plus = int(np.count_nonzero(plus))
-    p01 = float(np.count_nonzero(bob_odd)) / rounds
-    q01 = float(np.count_nonzero(eve_odd)) / rounds if eve_odd is not None else None
+
+def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolResult:
+    """Simulate the configured number of rounds.
+
+    Rounds are drawn, mapped and sampled ``_CHUNK`` at a time, so working
+    memory does not grow with the run; the transcript keeps one byte per
+    round.  ``keep_transcript=False`` leaves the transcript empty and skips
+    its kind codes (the aggregate statistics are unchanged); useful for
+    large repetition studies.
+    """
+    rounds = int(config.rounds)
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    codes = np.empty(rounds, np.uint8) if keep_transcript else None
+    n_plus = n_bob_odd = n_eve_odd = 0
+    for start in range(0, rounds, _CHUNK):
+        stop = min(start + _CHUNK, rounds)
+        plus, bob_odd, eve_odd = _sample_chunk(
+            config, rng.random((stop - start, _UNIFORMS_PER_ROUND))
+        )
+        n_plus += int(np.count_nonzero(plus))
+        n_bob_odd += int(np.count_nonzero(bob_odd))
+        if eve_odd is not None:
+            n_eve_odd += int(np.count_nonzero(eve_odd))
+        if codes is not None:
+            chunk = codes[start:stop]
+            chunk[:] = plus.astype(np.uint8) << 2
+            chunk |= bob_odd.astype(np.uint8) << 1
+            if eve_odd is not None:
+                chunk |= eve_odd.astype(np.uint8)
+    has_eve = eve_odd is not None
+
+    p01 = n_bob_odd / rounds
+    q01 = n_eve_odd / rounds if has_eve else None
     stderr = math.sqrt(p01 * (1.0 - p01) / rounds)
     rate = None
     if q01 is not None:
@@ -218,17 +259,16 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
         empirical_rate=rate,
     )
 
-    if not keep_transcript:
+    if codes is None:
         return ProtocolResult(stats=stats, transcript=Transcript(np.empty(0, np.uint8), ()))
-    codes = (plus.astype(np.uint8) << 2) | (bob_odd.astype(np.uint8) << 1)
-    if eve_odd is not None:
-        codes |= eve_odd.astype(np.uint8)
+    gamma1 = -(config.alpha + config.beta)
+    gamma2 = -(config.alpha - config.beta)
     kinds = tuple(
         (
             Prep.PLUS if code & 4 else Prep.MINUS,
             complex(gamma1 if code & 4 else gamma2),
             _parity(code & 2),
-            None if eve_odd is None else _parity(code & 1),
+            _parity(code & 1) if has_eve else None,
         )
         for code in range(8)
     )
@@ -249,9 +289,6 @@ _LETTER_PARITY = {"E": Parity.EVEN, "O": Parity.ODD}
 
 # Every line starts with the index field; the tail is the rest of the line.
 _HEAD = '{"i":'
-
-# Lines encoded per write, which bounds the text held at once.
-_WRITE_CHUNK = 1 << 16
 
 # A run has at most eight distinct tails; the cap only bounds the decoder's
 # cache on files whose gammas vary from line to line.
@@ -293,10 +330,10 @@ def _write_lines(transcript: Iterable[RoundRecord], fh) -> None:
     # (index, line tail) per round, each distinct tail rendered once.
     if isinstance(transcript, Transcript):
         tails = [_record_tail(RoundRecord(0, *kind)) for kind in transcript._kinds]
-        pairs = zip(range(len(transcript)), map(tails.__getitem__, transcript._codes.tolist()))
+        pairs = enumerate(map(tails.__getitem__, _code_ints(transcript._codes)))
     else:
         pairs = _cached_tails(transcript)
-    while text := "".join([f"{_HEAD}{i}{tail}" for i, tail in islice(pairs, _WRITE_CHUNK)]):
+    while text := "".join([f"{_HEAD}{i}{tail}" for i, tail in islice(pairs, _CHUNK)]):
         fh.write(text)
 
 

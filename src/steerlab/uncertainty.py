@@ -72,6 +72,12 @@ MIN_ENTROPY_BOUND = -2.0 * math.log2(0.75)
 STANDARD_GRID_POINTS = 4096
 STANDARD_GRID_SPAN_SIGMAS = 12.0
 
+# sigma_x accepted by profile_wavefunction.  The standard grid reaches
+# 12 sigma_x in position and about 536 / sigma_x in wave vector, and the
+# squares of both must stay finite (below about 1.8e308): sigma_x from
+# about 4e-152 to 1e153.  The range stays a factor of 25 or more inside.
+STANDARD_GRID_SIGMA_X_RANGE = (1e-150, 1e150)
+
 _NORM_TOL = 1e-8
 _COVERAGE_SIGMAS = 10.0
 _DENSITY_FLOOR = 1e-300
@@ -206,6 +212,11 @@ def profile_wavefunction(profile: GaussianBeamProfile) -> GriddedWavefunction:
     """Standard-grid wavefunction realizing a minimum-uncertainty profile."""
     if not profile.is_minimum_uncertainty:
         raise ValueError("only minimum-uncertainty profiles have a pure wavefunction")
+    lo, hi = STANDARD_GRID_SIGMA_X_RANGE
+    if not lo <= profile.sigma_x <= hi:
+        raise ValueError(
+            f"sigma_x must lie in [{lo:g}, {hi:g}] on the standard grid, got {profile.sigma_x!r}"
+        )
     return gaussian_wavefunction(
         x0=profile.x0, k0=profile.k0, sigma_x=profile.sigma_x
     )

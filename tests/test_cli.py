@@ -337,15 +337,16 @@ class TestProtocolCommand:
             assert obj["bob"] in ("E", "O")
 
     def test_too_many_rounds_exits_2_before_any_draw(self, capsys, monkeypatch):
-        # The run holds every round in memory; the cap keeps it near 0.5 GB.
+        # The cap bounds a run's time and transcript size; the patched run
+        # fails if the cap lets the request through.
         def fail(*args, **kwargs):
             raise AssertionError("protocol ran past the --rounds cap")
 
         monkeypatch.setattr(protocol, "run_protocol", fail)
         with pytest.raises(SystemExit) as exc:
-            main(["protocol", "--rounds", "5000001"])
+            main(["protocol", "--rounds", "100000001"])
         assert exc.value.code == 2
-        assert "--rounds must be at most 5000000" in capsys.readouterr().err
+        assert "--rounds must be at most 100000000" in capsys.readouterr().err
 
     def test_oversized_poisson_table_exits_1(self, tmp_path, capsys):
         # alpha 1e7 would need a sampler window of about 7e7 entries; the
@@ -426,6 +427,18 @@ class TestUncertaintyCommand:
         code, out, _ = run_cli(["uncertainty"] + args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sigma_x**2 underflows to 0 below about 1e-162, and overflows above
+    # about 1e154; both once ended in a bare arithmetic error.
+    @pytest.mark.parametrize("sigma_x", ["1e-300", "1e300"])
+    def test_unrepresentable_sigma_x_exits_1(self, tmp_path, capsys, sigma_x):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            ["uncertainty", "--sigma-x", sigma_x, "--out", str(out_path)], capsys
+        )
+        assert code == 1
+        assert f"steerlab: error: --sigma-x must lie in [1e-150, 1e+150], got {float(sigma_x)!r}" in err
+        assert not out_path.exists()
 
 
 class TestExitCodes:

@@ -387,9 +387,12 @@ class TestSampling:
         assert abs(odd.mean() - p_odd) < 4 * sigma
 
     def test_scalar_sampler_statistics(self):
+        # The draws of 1e5 sample_parity(1.0, rng) calls, made in one batch
+        # call; test_scalar_inversion_matches_batch_mapping covers the
+        # per-draw equality of the two.
         n = 10**5
         rng = np.random.default_rng(31)
-        odd = sum(sample_parity(1.0, rng) is Parity.ODD for _ in range(n))
+        odd = np.count_nonzero(batch_parity_is_odd(np.full(n, 1.0), rng.random(n)))
         p_odd = parity_probabilities(1.0).p_odd
         sigma = math.sqrt(p_odd * (1 - p_odd) / n)
         assert abs(odd / n - p_odd) < 4 * sigma

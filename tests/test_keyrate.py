@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from steerlab.coherent import parity_probabilities
 from steerlab.keyrate import (
     HALF_PI,
     binary_entropy,
     bob_error,
     bob_error_sinh_form,
     bob_error_truncated,
-    clone,
     eve_error,
     eve_error_sinh_form,
     eve_error_truncated,
@@ -22,34 +22,51 @@ from steerlab.keyrate import (
     odd_parity_sinh_form,
     optimize_eve,
 )
+from steerlab.protocol import SimConfig
+from steerlab.steering import GaussianCloneChannel
 
 PAIRS = [(1.0, 0.5), (2.0, 1.0), (0.5, 0.2)]
 
 
 class TestClone:
+    # The cloning map is GaussianCloneChannel.components, built from this
+    # module's two amplitude factors.
+    @staticmethod
+    def split(mu, eta):
+        ((weight, bob, eve),) = GaussianCloneChannel(eta=eta).components(mu)
+        assert weight == 1.0
+        return bob, eve
+
     def test_full_intercept(self):
         mu = 1.5 - 0.5j
-        out = clone(mu, HALF_PI)
-        assert out.eve == mu
-        assert abs(out.bob) < 1e-15
+        bob, eve = self.split(mu, HALF_PI)
+        assert eve == mu
+        assert abs(bob) < 1e-15
 
     def test_no_attack_continuity(self):
+        # Bob keeps the state exactly; Eve gets cos(pi/2) mu, about 6e-17 mu,
+        # rather than an exact zero.
         mu = 0.7 + 0.2j
-        out = clone(mu, 0.0)
-        assert out.bob == mu
-        assert out.eve == 0j
+        bob, eve = self.split(mu, 0.0)
+        assert bob == mu
+        assert eve == mu * math.cos(HALF_PI)
+        assert abs(eve) < 1e-16
 
     def test_symmetric_clone(self):
         mu = 2.0
-        out = clone(mu, math.pi / 4)
-        assert out.bob == out.eve
-        assert abs(out.bob - mu / math.sqrt(2)) < 1e-15
+        bob, eve = self.split(mu, math.pi / 4)
+        assert bob == eve
+        assert abs(bob - mu / math.sqrt(2)) < 1e-15
 
     def test_invalid_inputs(self):
+        # A non-finite eta is rejected by the channel; a non-finite amplitude
+        # where it enters, by the protocol's config and by the parity map.
         with pytest.raises(ValueError):
-            clone(float("inf"), 0.5)
+            GaussianCloneChannel(eta=float("nan"))
         with pytest.raises(ValueError):
-            clone(1.0, float("nan"))
+            SimConfig(alpha=float("inf"), beta=0.5, channel=GaussianCloneChannel(eta=0.5))
+        with pytest.raises(ValueError):
+            parity_probabilities(self.split(float("inf"), 0.5)[0])
 
 
 class TestErrorProbabilities:

@@ -1,12 +1,19 @@
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerlab import protocol
 from steerlab.coherent import Parity
 from steerlab.keyrate import binary_entropy, bob_error, eve_error
 from steerlab.protocol import (
@@ -202,6 +209,112 @@ def test_golden_transcript_hashes(tmp_path, channel, seed, digest):
     write_transcript(run_protocol(config).transcript, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert read_transcript(path) == run_protocol(config).transcript
+
+
+# SHA-256 of the stats (json.dumps of the SimStats fields, sorted keys) and
+# of the JSONL transcript of runs longer than one chunk whose round counts
+# are not a multiple of it, recorded while a run still drew all its rounds
+# at once.
+MULTI_CHUNK_GOLDENS = [
+    (
+        "clone",
+        200_001,
+        31,
+        "18b8dba4ec3b5a4a837ee5d01c063a9511cff84f9d399dc77c5807e3b1e4abba",
+        "45f0f9f40a88400fd3a2d711689e7ad4be6779528735165234a82ba93a42f0f8",
+    ),
+    (
+        "mixture",
+        150_000,
+        32,
+        "12c912da6ffb8853a676ea0a7eb9c096d72a36da35ec571fea8a7292da529bfa",
+        "6e3b12d79a0fe3a59e744b8baa253c19ac94d5112c6fbc24d6d39fea571538fb",
+    ),
+]
+
+
+def _stats_digest(stats: SimStats) -> str:
+    text = json.dumps(dataclasses.asdict(stats), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "channel,rounds,seed,stats_digest,transcript_digest",
+    MULTI_CHUNK_GOLDENS,
+    ids=[golden[0] for golden in MULTI_CHUNK_GOLDENS],
+)
+def test_multi_chunk_golden_hashes(channel, rounds, seed, stats_digest, transcript_digest):
+    assert rounds > protocol._CHUNK and rounds % protocol._CHUNK
+    config = SimConfig(
+        alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS[channel], rounds=rounds, seed=seed
+    )
+    result = run_protocol(config)
+    buf = io.StringIO()
+    write_transcript(result.transcript, buf)
+    assert _stats_digest(result.stats) == stats_digest
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == transcript_digest
+    assert run_protocol(config, keep_transcript=False).stats == result.stats
+
+
+# Largest round count drawn per chunk size, so that the example takes a few
+# chunks without a per-round loop of thousands of iterations.
+_MAX_ROUNDS_PER_CHUNK = {1: 40, 3: 200, 4096: 13_000}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    chunk_and_rounds=st.sampled_from(sorted(_MAX_ROUNDS_PER_CHUNK)).flatmap(
+        lambda chunk: st.tuples(
+            st.just(chunk), st.integers(min_value=1, max_value=_MAX_ROUNDS_PER_CHUNK[chunk])
+        )
+    ),
+    whole_run_slack=st.integers(min_value=0, max_value=3),
+    channel=st.one_of(
+        st.just(IdealChannel()),
+        st.floats(min_value=0.0, max_value=math.pi / 2).map(lambda eta: GaussianCloneChannel(eta=eta)),
+        st.just(GOLDEN_CHANNELS["mixture"]),
+    ),
+)
+def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, channel):
+    # Philox is counter-based, so drawing the rounds chunk by chunk gives
+    # the stream of one draw of the whole run, and every count adds up.
+    chunk, rounds = chunk_and_rounds
+    config = SimConfig(alpha=1.0, beta=0.5, channel=channel, rounds=rounds, seed=seed)
+    with mock.patch.object(protocol, "_CHUNK", rounds + whole_run_slack):
+        whole = run_protocol(config)
+    with mock.patch.object(protocol, "_CHUNK", chunk):
+        chunked = run_protocol(config)
+        stats_only = run_protocol(config, keep_transcript=False)
+        text = io.StringIO()
+        write_transcript(chunked.transcript, text)
+        records = list(chunked.transcript)
+    assert chunked.stats == whole.stats == stats_only.stats
+    assert np.array_equal(chunked.transcript._codes, whole.transcript._codes)
+    assert chunked.transcript._kinds == whole.transcript._kinds
+    assert text.getvalue() == _reference_encode(records)
+    assert records == whole.transcript
+
+
+def test_statistics_only_run_memory_stays_flat():
+    # Peak RSS of a 5e6-round CLI run, measured in an intermediate process
+    # so that no other child of the test process counts.  On Linux with
+    # numpy 2.4, drawing every round at once peaked at about 440 MB; chunks
+    # peak at about 45 MB, most of it the interpreter and numpy.
+    pytest.importorskip("resource")
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'steerlab.cli', 'protocol', '--channel', 'clone',"
+        " '--rounds', '5000000', '--out', '-'], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=120
+    ).stdout
+    peak_kb = int(out) / (1024 if sys.platform == "darwin" else 1)
+    assert peak_kb < 100 * 1024
 
 
 class TestTranscriptCodec:

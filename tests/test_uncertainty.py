@@ -7,6 +7,7 @@ from steerlab.coherent import Parity, parity_probabilities
 from steerlab.uncertainty import (
     ENTROPIC_BOUND,
     MIN_ENTROPY_BOUND,
+    STANDARD_GRID_SIGMA_X_RANGE,
     GaussianBeamProfile,
     GriddedWavefunction,
     differential_entropy,
@@ -134,6 +135,15 @@ class TestEntropicSum:
         assert abs(result.sum - ENTROPIC_BOUND) < 1e-4
         # entropic relation implies the variance bound on this family
         assert variance_product(profile) >= 0.25 - 1e-12
+
+    def test_standard_grid_sigma_x_range(self):
+        lo, hi = STANDARD_GRID_SIGMA_X_RANGE
+        for sigma_x in (lo, hi):
+            psi = profile_wavefunction(GaussianBeamProfile(sigma_x=sigma_x))
+            assert abs(entropic_sum_check(psi).sum - ENTROPIC_BOUND) < 1e-4
+        for sigma_x in (lo / 2, hi * 2, 1e-300, 1e300):
+            with pytest.raises(ValueError, match="sigma_x must lie in"):
+                profile_wavefunction(GaussianBeamProfile(sigma_x=sigma_x))
 
     def test_two_gaussian_superposition_exceeds_bound(self):
         psi = superposed_gaussians(centers=(-3.0, 3.0), weights=(0.5, 0.5))
