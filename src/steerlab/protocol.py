@@ -40,7 +40,9 @@ beside the table of kinds, so a transcript costs one byte per round.
 indexes or iterates.  The JSONL codec works on the same kinds: the
 encoder renders one line tail per kind and fills in the round index, and
 the decoder maps tails it has seen back to kinds, parsing every other
-line with ``json.loads``.
+line with ``json.loads``.  It reads ``_CHUNK`` lines at a time into a
+``Transcript`` of its own, which also keeps the indices when they are
+not 0, 1, ..., n - 1, and as many kinds as the file holds.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -77,8 +80,8 @@ _UNIFORMS_PER_ROUND = 4
 
 # Rounds handled at once: drawn, mapped and sampled by run_protocol,
 # converted to Python ints by Transcript, encoded per write by
-# write_transcript.  It bounds the working memory of each, and no output
-# depends on it.
+# write_transcript, decoded per read by read_transcript.  It bounds the
+# working memory of each, and no output depends on it.
 _CHUNK = 1 << 16
 
 
@@ -117,40 +120,47 @@ class RoundRecord(NamedTuple):
     eve_outcome: Parity | None = None
 
 
-def _code_ints(codes: np.ndarray) -> Iterator[int]:
-    """The kind codes as Python ints, converted ``_CHUNK`` at a time."""
+def _chunked_ints(values: np.ndarray) -> Iterator[int]:
+    """The entries of ``values`` as Python ints, converted ``_CHUNK`` at a time."""
     return chain.from_iterable(
-        codes[start:start + _CHUNK].tolist() for start in range(0, len(codes), _CHUNK)
+        values[start:start + _CHUNK].tolist() for start in range(0, len(values), _CHUNK)
     )
 
 
 class Transcript(Sequence[RoundRecord]):
-    """Read-only sequence view of the rounds of one run.
+    """Read-only sequence view of the rounds of a run or a transcript file.
 
-    Round i is ``RoundRecord(i, *kinds[codes[i]])``.  Length, indexing,
-    slicing and iteration give the same records a list would, and a
-    transcript compares equal to a list of equal records.
+    Entry k is ``RoundRecord(index[k], *kinds[codes[k]])``; an ``index``
+    of None stands for the indices 0, 1, ..., n - 1 of a run.  Length,
+    indexing, slicing and iteration give the same records a list would,
+    with indices as Python ints, and a transcript compares equal to a list
+    of equal records.
     """
 
-    __slots__ = ("_codes", "_kinds")
+    __slots__ = ("_codes", "_kinds", "_index")
 
-    def __init__(self, codes: np.ndarray, kinds: tuple):
+    def __init__(self, codes: np.ndarray, kinds: tuple, index: np.ndarray | None = None):
         self._codes = codes
         self._kinds = kinds
+        self._index = index
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self[i] for i in range(len(self))[key]]
-        i = range(len(self))[key]
-        return RoundRecord(i, *self._kinds[self._codes[i]])
+            return [self[k] for k in range(len(self))[key]]
+        k = range(len(self))[key]
+        index = k if self._index is None else int(self._index[k])
+        return RoundRecord(index, *self._kinds[self._codes[k]])
+
+    def _indices(self) -> Iterable[int]:
+        return range(len(self)) if self._index is None else _chunked_ints(self._index)
 
     def __iter__(self) -> Iterator[RoundRecord]:
         kinds = self._kinds
-        for i, code in enumerate(_code_ints(self._codes)):
-            yield RoundRecord(i, *kinds[code])
+        for index, code in zip(self._indices(), _chunked_ints(self._codes)):
+            yield RoundRecord(index, *kinds[code])
 
     def __eq__(self, other):
         if not isinstance(other, (list, Transcript)):
@@ -294,6 +304,15 @@ _HEAD = '{"i":'
 # cache on files whose gammas vary from line to line.
 _MAX_CACHED_TAILS = 64
 
+# Longest index the decoder's numpy pass parses: 10**18 - 1 fits int64.
+# Longer indices go through the per-line path.
+_MAX_RUN_DIGITS = 18
+
+# Shortest run of learned lines, in characters, given to the numpy pass.
+# A pass costs about as much as decoding 50 to 60 lines of 70 characters
+# one at a time, so shorter runs go line by line.
+_MIN_RUN_CHARS = 1 << 13
+
 
 def _record_to_json(record: RoundRecord) -> str:
     obj = {
@@ -313,13 +332,16 @@ def _record_tail(record: RoundRecord) -> str:
     return _record_to_json(record._replace(index=0))[len(_HEAD) + 1:] + "\n"
 
 
+def _kind_key(prep: Prep, gamma: complex, bob: Parity, eve: Parity | None) -> tuple:
+    # The reprs of gamma's parts: equal complex values need not encode
+    # alike (0.0 == -0.0), equal reprs do.
+    return (prep, bob, eve, repr(gamma.real), repr(gamma.imag))
+
+
 def _cached_tails(records: Iterable[RoundRecord]) -> Iterator[tuple[int, str]]:
-    # Keyed by the reprs of gamma's parts: equal complex values need not
-    # encode alike (0.0 == -0.0), equal reprs do.
     tails: dict[tuple, str] = {}
     for record in records:
-        gamma = record.announced_gamma
-        key = (record.prep, record.bob_outcome, record.eve_outcome, repr(gamma.real), repr(gamma.imag))
+        key = _kind_key(*record[1:])
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _record_tail(record)
@@ -330,7 +352,7 @@ def _write_lines(transcript: Iterable[RoundRecord], fh) -> None:
     # (index, line tail) per round, each distinct tail rendered once.
     if isinstance(transcript, Transcript):
         tails = [_record_tail(RoundRecord(0, *kind)) for kind in transcript._kinds]
-        pairs = enumerate(map(tails.__getitem__, _code_ints(transcript._codes)))
+        pairs = zip(transcript._indices(), map(tails.__getitem__, _chunked_ints(transcript._codes)))
     else:
         pairs = _cached_tails(transcript)
     while text := "".join([f"{_HEAD}{i}{tail}" for i, tail in islice(pairs, _CHUNK)]):
@@ -362,37 +384,180 @@ def _decode_record(obj) -> RoundRecord:
     )
 
 
-def _decode_lines(lines: Iterable[str]) -> list[RoundRecord]:
-    # Tails of lines that were exactly the encoding of their record, mapped
-    # to that record's fields.  A line '{"i":' + canonical digits + such a
-    # tail is then the encoding of the same fields at that index, so it
-    # decodes to them without json.loads.
-    kinds: dict[str, tuple] = {}
-    records: list[RoundRecord] = []
-    append = records.append
-    for line in lines:
+def _tail_probes(tails: list[str]) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    """Byte probes that tell the ``tails`` apart, and the tail each names.
+
+    Each probe reads the byte at an offset into a tail, or the newline for
+    an offset past its end, and maps (class so far, byte) to a finer class
+    through its table.  Offsets are chosen greedily until every tail has a
+    class of its own; the second result maps a class to its tail's
+    position in ``tails``.
+    """
+    width = max(map(len, tails)) + 1
+    rows = np.frombuffer(
+        "".join(tail.ljust(width, "\n") for tail in tails).encode("ascii"), np.uint8
+    ).reshape(len(tails), width)
+    classes = np.zeros(len(tails), np.intp)
+    probes = []
+    while len(np.unique(classes)) < len(tails):
+        keys = classes[:, None] * 256 + rows
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(keys, axis=0), axis=0), axis=0)
+        offset = int(np.argmax(distinct))
+        values, classes = np.unique(keys[:, offset], return_inverse=True)
+        table = np.zeros(values[-1] + 1, np.intp)
+        table[values] = np.arange(len(values))
+        probes.append((offset, table))
+    which = np.empty(len(tails), np.intp)
+    which[classes] = np.arange(len(tails))
+    return probes, which
+
+
+class _LineDecoder:
+    """Maps JSONL lines to (index, kind code), learning line tails as it goes.
+
+    A tail is learned only from a line that is exactly the encoding of its
+    record; a line '{"i":' + canonical digits + a learned tail is then the
+    encoding of the same kind at that index.  A run of such lines, each
+    ending in a newline, is checked by one regular expression and decoded
+    by numpy over its bytes; any other line is stripped and, unless it is
+    a learned line, parsed with ``json.loads``.
+    """
+
+    def __init__(self):
+        self.kinds: list[tuple] = []
+        self._codes: dict[tuple, int] = {}
+        self._tails: dict[str, int] = {}
+        self._run: re.Pattern | None = None
+        self._probes: list[tuple[int, np.ndarray]] = []
+        self._probe_codes = np.empty(0, np.intp)
+
+    def _code(self, kind: tuple) -> int:
+        key = _kind_key(*kind)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.kinds)
+            self.kinds.append(kind)
+        return code
+
+    def _learn(self, tail: str, code: int) -> None:
+        self._tails[tail] = code
+        tails = list(self._tails)
+        digits = f"(?:0|[1-9][0-9]{{0,{_MAX_RUN_DIGITS - 1}}})"
+        alternatives = "|".join(map(re.escape, tails))
+        self._run = re.compile(f"(?:{re.escape(_HEAD)}{digits}(?:{alternatives})\\n)*")
+        self._probes, which = _tail_probes(tails)
+        self._probe_codes = np.array(list(self._tails.values()), np.intp)[which]
+
+    def run_end(self, text: str, pos: int) -> int:
+        """End of the run of learned lines at ``text[pos:]``."""
+        return pos if self._run is None else self._run.match(text, pos).end()
+
+    def decode_run(self, text: str, pos: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, kind codes, line ends) of the run ``text[pos:end]``.
+
+        Line ends are offsets from ``pos`` just past each newline.
+        """
+        data = np.frombuffer(text[pos:end].encode("ascii"), np.uint8)
+        newlines = np.flatnonzero(data == ord("\n"))
+        starts = np.concatenate(([0], newlines[:-1] + 1))
+        all_commas = np.flatnonzero(data == ord(","))
+        commas = all_commas[np.searchsorted(all_commas, starts + len(_HEAD))]
+        digits = commas - starts - len(_HEAD)
+        index = np.zeros(len(starts), np.int64)
+        for k in range(int(digits.max())):
+            digit = data[starts + len(_HEAD) + k].astype(np.int64) - ord("0")
+            index = np.where(digits > k, index * 10 + digit, index)
+        classes = np.zeros(len(starts), np.intp)
+        for offset, table in self._probes:
+            classes = table[classes * 256 + data[np.minimum(commas + offset, newlines)]]
+        return index, self._probe_codes[classes], newlines + 1
+
+    def decode_line(self, line: str) -> tuple[int, int] | None:
+        """(index, kind code) of one line, or None for a blank line."""
         line = line.strip()
         if not line:
-            continue
+            return None
         cut = line.find(",")
-        kind = kinds.get(line[cut:]) if cut > 0 else None
-        if kind is not None and line.startswith(_HEAD):
+        code = self._tails.get(line[cut:]) if cut > 0 else None
+        if code is not None and line.startswith(_HEAD):
             digits = line[len(_HEAD):cut]
             if digits.isascii() and digits.isdigit() and (len(digits) == 1 or digits[0] != "0"):
-                append(RoundRecord(int(digits), *kind))
-                continue
+                return int(digits), code
         record = _decode_record(json.loads(line))
-        append(record)
-        if len(kinds) < _MAX_CACHED_TAILS and line == _record_to_json(record):
-            kinds[line[cut:]] = record[1:]
-    return records
+        code = self._code(record[1:])
+        if len(self._tails) < _MAX_CACHED_TAILS and line == _record_to_json(record):
+            self._learn(line[cut:], code)
+        return record.index, code
 
 
-def read_transcript(source) -> list[RoundRecord]:
-    """Parse a JSONL transcript back into records.
+def _decode_chunk(decoder: _LineDecoder, chunk: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, kind codes) of the records on the lines ``chunk``."""
+    text = "".join(chunk)
+    # Offset of the end of each line in text: a run is only taken over
+    # lines that end where the source's own lines do.
+    bounds = np.cumsum(np.fromiter(map(len, chunk), np.intp, len(chunk)))
+    codes = np.empty(len(chunk), np.intp)
+    index = np.empty(len(chunk), np.int64)
+    records = done = pos = 0  # records decoded, lines consumed, position in text
+    while done < len(chunk):
+        end = decoder.run_end(text, pos)
+        # Lines to decode one at a time: a short run, and the line after it.
+        slow = 1
+        if end - pos >= _MIN_RUN_CHARS:
+            run_index, run_codes, line_ends = decoder.decode_run(text, pos, end)
+            own = bounds[done:done + len(line_ends)] == pos + line_ends[:len(chunk) - done]
+            taken = len(own) if own.all() else int(np.argmin(own))
+            index[records:records + taken] = run_index[:taken]
+            codes[records:records + taken] = run_codes[:taken]
+            records += taken
+            done += taken
+            pos = int(bounds[done - 1]) if done else 0
+        else:
+            slow += text.count("\n", pos, end)
+        for line in chunk[done:done + slow]:
+            pos += len(line)
+            decoded = decoder.decode_line(line)
+            if decoded is not None:
+                value, codes[records] = decoded  # index, kind code
+                try:
+                    index[records] = value
+                except OverflowError:
+                    index = index.astype(object)
+                    index[records] = value
+                records += 1
+        done = min(done + slow, len(chunk))
+    return index[:records], codes[:records]
 
-    ``source`` may be a path or a text file object; it is read one line
-    at a time.  Blank lines and whitespace around a line are ignored.
+
+def _decode_lines(lines: Iterable[str]) -> Transcript:
+    decoder = _LineDecoder()
+    lines = iter(lines)
+    code_parts, index_parts = [], []
+    rounds = 0
+    while chunk := list(islice(lines, _CHUNK)):
+        index, codes = _decode_chunk(decoder, chunk)
+        code_parts.append(codes.astype(np.min_scalar_type(max(len(decoder.kinds) - 1, 0))))
+        sequential = np.array_equal(index, np.arange(rounds, rounds + len(index)))
+        index_parts.append(None if sequential else index)
+        rounds += len(index)
+    index = None
+    if any(part is not None for part in index_parts):
+        starts = np.cumsum([0] + [len(codes) for codes in code_parts])
+        index = np.concatenate([
+            np.arange(start, start + len(codes)) if part is None else part
+            for start, codes, part in zip(starts, code_parts, index_parts)
+        ])
+    codes = np.concatenate(code_parts) if code_parts else np.empty(0, np.uint8)
+    return Transcript(codes, tuple(decoder.kinds), index)
+
+
+def read_transcript(source) -> Transcript:
+    """Parse a JSONL transcript back into a read-only ``Transcript`` view.
+
+    ``source`` may be a path or a text file object; it is read ``_CHUNK``
+    lines at a time.  Blank lines and whitespace around a line are
+    ignored.  The view compares equal to the list of the records and
+    builds each ``RoundRecord`` when indexed or iterated.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:

@@ -195,11 +195,22 @@ def gaussian_wavefunction(
     The density |Psi|^2 has mean x0 and standard deviation sigma_x; the
     carrier exp(i k0 x) centers the wave-vector density at k0.
     """
-    if sigma_x <= 0.0:
-        raise ValueError(f"sigma_x must be positive, got {sigma_x!r}")
+    if not (math.isfinite(sigma_x) and sigma_x > 0.0):
+        raise ValueError(f"sigma_x must be positive and finite, got {sigma_x!r}")
     half = span_sigmas * sigma_x
     dx = 2.0 * half / n
+    variance = sigma_x * sigma_x
+    if not (0.0 < dx < math.inf and 0.0 < variance < math.inf):
+        raise ValueError(
+            f"sigma_x {sigma_x!r} is out of range: the grid spacing or sigma_x**2 "
+            "is 0 or not finite"
+        )
     x = (x0 - half) + dx * np.arange(n)
+    if not np.all(np.diff(x) > 0.0):
+        raise ValueError(
+            f"x0 {x0!r} is too far from 0 for a grid spacing of {dx!r}: "
+            "the grid points are not strictly increasing"
+        )
     envelope = (2.0 * math.pi * sigma_x**2) ** -0.25 * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma_x**2)
     )

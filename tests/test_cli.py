@@ -440,6 +440,16 @@ class TestUncertaintyCommand:
         assert f"steerlab: error: --sigma-x must lie in [1e-150, 1e+150], got {float(sigma_x)!r}" in err
         assert not out_path.exists()
 
+    # At 1e200 every grid point rounded to x0 and the run exited 0 with a
+    # false "violated" flag on entropic_sum_nats.
+    @pytest.mark.parametrize("x0", ["1e200", "1e17"])
+    def test_x0_the_grid_cannot_resolve_exits_1(self, tmp_path, capsys, x0):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(["uncertainty", "--x0", x0, "--out", str(out_path)], capsys)
+        assert code == 1
+        assert f"steerlab: error: x0 {float(x0)!r} is too far from 0" in err
+        assert not out_path.exists()
+
 
 class TestExitCodes:
     def test_runtime_error_exits_1_without_partial_file(self, tmp_path, capsys):

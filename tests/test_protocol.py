@@ -542,3 +542,83 @@ def test_view_encodes_like_its_records(seed, rounds, eta):
     write_transcript(view, buf)
     assert buf.getvalue() == _reference_encode(list(view))
     assert _exact(read_transcript(io.StringIO(buf.getvalue()))) == _exact(view)
+
+
+_KIND_A = (Prep.PLUS, complex(-1.5, 0.0), Parity.EVEN, Parity.ODD)
+_KIND_B = (Prep.MINUS, complex(-0.5, 0.0), Parity.ODD, Parity.EVEN)
+_KIND_C = (Prep.MINUS, complex(-0.5, -0.0), Parity.EVEN, None)
+
+
+def _chunk_boundary_records() -> list[RoundRecord]:
+    """More than two chunks of rounds, with the decoder's edge cases placed
+    at and around the chunk boundaries."""
+    chunk = protocol._CHUNK
+    rounds = 2 * chunk + 1000
+    records = [RoundRecord(i, *(_KIND_A if i % 3 else _KIND_B)) for i in range(rounds)]
+    records[chunk] = RoundRecord(chunk, *_KIND_C)  # first seen: first line of chunk 2
+    records[100] = records[100]._replace(index=10**20)
+    records[chunk + 7] = records[chunk + 7]._replace(index=-1)
+    for k in range(chunk + 20_000, chunk + 20_500):  # a descending run
+        records[k] = records[k]._replace(index=3 * (chunk + 21_000 - k))
+    records[-1] = records[-1]._replace(index=rounds - 2)  # a repeated index
+    return records
+
+
+def test_chunk_boundaries_decode_like_json_loads(tmp_path):
+    records = _chunk_boundary_records()
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    # Non-canonical lines last in chunks 1 and 2: json.loads reads both.
+    lines[protocol._CHUNK - 1] = lines[protocol._CHUNK - 1][:-1] + "   \n"
+    lines[2 * protocol._CHUNK - 1] = (
+        '{"prep":"-","i":7,"gamma_re":-0.5,"gamma_im":0.0,"bob":"O","eve":"E"}\n'
+    )
+    text = "".join(lines)
+    path = tmp_path / "chunks.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _exact(_reference_decode(text))
+    for source in (path, io.StringIO(text)):
+        assert _exact(read_transcript(source)) == expected
+
+
+def test_chunk_boundaries_round_trip_bytes():
+    records = _chunk_boundary_records()
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    view = read_transcript(io.StringIO(buf.getvalue()))
+    assert isinstance(view, Transcript)
+    assert view[100].index == 10**20 and type(view[100].index) is int
+    assert view[protocol._CHUNK + 7].index == -1
+    assert _exact(view) == _exact(records)
+    rewritten = io.StringIO()
+    write_transcript(view, rewritten)
+    assert rewritten.getvalue() == buf.getvalue()
+
+
+def test_runs_follow_the_source_lines(tmp_path):
+    # Opened with newline="\r", the file below is two source lines, the
+    # second holding 499 "\n"-ended lines; it must fail as json.loads of
+    # that line does, not decode as 500 rounds.
+    records = [RoundRecord(i, *_KIND_A) for i in range(500)]
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(buf.getvalue().replace("\n", "\r", 1).encode("utf-8"))
+    with open(path, encoding="utf-8", newline="\r") as fh:
+        assert len(list(fh)) == 2
+    with open(path, encoding="utf-8", newline="\r") as fh:
+        with pytest.raises(json.JSONDecodeError):
+            read_transcript(fh)
+    assert read_transcript(path) == records
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+def test_every_run_through_numpy_decodes_like_json_loads(records):
+    # Runs of learned lines shorter than _MIN_RUN_CHARS go line by line;
+    # here every run, down to one line, takes the numpy pass.
+    text = _reference_encode(records)
+    with mock.patch.object(protocol, "_MIN_RUN_CHARS", 1):
+        view = read_transcript(io.StringIO(text))
+    assert _exact(view) == _exact(records)

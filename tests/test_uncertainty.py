@@ -145,6 +145,27 @@ class TestEntropicSum:
             with pytest.raises(ValueError, match="sigma_x must lie in"):
                 profile_wavefunction(GaussianBeamProfile(sigma_x=sigma_x))
 
+    # 1e-300 and 1e160 once ended in a bare ZeroDivisionError and
+    # OverflowError, nan in "samples must be finite".
+    @pytest.mark.parametrize(
+        "sigma_x", [1e-300, 1e160, float("nan"), float("inf"), -1.0, 0.0]
+    )
+    def test_unrepresentable_sigma_x_rejected(self, sigma_x):
+        with pytest.raises(ValueError, match="sigma_x"):
+            gaussian_wavefunction(sigma_x=sigma_x)
+
+    def test_zero_grid_spacing_rejected(self):
+        with pytest.raises(ValueError, match="sigma_x"):
+            gaussian_wavefunction(sigma_x=1.0, span_sigmas=1e-322)
+
+    # Beyond about 1e14 the grid points x0 - half + dx * k round onto one
+    # another; at 1e200 all of them round to x0, the density's standard
+    # deviation computes as 0 and the coverage check could not fire.
+    @pytest.mark.parametrize("x0", [1e15, 1e17, 1e200, -1e200])
+    def test_unresolvable_x0_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            gaussian_wavefunction(x0=x0)
+
     def test_two_gaussian_superposition_exceeds_bound(self):
         psi = superposed_gaussians(centers=(-3.0, 3.0), weights=(0.5, 0.5))
         result = entropic_sum_check(psi)
