@@ -308,11 +308,6 @@ _MAX_CACHED_TAILS = 64
 # Longer indices go through the per-line path.
 _MAX_RUN_DIGITS = 18
 
-# Shortest run of learned lines, in characters, given to the numpy pass.
-# A pass costs about as much as decoding 50 to 60 lines of 70 characters
-# one at a time, so shorter runs go line by line.
-_MIN_RUN_CHARS = 1 << 13
-
 
 def _record_to_json(record: RoundRecord) -> str:
     obj = {
@@ -417,10 +412,10 @@ class _LineDecoder:
 
     A tail is learned only from a line that is exactly the encoding of its
     record; a line '{"i":' + canonical digits + a learned tail is then the
-    encoding of the same kind at that index.  A run of such lines, each
-    ending in a newline, is checked by one regular expression and decoded
-    by numpy over its bytes; any other line is stripped and, unless it is
-    a learned line, parsed with ``json.loads``.
+    encoding of the same kind at that index.  Runs of such lines, each
+    ending in a newline, are found by one regular expression and decoded
+    together by numpy over the text's bytes; any other line is stripped
+    and, unless it is a learned line, parsed with ``json.loads``.
     """
 
     def __init__(self):
@@ -452,14 +447,13 @@ class _LineDecoder:
         """End of the run of learned lines at ``text[pos:]``."""
         return pos if self._run is None else self._run.match(text, pos).end()
 
-    def decode_run(self, text: str, pos: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, kind codes, line ends) of the run ``text[pos:end]``.
+    def decode_learned(
+        self, data: np.ndarray, starts: np.ndarray, newlines: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, kind codes) of the learned lines ``data[starts:newlines]``.
 
-        Line ends are offsets from ``pos`` just past each newline.
+        ``data`` holds one byte per character of the text.
         """
-        data = np.frombuffer(text[pos:end].encode("ascii"), np.uint8)
-        newlines = np.flatnonzero(data == ord("\n"))
-        starts = np.concatenate(([0], newlines[:-1] + 1))
         all_commas = np.flatnonzero(data == ord(","))
         commas = all_commas[np.searchsorted(all_commas, starts + len(_HEAD))]
         digits = commas - starts - len(_HEAD)
@@ -470,7 +464,7 @@ class _LineDecoder:
         classes = np.zeros(len(starts), np.intp)
         for offset, table in self._probes:
             classes = table[classes * 256 + data[np.minimum(commas + offset, newlines)]]
-        return index, self._probe_codes[classes], newlines + 1
+        return index, self._probe_codes[classes]
 
     def decode_line(self, line: str) -> tuple[int, int] | None:
         """(index, kind code) of one line, or None for a blank line."""
@@ -493,40 +487,47 @@ class _LineDecoder:
 def _decode_chunk(decoder: _LineDecoder, chunk: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(indices, kind codes) of the records on the lines ``chunk``."""
     text = "".join(chunk)
-    # Offset of the end of each line in text: a run is only taken over
-    # lines that end where the source's own lines do.
-    bounds = np.cumsum(np.fromiter(map(len, chunk), np.intp, len(chunk)))
+    # One byte per character, so byte and character offsets agree.
+    data = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
+    lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+    ends = np.cumsum(lengths)
+    newlines = np.flatnonzero(data == ord("\n"))
+    # Runs are only taken where every line but the last ends in the text's
+    # one newline, so that a run's lines are the source's own lines.
+    aligned = len(newlines) >= len(chunk) - 1 and np.array_equal(newlines, ends[:len(newlines)] - 1)
+    learned = np.zeros(len(chunk), bool)  # lines of runs, decoded below
+    blank = np.zeros(len(chunk), bool)
     codes = np.empty(len(chunk), np.intp)
     index = np.empty(len(chunk), np.int64)
-    records = done = pos = 0  # records decoded, lines consumed, position in text
+    done = pos = 0  # lines consumed, position in text
     while done < len(chunk):
-        end = decoder.run_end(text, pos)
-        # Lines to decode one at a time: a short run, and the line after it.
-        slow = 1
-        if end - pos >= _MIN_RUN_CHARS:
-            run_index, run_codes, line_ends = decoder.decode_run(text, pos, end)
-            own = bounds[done:done + len(line_ends)] == pos + line_ends[:len(chunk) - done]
-            taken = len(own) if own.all() else int(np.argmin(own))
-            index[records:records + taken] = run_index[:taken]
-            codes[records:records + taken] = run_codes[:taken]
-            records += taken
-            done += taken
-            pos = int(bounds[done - 1]) if done else 0
+        if aligned:
+            end = decoder.run_end(text, pos)
+            run = text.count("\n", pos, end)
+            learned[done:done + run] = True
+            done += run
+            pos = end
+            if done == len(chunk):
+                break
+        # The line after a run is decoded on its own.
+        line = chunk[done]
+        decoded = decoder.decode_line(line)
+        if decoded is None:
+            blank[done] = True
         else:
-            slow += text.count("\n", pos, end)
-        for line in chunk[done:done + slow]:
-            pos += len(line)
-            decoded = decoder.decode_line(line)
-            if decoded is not None:
-                value, codes[records] = decoded  # index, kind code
-                try:
-                    index[records] = value
-                except OverflowError:
-                    index = index.astype(object)
-                    index[records] = value
-                records += 1
-        done = min(done + slow, len(chunk))
-    return index[:records], codes[:records]
+            value, codes[done] = decoded  # index, kind code
+            try:
+                index[done] = value
+            except OverflowError:
+                index = index.astype(object)
+                index[done] = value
+        done += 1
+        pos += len(line)
+    if learned.any():
+        index[learned], codes[learned] = decoder.decode_learned(
+            data, ends[learned] - lengths[learned], ends[learned] - 1
+        )
+    return index[~blank], codes[~blank]
 
 
 def _decode_lines(lines: Iterable[str]) -> Transcript:

@@ -199,8 +199,8 @@ def gaussian_wavefunction(
         raise ValueError(f"sigma_x must be positive and finite, got {sigma_x!r}")
     half = span_sigmas * sigma_x
     dx = 2.0 * half / n
-    variance = sigma_x * sigma_x
-    if not (0.0 < dx < math.inf and 0.0 < variance < math.inf):
+    # sigma_x * sigma_x overflows to inf where sigma_x**2 raises OverflowError.
+    if not (0.0 < dx < math.inf and 0.0 < sigma_x * sigma_x < math.inf):
         raise ValueError(
             f"sigma_x {sigma_x!r} is out of range: the grid spacing or sigma_x**2 "
             "is 0 or not finite"
@@ -211,9 +211,8 @@ def gaussian_wavefunction(
             f"x0 {x0!r} is too far from 0 for a grid spacing of {dx!r}: "
             "the grid points are not strictly increasing"
         )
-    envelope = (2.0 * math.pi * sigma_x**2) ** -0.25 * np.exp(
-        -((x - x0) ** 2) / (4.0 * sigma_x**2)
-    )
+    variance = sigma_x**2
+    envelope = (2.0 * math.pi * variance) ** -0.25 * np.exp(-((x - x0) ** 2) / (4.0 * variance))
     samples = envelope * np.exp(1j * k0 * x)
     samples = samples / math.sqrt(float(np.sum(np.abs(samples) ** 2) * dx))
     return GriddedWavefunction(samples=samples, x_min=float(x[0]), dx=dx)

@@ -613,12 +613,11 @@ def test_runs_follow_the_source_lines(tmp_path):
     assert read_transcript(path) == records
 
 
-@settings(max_examples=200, deadline=None)
-@given(records=_RECORDS)
-def test_every_run_through_numpy_decodes_like_json_loads(records):
-    # Runs of learned lines shorter than _MIN_RUN_CHARS go line by line;
-    # here every run, down to one line, takes the numpy pass.
-    text = _reference_encode(records)
-    with mock.patch.object(protocol, "_MIN_RUN_CHARS", 1):
-        view = read_transcript(io.StringIO(text))
-    assert _exact(view) == _exact(records)
+def test_short_runs_between_other_lines_decode_like_json_loads(tmp_path):
+    # Runs of one or two learned lines between blank lines, padded lines and
+    # lines with non-ASCII whitespace, which the decoder reads one by one.
+    records = [RoundRecord(i, *(_KIND_A if i % 3 else _KIND_B)) for i in range(600)]
+    lines = _reference_encode(records).splitlines(keepends=True)
+    for k in range(3, len(lines), 3):
+        lines[k] = ("\u2003" if k % 2 else "  ") + lines[k][:-1] + " \n\n"
+    _assert_decodes_like_reference("".join(lines), tmp_path)
