@@ -33,7 +33,7 @@ import itertools
 import math
 import sys
 
-from . import __version__, coherent, keyrate, protocol, report, steering, uncertainty
+from . import __version__, keyrate, protocol, report, steering, uncertainty
 from .coherent import (
     Parity,
     default_cutoff,
@@ -155,11 +155,6 @@ def _cmd_parity(args) -> int:
     header = ["source", "p_even", "p_odd"]
     rows: list[list] = [["closed_form", closed.p_even, closed.p_odd]]
     if args.oracle:
-        if args.cutoff is None:
-            # default_cutoff cannot round an infinite mean; the oracle's
-            # table limit, checked here first, rejects it with its message.
-            lam = coherent._mean_photon_number(mu)
-            coherent._require_table_fits(lam + 1, f"mean photon number {lam:g}")
         cutoff = args.cutoff if args.cutoff is not None else default_cutoff(mu)
         truncated = parity_by_truncation(mu, cutoff)
         rows.append(["truncated", truncated.p_even, truncated.p_odd])
@@ -318,11 +313,7 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
             "eta": args.eta if args.channel == "clone" else None,
         },
     )
-    if args.format == "csv":
-        header = list(stats_obj.keys())
-        write_text(args.out, rows_to_csv(header, [list(stats_obj.values())]))
-    else:
-        write_text(args.out, to_json_document(meta, [stats_obj]))
+    _emit_table(args, list(stats_obj), [list(stats_obj.values())], meta)
     return 0
 
 

@@ -15,7 +15,9 @@ that single fact:
   photon numbers around the mean, so a table costs O(sqrt(lam)).
 
 A brute-force truncated-sum evaluation of the parity probabilities is kept
-alongside the closed form as an independent oracle.
+alongside the closed form as an independent oracle.  One numpy builder,
+_poisson_weights, tabulates both the oracle's 0..cutoff and the sampler's
+window, so the oracle stays fast up to the table limit.
 """
 
 from __future__ import annotations
@@ -195,14 +197,25 @@ def _poisson_window(lam: float) -> tuple[int, int]:
     return max(0, math.floor(lam - _poisson_half_width(lam))), _poisson_cutoff(lam)
 
 
+def _require_table_fits(entries: float, what: str) -> None:
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"{what} needs a Poisson table of at least {entries:.6g} entries, "
+            f"above the limit of {MAX_TABLE_ENTRIES}"
+        )
+
+
 def default_cutoff(mu: complex) -> int:
     """Default Fock truncation cutoff for |mu>.
 
     ceil(lam + 12 sqrt(lam + 1) + 20) with lam = |mu|^2; conservative with
     respect to the Chernoff tail requirement enforced by
-    minimal_admissible_cutoff.
+    minimal_admissible_cutoff.  Raises ValueError when the mean alone would
+    exceed MAX_TABLE_ENTRIES, an infinite mean included.
     """
-    return _poisson_cutoff(_mean_photon_number(_require_finite(mu, "mu")))
+    lam = _mean_photon_number(_require_finite(mu, "mu"))
+    _require_table_fits(lam + 1, f"mean photon number {lam:g}")
+    return _poisson_cutoff(lam)
 
 
 def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND) -> int:
@@ -226,43 +239,33 @@ def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND
         n += 1
 
 
-def _poisson_pmf_table(lam: float, cutoff: int) -> np.ndarray:
-    """Poisson weights for n = 0..cutoff.
+def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
+    """Poisson weights over the photon numbers lo..hi, and their scale.
 
-    For lam <= 700 the table is the multiplicative recursion
-    p_0 = exp(-lam), p_n = p_{n-1} lam / n, which the sampler's windows
-    starting at 0 also use; above that the terms come from log space.
+    The weights times the returned factor are the probabilities p_n.  A
+    range starting at 0 with lam <= 700 is the recursion p_0 = exp(-lam),
+    p_n = p_{n-1} lam / n, with factor 1.  Any other range holds the ratios
+    p_n / p_m about the mode m = floor(lam), which never exceed 1, with
+    factor p_m from one lgamma call.
     """
-    if lam == 0.0:
-        table = np.zeros(cutoff + 1)
-        table[0] = 1.0
-        return table
-    if lam <= _DIRECT_EXP_LIMIT:
-        factors = np.empty(cutoff + 1)
+    if lo == 0 and lam <= _DIRECT_EXP_LIMIT:
+        factors = np.empty(hi + 1)
         factors[0] = math.exp(-lam)
-        if cutoff >= 1:
-            factors[1:] = lam / np.arange(1, cutoff + 1)
-        return np.cumprod(factors)
-    n = np.arange(cutoff + 1, dtype=float)
-    log_pmf = n * math.log(lam) - lam - np.array(
-        [math.lgamma(k + 1.0) for k in range(cutoff + 1)]
-    )
-    return np.exp(log_pmf)
-
-
-def _require_table_fits(entries: float, what: str) -> None:
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"{what} needs a Poisson table of at least {entries:.6g} entries, "
-            f"above the limit of {MAX_TABLE_ENTRIES}"
-        )
+        factors[1:] = lam / np.arange(1, hi + 1)
+        return np.cumprod(factors), 1.0
+    m = math.floor(lam)
+    above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
+    below = np.cumprod(np.arange(m, lo, -1) / lam)  # p_n / p_m, n = m-1..lo
+    weights = np.concatenate((below[::-1], [1.0], above))
+    return weights, math.exp(m * math.log(lam) - lam - math.lgamma(m + 1.0))
 
 
 def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistribution:
     """Parity probabilities from partial Poisson sums up to ``cutoff``.
 
-    The partial sums are not renormalized; the unaccounted mass is
-    returned in ``tail_bound``.  Raises CutoffTooSmallError when the
+    The table over n = 0..cutoff comes from _poisson_weights, as the
+    sampler's does.  The partial sums are not renormalized; the unaccounted
+    mass is returned in ``tail_bound``.  Raises CutoffTooSmallError when the
     requested cutoff cannot guarantee a tail below POISSON_TAIL_BOUND, and
     ValueError when the table would exceed MAX_TABLE_ENTRIES (any
     admissible cutoff is above the mean).
@@ -279,7 +282,8 @@ def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistributio
     min_cutoff = minimal_admissible_cutoff(lam)
     if cutoff < min_cutoff:
         raise CutoffTooSmallError(cutoff, min_cutoff)
-    pmf = _poisson_pmf_table(lam, cutoff)
+    weights, factor = _poisson_weights(lam, 0, cutoff)
+    pmf = weights * factor
     p_even = float(pmf[0::2].sum())
     p_odd = float(pmf[1::2].sum())
     tail = max(0.0, 1.0 - (p_even + p_odd))
@@ -298,31 +302,15 @@ def sample_parity(mu: complex, rng: np.random.Generator) -> Parity:
     return Parity.ODD if odd[0] else Parity.EVEN
 
 
-def _poisson_window_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
-    """Poisson CDF over the photon numbers lo..hi of _poisson_window(lam).
-
-    A window starting at 0 is the running sum of the recursion from
-    exp(-lam), as in _poisson_pmf_table.  Any other window is built from
-    the ratios p_n / p_m about the mode m = floor(lam), which never exceed
-    1, and normalised by its own sum, so the last entry is exactly 1.0.
-    """
-    if lo == 0:
-        return np.cumsum(_poisson_pmf_table(lam, hi))
-    m = math.floor(lam)
-    above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
-    below = np.cumprod(np.arange(m, lo, -1) / lam)  # p_n / p_m, n = m-1..lo
-    cdf = np.cumsum(np.concatenate((below[::-1], [1.0], above)))
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _poisson_quantile(lam: float, uniforms: np.ndarray) -> np.ndarray:
     # Smallest n in the window with uniform <= CDF(n), for each uniform.
     lo, hi = _poisson_window(lam)
     # Far above 2^53 the rounded bounds lose the window; its half-width
     # still bounds the entry count from below.
     _require_table_fits(max(hi - lo + 1, _poisson_half_width(lam)), f"Poisson mean {lam:g}")
-    cdf = _poisson_window_cdf(lam, lo, hi)
+    cdf = np.cumsum(_poisson_weights(lam, lo, hi)[0])
+    if lo > 0:
+        cdf /= cdf[-1]
     return lo + np.searchsorted(cdf, uniforms, side="left")
 
 
@@ -335,9 +323,10 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     lo = max(0, floor(lam - 12 sqrt(lam + 1) - 20)) to hi = default cutoff,
     about 24 sqrt(lam) entries.  By the Chernoff bounds the mass above hi
     is below POISSON_TAIL_BOUND and the mass below lo below exp(-72).
-    Windows starting at 0 (every mean up to about 184) hold the CDF from
-    the recursion p_0 = exp(-lam), p_n = p_{n-1} lam / n; higher windows
-    are built by ratios about the mode and normalised to end at exactly 1.
+    The table comes from _poisson_weights, as the oracle's does.  Windows
+    starting at 0 (every mean up to about 184) hold the CDF from the
+    recursion p_0 = exp(-lam), p_n = p_{n-1} lam / n; higher windows are
+    built by ratios about the mode and normalised to end at exactly 1.
     Raises ValueError when a mean's window would exceed MAX_TABLE_ENTRIES,
     before it is allocated.
     """

@@ -28,6 +28,7 @@ rate vanishes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -102,6 +103,8 @@ def odd_parity_sinh_form(delta: complex) -> float:
 
 
 def _check_not_excluded(alpha: float, beta: float) -> None:
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
     if in_excluded_region(alpha, beta):
         raise ValueError(
             "alpha and beta are jointly inside the excluded region of the "

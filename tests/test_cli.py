@@ -1,9 +1,14 @@
+import contextlib
+import datetime
 import hashlib
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from steerlab import protocol
 from steerlab.cli import main
@@ -51,10 +56,76 @@ class TestParityCommand:
         assert code == 1
         assert "mean photon number inf needs a Poisson table" in err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # Recorded before the oracle and the sampler shared one table
+            # builder; --re 26 is mean 676, below the 700 switch.
+            (["--re", "0"], "31e56a56ce20b3abecc261d8e7172e0d3be9541201bf6e5bbd2accef7fad0642"),
+            (["--re", "1"], "90817c7c15d31eed9f5177871dea13c12e08b0c8347251cfb5bc1ab2ad8b95f0"),
+            (["--re", "10"], "002a30d4714b50c50b7823280cff2face100e36dd0bdda0d6bd268ba59cec481"),
+            (["--re", "26"], "99318d519a358b5ea75839675ab7e0191f133f9b96a49db3310d420424bc9c6c"),
+            (["--re", "2.5", "--im", "1"],
+             "ec252d2bf4b93e6286110f0442ddb666f6fd0555793bb76bd066d5943396fa67"),
+        ],
+    )
+    def test_oracle_csv_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(["parity", "--oracle", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_svg_not_allowed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["parity", "--format", "svg"])
         assert exc.value.code == 2
+
+
+# Amplitude parts from every corner an argument can reach: zero, small
+# values, the edge of the oracle's table limit (|mu| near 2048), huge and
+# tiny magnitudes, subnormals and non-finite values.
+_EXTREME_PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-310,
+         math.inf, -math.inf, math.nan]
+    ),
+    st.floats(-30.0, 30.0),
+    st.floats(2041.0, 2049.0),
+)
+
+
+@settings(max_examples=80, deadline=datetime.timedelta(seconds=5))
+@given(
+    re=_EXTREME_PARTS,
+    im=_EXTREME_PARTS,
+    cutoff=st.sampled_from([None, -1, 0, 5, 2**22 - 1, 2**22, 10**30]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_parity_oracle_input_ends_cleanly(re, im, cutoff, fmt):
+    argv = ["parity", "--oracle", f"--re={re!r}", f"--im={im!r}", "--format", fmt]
+    if cutoff is not None:
+        argv.append(f"--cutoff={cutoff}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("steerlab: error:")
+        assert "Traceback" not in err.getvalue()
+    if code == 0:
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        else:
+            def reject(constant):
+                raise ValueError(f"non-finite JSON constant {constant}")
+
+            document = json.loads(out.getvalue(), parse_constant=reject)
+            rows = [list(row.values()) for row in document["rows"]]
+        assert [row[0] for row in rows] == ["closed_form", "truncated", "abs_diff"]
+        assert all(float(value) <= 1e-8 for value in rows[2][1:])
 
 
 class TestRepeatedCalls:
@@ -271,6 +342,16 @@ class TestKeyrateCommand:
         code, out, _ = run_cli(["keyrate", "--steps", "8", *argv], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flag, value, shown",
+        [("--alpha", "inf", "inf and 0.5"), ("--beta", "nan", "1.0 and nan")],
+    )
+    def test_non_finite_amplitude_exits_1_naming_it(self, capsys, flag, value, shown):
+        code, out, err = run_cli(["keyrate", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"steerlab: error: alpha and beta must be finite, got {shown}\n"
 
     def test_sinh_overflow_no_longer_fails(self, capsys):
         # |delta|^2 reaches 930.25: math.sinh overflows, the value does not.

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -196,6 +197,19 @@ class TestParityByTruncation:
             inline = math.ceil(lam + 12.0 * math.sqrt(lam + 1.0) + 20.0)
             assert _poisson_cutoff(lam.item()) == inline
 
+    @pytest.mark.parametrize("re", [1000.0, 2000.0])
+    def test_large_mean_sums_are_symmetric_and_close(self, re):
+        # Above mean 700 the table is built by ratios about the mode, so the
+        # even and odd sums share one rounding of p_m; exp(-2 lam) is 0 here.
+        t = parity_by_truncation(re, default_cutoff(re))
+        assert abs(t.p_even - t.p_odd) < 1e-15
+        assert abs(t.p_even - 0.5) < 1e-8
+
+    def test_default_cutoff_checks_the_table_limit_before_rounding(self):
+        # |1e200|^2 overflows to inf, which the cutoff formula cannot round.
+        with pytest.raises(ValueError, match="mean photon number inf needs a Poisson table"):
+            default_cutoff(1e200)
+
     def test_default_cutoff_dominates_chernoff_minimum(self):
         for lam in [0.0, 0.1, 1.0, 4.0, 16.0, 100.0, 1000.0]:
             mu = math.sqrt(lam)
@@ -217,7 +231,7 @@ class TestTableLimit:
             raise AssertionError("searched or allocated past the limit")
 
         monkeypatch.setattr(coherent, "minimal_admissible_cutoff", fail)
-        monkeypatch.setattr(coherent, "_poisson_pmf_table", fail)
+        monkeypatch.setattr(coherent, "_poisson_weights", fail)
 
     def test_truncation_rejects_large_mean_before_the_cutoff_search(self, no_table):
         with pytest.raises(ValueError, match="mean photon number"):
@@ -269,7 +283,7 @@ class TestWindowedSampler:
         def fail(*args):
             raise AssertionError("allocated a window past the limit")
 
-        monkeypatch.setattr(coherent, "_poisson_window_cdf", fail)
+        monkeypatch.setattr(coherent, "_poisson_weights", fail)
 
     @pytest.mark.parametrize("lam", [3.1e10, _clone_mean(1e7), 1e40, 1e300])
     def test_oversized_window_rejected_before_it_is_built(self, no_table, lam):
@@ -326,6 +340,29 @@ class TestWindowedSampler:
         assert near.mean() < 0.01
         assert np.array_equal(drawn[~near], expected[~near])
         assert np.all(np.abs(drawn[near] - expected[near]) <= 1)
+
+    # Recorded before the sampler and the oracle shared one table builder;
+    # the means straddle the window's lo = 0 edge (about 184) and mean 700.
+    QUANTILE_SHA256 = {
+        0.0: "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479",
+        0.5: "fda3564bebba52aee01d19ec7824828c083a358c3cf303a641b4c6655669ee0b",
+        9.0: "6994ae0d3387da7db4d30a497d73d9aef165786d6f18de987cab7584a3e54a70",
+        150.0: "007ae1c3011227e3e9f975f4862c447eb8a36aa3a587f225cc25f1f5421f5ac6",
+        183.0: "b4793042a9972e6cb69d2c158694caf80a5105322bae66b0cce3f255b1c5bdb2",
+        185.0: "205481da782406fbd847c591a34e46bcaa919f32a0ba0cfb564fb80f31a4f36e",
+        250.0: "bfc8a5098d6bc077021cd3d96e3dd4242f9bd934b17bef50ffb979c81bcab7ee",
+        699.5: "cf00e50e2074a44bf50c2096e0e5357eaed9e5a1f90dd0f8a6d143b6f34a1ae3",
+        700.5: "e02a9fb0cfacf8a63f2aaecfb640d97723161dd3084008881407ea1ad72ed3a5",
+        2.1e4: "cdeb62ee6c081342bdbba9e7b5329b2ad14c1a5cdad754a18c1aeb05856eca71",
+        7.7e5: "de14f59191b741af4cab03f9588f5468a34a293404a584a820a09e463f76411a",
+        3.1e6: "ad21dc25b93fa621d9afa3df475a443e9d71f05759c913a528900caa8e4c9df8",
+    }
+
+    @pytest.mark.parametrize("lam", sorted(QUANTILE_SHA256))
+    def test_photon_numbers_keep_their_bytes(self, lam):
+        u = np.random.default_rng(9).random(4096)
+        drawn = _poisson_quantile(lam, u).astype(np.int64)
+        assert hashlib.sha256(drawn.tobytes()).hexdigest() == self.QUANTILE_SHA256[lam]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_lam=st.floats(math.log(200.0), math.log(3e10)), seed=st.integers(0, 2**32 - 1))

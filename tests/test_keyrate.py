@@ -125,6 +125,14 @@ class TestErrorProbabilities:
         with pytest.raises(ValueError):
             eve_error(1e-9, -1e-9, 0.3)
 
+    @pytest.mark.parametrize("error", [bob_error, eve_error])
+    @pytest.mark.parametrize(
+        "alpha, beta", [(math.inf, 0.5), (1.0, -math.inf), (math.nan, 0.5), (1.0, math.nan)]
+    )
+    def test_non_finite_amplitudes_rejected_by_name(self, error, alpha, beta):
+        with pytest.raises(ValueError, match="^alpha and beta must be finite, got "):
+            error(alpha, beta, 0.3)
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):
