@@ -128,6 +128,53 @@ def test_every_parity_oracle_input_ends_cleanly(re, im, cutoff, fmt):
         assert all(float(value) <= 1e-8 for value in rows[2][1:])
 
 
+# SHA-256 of each output file, recorded before the table writers were
+# rewritten to stream per-column formatted text.  The clone sweep at
+# alpha -0.7 has a distinct sum in every cell (the ideal grid is all ones);
+# the one-step sweep from beta -0.0 puts a negative zero on the beta axis;
+# protocol with p_plus 1 leaves None cells (JSON null).
+_CLONE_SWEEP = ["steer-region", "--steps", "150", "--channel", "clone", "--eta", "0.3", "--alpha=-0.7"]
+_NEGATIVE_ZERO_SWEEP = ["steer-region", "--steps", "1", "--beta-min=-0.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([*_CLONE_SWEEP, "--format", "csv"],
+         "5f2511901192c1f1127b0bac6677c3461117e8d30be684ca6f2bbe8b55844d34"),
+        ([*_CLONE_SWEEP, "--format", "json"],
+         "78741e83077dcedf8c85ffbfc6ef7c94a705379d69f2dd1a3640c4dc3a1fabf1"),
+        ([*_CLONE_SWEEP, "--format", "svg"],
+         "3391463b49f03995e92df5ed52e1801a1027abd95e6fe67b4836e15fbf97c54a"),
+        (["steer-region", "--steps", "300", "--channel", "clone", "--format", "json"],
+         "02620b600c850ef77e8eef729dd6343f423e21bad0db7cc0afb155ee0150b2eb"),
+        ([*_NEGATIVE_ZERO_SWEEP, "--format", "csv"],
+         "c309810083b12a91404869bf32273c40bb7f933dfa63a838031f4b27c9592d9d"),
+        ([*_NEGATIVE_ZERO_SWEEP, "--format", "json"],
+         "c1769ca9de9f1b0b8bac2df243c2daf3ec8096edc3543e3ba313b7b87886b821"),
+        (["keyrate", "--steps", "1000", "--format", "csv"],
+         "fa2212161d7edfe22cdae963b3431cb65cff6ef63f705ce7be0d9365262ae2f1"),
+        (["keyrate", "--steps", "1000", "--format", "json"],
+         "0ac349486a71bab43676aad61356ca3d695a347617919a6ffb430a7266af92a3"),
+        (["keyrate", "--steps", "64", "--format", "svg"],
+         "073d22c7055335454b676a835d710251387b11c0959ef58dc8d9394e6e053b3f"),
+        (["protocol", "--rounds", "5", "--p-plus", "1", "--format", "csv"],
+         "08c059dc0b6e97b2ae9904f40eba647f9746df250aca425b0da5cbeda9ff0204"),
+        (["protocol", "--rounds", "5", "--p-plus", "1", "--format", "json"],
+         "5d265fda21fab1935a5b65b30e9fefd65b55a4d78692e22009e42e35e5478ae4"),
+        (["parity", "--oracle", "--re", "1", "--format", "json"],
+         "c178729619cd57c43d39c247e4196a3078c67f90d763827bdcf9696c8491dd30"),
+        (["uncertainty", "--format", "json"],
+         "fb23cd86c1242f4d24a52bff17236c4a834a8b0ea25e79581419b8133d0526c3"),
+    ],
+)
+def test_table_writer_bytes(tmp_path, capsys, argv, digest):
+    out_path = tmp_path / "out"
+    code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 class TestRepeatedCalls:
     def test_options_do_not_carry_into_the_next_call(self, capsys):
         # main() reuses one parser across calls in a process.
