@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 
@@ -42,11 +41,12 @@ from .coherent import (
 )
 from .output import (
     STDOUT_MARKER,
-    curve_svg,
+    Column,
     open_atomic,
-    region_svg,
-    rows_to_csv,
-    to_json_document,
+    write_csv,
+    write_curve_svg,
+    write_json,
+    write_region_svg,
     write_text,
 )
 
@@ -54,6 +54,8 @@ __all__ = ["main", "build_parser"]
 
 _FORMATS = ("csv", "json", "svg")
 _SVG_COMMANDS = {"steer-region", "keyrate"}
+# Indexed by steering.verdict_codes; code 0 is within_bounds.
+_VERDICT_NAMES = [verdict.value for verdict in steering.Verdict]
 
 # Largest accepted --steps: the region sweep's memory grows with steps^2
 # (about 0.5 GB at 600), the key-rate curve's linearly (about 0.3 GB at 1e5).
@@ -137,12 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_table(args, header: list[str], rows: list[list], meta: dict) -> None:
-    if args.format == "json":
-        json_rows = [dict(zip(header, row)) for row in rows]
-        write_text(args.out, to_json_document(meta, json_rows))
-    else:
-        write_text(args.out, rows_to_csv(header, rows))
+def _emit_table(args, header: list[str], columns: list[Column], meta: dict) -> None:
+    with open_atomic(args.out) as fh:
+        if args.format == "json":
+            write_json(fh, meta, header, columns)
+        else:
+            write_csv(fh, header, columns)
+
+
+def _row_columns(rows: list[list]) -> list[Column]:
+    return [Column(cells) for cells in zip(*rows)]
 
 
 def _meta(command: str, params: dict) -> dict:
@@ -168,7 +174,7 @@ def _cmd_parity(args) -> int:
     _emit_table(
         args,
         header,
-        rows,
+        _row_columns(rows),
         _meta("parity", {"re": args.re, "im": args.im, "oracle": args.oracle}),
     )
     return 0
@@ -185,6 +191,9 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--steps must be at least 1")
     if args.steps > _MAX_REGION_STEPS:
         parser.error(f"--steps must be at most {_MAX_REGION_STEPS}")
+    if not all(map(math.isfinite, (args.beta_min, args.beta_max, args.p_min, args.p_max))):
+        # An unused infinite bound (--steps 1) would reach the JSON meta.
+        parser.error("ranges must be finite")
     if not (args.beta_min < args.beta_max) or not (args.p_min < args.p_max):
         parser.error("ranges must satisfy min < max")
     if not (0.0 <= args.p_min and args.p_max <= 1.0):
@@ -192,8 +201,8 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
     channel = _make_channel(args)
     beta_grid = _linspace(args.beta_min, args.beta_max, args.steps)
     p_grid = _linspace(args.p_min, args.p_max, args.steps)
-    sums = steering.region_sweep(beta_grid, p_grid, args.alpha, channel).ravel().tolist()
-    verdicts = [steering.steering_verdict(total).value for total in sums]
+    sums = steering.region_sweep(beta_grid, p_grid, args.alpha, channel)
+    verdicts = steering.verdict_codes(sums)
     header = ["beta", "p", "sum", "verdict"]
     meta = _meta(
         "steer-region",
@@ -216,15 +225,19 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
             b = steering.steerable_region_bounds(beta)
             if b.is_real:
                 boundary.append((beta, b.p_low, b.p_high))
-        svg = region_svg(
-            beta_grid, p_grid, verdicts, boundary,
-            (args.beta_min, args.beta_max), (args.p_min, args.p_max),
-        )
-        write_text(args.out, svg)
+        with open_atomic(args.out) as fh:
+            write_region_svg(
+                fh, beta_grid, p_grid, verdicts == 0, boundary,
+                (args.beta_min, args.beta_max), (args.p_min, args.p_max),
+            )
     else:
-        cells = itertools.product(beta_grid, p_grid)
-        rows = [[b, p, total, v] for (b, p), total, v in zip(cells, sums, verdicts)]
-        _emit_table(args, header, rows, meta)
+        columns = [
+            Column(beta_grid, repeat=len(p_grid)),
+            Column(p_grid, tile=len(beta_grid)),
+            Column(sums.ravel()),
+            Column(_VERDICT_NAMES, codes=verdicts.ravel()),
+        ]
+        _emit_table(args, header, columns, meta)
     return 0
 
 
@@ -236,32 +249,32 @@ def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
     eta_grid = [keyrate.HALF_PI * k / args.steps for k in range(args.steps + 1)]
     points = keyrate.key_rate_curve(args.alpha, args.beta, eta_grid)
     if args.format == "svg":
-        svg = curve_svg(
-            [
-                ("rate", [(pt.eta, pt.rate) for pt in points]),
-                ("I(A:B)", [(pt.eta, pt.i_ab) for pt in points]),
-                ("I(A:E)", [(pt.eta, pt.i_ae) for pt in points]),
-            ],
-            "eta",
-            "bits",
-        )
-        write_text(args.out, svg)
+        with open_atomic(args.out) as fh:
+            write_curve_svg(
+                fh,
+                [
+                    ("rate", [(pt.eta, pt.rate) for pt in points]),
+                    ("I(A:B)", [(pt.eta, pt.i_ab) for pt in points]),
+                    ("I(A:E)", [(pt.eta, pt.i_ae) for pt in points]),
+                ],
+                "eta",
+                "bits",
+            )
         return 0
     header = ["eta", "p01", "q01", "i_ab", "i_ae", "rate", "p01_sinh_form", "q01_sinh_form"]
-    rows = []
+    forms = (keyrate.bob_error_sinh_form, keyrate.eve_error_sinh_form)
+    sinh_columns = ([], [])
     for pt in points:
-        sinh_forms = (
-            keyrate.bob_error_sinh_form(args.alpha, args.beta, pt.eta),
-            keyrate.eve_error_sinh_form(args.alpha, args.beta, pt.eta),
-        )
-        for name, value in zip(header[6:], sinh_forms):
+        for name, form, column in zip(header[6:], forms, sinh_columns):
+            value = form(args.alpha, args.beta, pt.eta)
             if not math.isfinite(value):
                 raise ValueError(f"column {name} is not finite at eta {pt.eta!r}: {value!r}")
-        rows.append([pt.eta, pt.p01, pt.q01, pt.i_ab, pt.i_ae, pt.rate, *sinh_forms])
+            column.append(value)
+    columns = [Column([getattr(pt, name) for pt in points]) for name in header[:6]]
     _emit_table(
         args,
         header,
-        rows,
+        [*columns, *map(Column, sinh_columns)],
         _meta("keyrate", {"alpha": args.alpha, "beta": args.beta, "steps": args.steps}),
     )
     return 0
@@ -313,7 +326,7 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
             "eta": args.eta if args.channel == "clone" else None,
         },
     )
-    _emit_table(args, list(stats_obj), [list(stats_obj.values())], meta)
+    _emit_table(args, list(stats_obj), [Column([value]) for value in stats_obj.values()], meta)
     return 0
 
 
@@ -354,7 +367,7 @@ def _cmd_uncertainty(args) -> int:
     _emit_table(
         args,
         header,
-        rows,
+        _row_columns(rows),
         _meta(
             "uncertainty",
             {

@@ -22,6 +22,7 @@ window, so the oracle stays fast up to the table limit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +65,9 @@ MAX_TABLE_ENTRIES = 2**22
 
 # exp(-lam) stays a normal double below this; term recursions start there.
 _DIRECT_EXP_LIMIT = 700.0
+
+# Natural log of the smallest positive double, 2^-1074.
+_LOG_SMALLEST_DOUBLE = math.log(5e-324)
 
 
 class Parity(Enum):
@@ -246,7 +250,11 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     range starting at 0 with lam <= 700 is the recursion p_0 = exp(-lam),
     p_n = p_{n-1} lam / n, with factor 1.  Any other range holds the ratios
     p_n / p_m about the mode m = floor(lam), which never exceed 1, with
-    factor p_m from one lgamma call.
+    factor p_m from one lgamma call.  Below the mode, every n whose
+    p_n / p_m is under the smallest double gets 0, and a bisection on
+    lgamma finds where that starts: the product recursion would stall at
+    5e-324 instead, since 5e-324 * n / lam rounds back to it while n / lam
+    exceeds 1/2.
     """
     if lo == 0 and lam <= _DIRECT_EXP_LIMIT:
         factors = np.empty(hi + 1)
@@ -255,9 +263,16 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
         return np.cumprod(factors), 1.0
     m = math.floor(lam)
     above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
-    below = np.cumprod(np.arange(m, lo, -1) / lam)  # p_n / p_m, n = m-1..lo
+    log_lam, log_m_factorial = math.log(lam), math.lgamma(m + 1.0)
+    start = lo + bisect.bisect_left(
+        range(lo, m),
+        _LOG_SMALLEST_DOUBLE,
+        key=lambda n: (n - m) * log_lam + log_m_factorial - math.lgamma(n + 1.0),
+    )
+    below = np.zeros(m - lo)  # p_n / p_m, n = m-1..lo
+    below[:m - start] = np.cumprod(np.arange(m, start, -1) / lam)
     weights = np.concatenate((below[::-1], [1.0], above))
-    return weights, math.exp(m * math.log(lam) - lam - math.lgamma(m + 1.0))
+    return weights, math.exp(m * log_lam - lam - log_m_factorial)
 
 
 def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistribution:

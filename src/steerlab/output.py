@@ -2,10 +2,18 @@
 
 CSV tables use a stable header row, LF line endings, and 17 significant
 digits for floats.  JSON artifacts are a single object with "meta"
-(inputs and package version) and "rows".  SVG plots are static renderings
-built from primitives: a two-tone cell grid for region sweeps and
-polylines for curves.  All file writes go through a temp-file-and-rename
-so failures never leave partial artifacts behind.
+(inputs and package version) and "rows", byte for byte what
+``json.dumps({"meta": meta, "rows": [dict(zip(header, row)), ...]},
+indent=2)`` gives.  SVG plots are static renderings built from
+primitives: a two-tone cell grid for region sweeps and polylines for
+curves.
+
+Tables are given as columns.  The writers format a column's cells in one
+pass per slice of rows, and a column given as distinct entries plus a
+code per row formats each entry once, however many rows repeat it.  They
+write into an open text file one bounded slice of rows at a time, so a
+table's text is never held whole.  Files are opened through a
+temp-file-and-rename, so failures never leave partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -19,16 +27,23 @@ from contextlib import contextmanager
 
 __all__ = [
     "STDOUT_MARKER",
+    "Column",
     "format_number",
     "open_atomic",
     "write_text",
-    "rows_to_csv",
-    "to_json_document",
-    "region_svg",
-    "curve_svg",
+    "write_csv",
+    "write_json",
+    "write_region_svg",
+    "write_curve_svg",
 ]
 
 STDOUT_MARKER = "-"
+
+# CSV floats: 17 significant digits, enough to round-trip any double.
+_FLOAT_FORMAT = ".17g"
+
+# Rows (or curve points) formatted and written per write() call.
+_SLICE_ROWS = 1 << 14
 
 
 def format_number(value) -> str:
@@ -36,7 +51,7 @@ def format_number(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, _FLOAT_FORMAT)
     return str(value)
 
 
@@ -70,15 +85,113 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def rows_to_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+class Column:
+    """One table column of scalars: floats, ints, bools, None or strings.
+
+    By default cell k is ``values[k]``.  With integer ``codes`` (a sequence
+    or a 1-D numpy array) it is ``values[codes[k]]``.  Otherwise each entry
+    fills ``repeat`` rows in turn and the whole run recurs ``tile`` times,
+    so the axes of a row-major (n, m) grid are ``Column(outer, repeat=m)``
+    and ``Column(inner, tile=n)``.  Except in the default case, each entry
+    of ``values`` is formatted once, however many rows repeat it.
+    """
+
+    __slots__ = ("values", "codes", "repeat", "tile")
+
+    def __init__(self, values, codes=None, repeat: int = 1, tile: int = 1):
+        self.values = values
+        self.codes = codes
+        self.repeat = repeat
+        self.tile = tile
+
+    def __len__(self) -> int:
+        if self.codes is not None:
+            return len(self.codes)
+        return len(self.values) * self.repeat * self.tile
 
 
-def to_json_document(meta: dict, rows) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+def _as_list(values) -> list:
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def _csv_cells(values: list) -> list[str]:
+    """format_number of each value; an all-float list skips the type tests."""
+    if all(isinstance(v, float) for v in values):
+        return [format(v, _FLOAT_FORMAT) for v in values]
+    return list(map(format_number, values))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(values: list) -> list[str]:
+    """``json.dumps`` of each value; an all-float list goes through repr."""
+    if all(isinstance(v, float) for v in values):
+        return [_JSON_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
+    return list(map(json.dumps, values))
+
+
+def _column_slices(column: Column, cells):
+    """The formatted cells of ``column``, one list per slice of rows."""
+    rows = len(column)
+    starts = range(0, rows, _SLICE_ROWS)
+    if column.codes is None and column.repeat == column.tile == 1:
+        for start in starts:
+            yield cells(_as_list(column.values[start:start + _SLICE_ROWS]))
+        return
+    entries = cells(_as_list(column.values))
+    if column.codes is not None:
+        for start in starts:
+            codes = _as_list(column.codes[start:start + _SLICE_ROWS])
+            yield list(map(entries.__getitem__, codes))
+        return
+    run = [entry for entry in entries for _ in range(column.repeat)]
+    for start in starts:
+        count = min(_SLICE_ROWS, rows - start)
+        offset = start % len(run)
+        part = run[offset:offset + count]
+        while len(part) < count:
+            part += run[:count - len(part)]
+        yield part
+
+
+def _row_slices(columns: list[Column], cells):
+    """Per slice of rows, one list of formatted cells per column."""
+    return zip(*(_column_slices(column, cells) for column in columns))
+
+
+def write_csv(fh, header: list[str], columns: list[Column]) -> None:
+    """The header line, then one line per row: cells through format_number."""
+    fh.write(",".join(header) + "\n")
+    for parts in _row_slices(columns, _csv_cells):
+        fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+
+
+def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None:
+    """``json.dumps({"meta": meta, "rows": rows}, indent=2) + "\\n"``.
+
+    Row k of ``rows`` is ``dict(zip(header, row_k))``; each row is filled
+    into one template of the indented layout, so cell bytes are those of
+    ``json.dumps`` for the cell alone.
+    """
+    empty = json.dumps({"meta": meta, "rows": []}, indent=2)
+    if not columns or not len(columns[0]):
+        fh.write(empty + "\n")
+        return
+    # Like dict(zip(header, row)): each name at its first position, with
+    # the cell of its last column.
+    last = {}
+    for k, name in enumerate(header):
+        last[name] = k
+    keys = (json.dumps({name: None})[1:-len(": null}")] for name in last)
+    row = ",\n    {" + ",".join(f"\n      {key.replace('%', '%%')}: %s" for key in keys) + "\n    }"
+    fh.write(empty[:-len("]\n}")])
+    lead = 1  # no comma before the first row
+    for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
+        text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))
+        fh.write(text[lead:])
+        lead = 0
+    fh.write("\n  ]\n}\n")
 
 
 _SVG_WIDTH = 640
@@ -144,36 +257,41 @@ def _svg_axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def region_svg(
+def write_region_svg(
+    fh,
     beta_grid: list[float],
     p_grid: list[float],
-    verdicts: list[str],
+    within,
     boundary: list[tuple[float, float, float]],
     beta_range: tuple[float, float],
     p_range: tuple[float, float],
-) -> str:
+) -> None:
     """Two-tone verdict grid with the closed-form boundary overlaid.
 
-    ``verdicts`` holds one verdict name per cell in row-major order (beta
-    outer, p inner); any verdict other than within_bounds renders in the
-    violating tone.  Cell sizes come from the number of distinct grid
-    values.  ``boundary`` rows are (beta, p_low, p_high); branches outside
-    the p range are clipped.
+    ``within`` is a boolean array of shape (len(beta_grid), len(p_grid)),
+    True where the cell's verdict is within_bounds; every other cell
+    renders in the violating tone.  Cell sizes come from the number of
+    distinct grid values.  ``boundary`` rows are (beta, p_low, p_high);
+    branches outside the p range are clipped.
     """
     cell_w = (beta_range[1] - beta_range[0]) / max(len(set(beta_grid)), 1) or 1.0
     cell_h = (p_range[1] - p_range[0]) / max(len(set(p_grid)), 1) or 1.0
     frame = _Frame(beta_range[0], beta_range[1], p_range[0], p_range[1])
-    parts = _svg_open()
-    for (beta, p), verdict in zip(itertools.product(beta_grid, p_grid), verdicts):
-        color = _COLOR_WITHIN if verdict == "within_bounds" else _COLOR_VIOLATING
-        x = frame.x(beta - cell_w / 2)
+    fh.write("\n".join(_svg_open()) + "\n")
+    # A cell's y and height depend on p alone, its x and width on beta alone.
+    y_cells = []
+    for p in p_grid:
         y = frame.y(p + cell_h / 2)
-        w = frame.x(beta + cell_w / 2) - x
-        h = frame.y(p - cell_h / 2) - y
-        parts.append(
-            f'<rect x="{_coord(x)}" y="{_coord(y)}" width="{_coord(w)}" '
-            f'height="{_coord(h)}" fill="{color}"/>'
+        y_cells.append((_coord(y), _coord(frame.y(p - cell_h / 2) - y)))
+    fills = (_COLOR_VIOLATING, _COLOR_WITHIN)
+    for beta, row in zip(beta_grid, within.tolist()):
+        x = frame.x(beta - cell_w / 2)
+        rect = (
+            f'<rect x="{_coord(x)}" y="%s" width="{_coord(frame.x(beta + cell_w / 2) - x)}" '
+            f'height="%s" fill="%s"/>\n'
         )
+        fh.write("".join([rect % (y, h, fills[tone]) for (y, h), tone in zip(y_cells, row)]))
+    parts = []
     for branch in (1, 2):
         coords = []
         for beta, p_low, p_high in boundary:
@@ -187,14 +305,23 @@ def region_svg(
             )
     parts.extend(_svg_axes(frame, "beta", "p"))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    fh.write("\n".join(parts) + "\n")
 
 
-def curve_svg(
+def _write_points(fh, frame: _Frame, pts: list[tuple[float, float]]) -> None:
+    for start in range(0, len(pts), _SLICE_ROWS):
+        coords = " ".join(
+            f"{_coord(frame.x(x))},{_coord(frame.y(y))}" for x, y in pts[start:start + _SLICE_ROWS]
+        )
+        fh.write(f" {coords}" if start else coords)
+
+
+def write_curve_svg(
+    fh,
     series: list[tuple[str, list[tuple[float, float]]]],
     x_label: str,
     y_label: str,
-) -> str:
+) -> None:
     """Polyline chart for one or more named series sharing the axes."""
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
@@ -208,21 +335,18 @@ def curve_svg(
             f'<line x1="{_MARGIN}" y1="{zero_y}" x2="{_SVG_WIDTH - _MARGIN}" '
             f'y2="{zero_y}" stroke="#999999" stroke-width="0.5" stroke-dasharray="4 3"/>'
         )
+    fh.write("\n".join(parts) + "\n")
     dashes = ["", "6 3", "2 3"]
     for idx, (name, pts) in enumerate(series):
-        coords = " ".join(
-            f"{_coord(frame.x(x))},{_coord(frame.y(y))}" for x, y in pts
-        )
+        fh.write('<polyline points="')
+        _write_points(fh, frame, pts)
         dash = dashes[idx % len(dashes)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{_COLOR_CURVE}" '
-            f'stroke-width="1.5"{dash_attr}/>'
-        )
-        parts.append(
+        fh.write(
+            f'" fill="none" stroke="{_COLOR_CURVE}" stroke-width="1.5"{dash_attr}/>\n'
             f'<text x="{_SVG_WIDTH - _MARGIN - 4}" y="{_MARGIN + 14 + 14 * idx}" '
-            f'font-size="11" text-anchor="end" fill="{_COLOR_CURVE}">{name}</text>'
+            f'font-size="11" text-anchor="end" fill="{_COLOR_CURVE}">{name}</text>\n'
         )
-    parts.extend(_svg_axes(frame, x_label, y_label))
+    parts = _svg_axes(frame, x_label, y_label)
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    fh.write("\n".join(parts) + "\n")

@@ -152,15 +152,18 @@ class Transcript(Sequence[RoundRecord]):
             return [self[k] for k in range(len(self))[key]]
         k = range(len(self))[key]
         index = k if self._index is None else int(self._index[k])
-        return RoundRecord(index, *self._kinds[self._codes[k]])
+        return tuple.__new__(RoundRecord, (index, *self._kinds[self._codes[k]]))
 
     def _indices(self) -> Iterable[int]:
         return range(len(self)) if self._index is None else _chunked_ints(self._index)
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        kinds = self._kinds
+        # Records are built as RoundRecord(index, *kind) would build them,
+        # minus the NamedTuple's Python-level __new__: every kind holds the
+        # four fields after the index.
+        kinds, new = self._kinds, tuple.__new__
         for index, code in zip(self._indices(), _chunked_ints(self._codes)):
-            yield RoundRecord(index, *kinds[code])
+            yield new(RoundRecord, (index, *kinds[code]))
 
     def __eq__(self, other):
         if not isinstance(other, (list, Transcript)):

@@ -118,14 +118,11 @@ def _boundary_section() -> list[str]:
     for beta in _BOUNDARY_BETAS:
         bounds = steering.steerable_region_bounds(beta)
         formula_rows.append([beta, bounds.p_low, bounds.p_high, bounds.is_real])
-        verdicts = [
-            steering.steering_verdict(total)
-            for total in _averaged_mixture_sums(alpha, beta)
-        ]
+        verdicts = steering.verdict_codes(_averaged_mixture_sums(alpha, beta)).tolist()
         crossings = [
             k / _SWEEP_P_STEPS
             for k in range(1, _SWEEP_P_STEPS + 1)
-            if verdicts[k] is not verdicts[k - 1]
+            if verdicts[k] != verdicts[k - 1]
         ]
         crossing_rows.append(
             [beta, "none" if not crossings else " ".join(format_number(c) for c in crossings)]

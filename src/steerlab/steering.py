@@ -26,7 +26,7 @@ weighting.  With the canonical displacements gamma1 = -(alpha + beta) and
 gamma2 = -(alpha - beta) they depend on beta alone, so a region sweep
 evaluates them once per beta and forms p b1 + (1 - p) b2 over the p grid,
 bitwise what steering_sum gives; it returns the sums as one (beta, p)
-array and leaves verdicts to the caller (``steering_verdict`` per cell).
+array and leaves verdicts to the caller (``verdict_codes`` over the array).
 By the same linearity in the density operator, the branch probabilities
 of a mixture whose weights vary with p are each state's branch
 probabilities, taken once and mixed over p.
@@ -61,6 +61,7 @@ __all__ = [
     "Channel",
     "SteeringEvaluation",
     "RegionBoundary",
+    "verdict_codes",
     "steering_verdict",
     "branch_probabilities",
     "steering_sum",
@@ -187,17 +188,26 @@ def branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[
     return plus, minus
 
 
-def steering_verdict(total: float) -> Verdict:
-    """Classify a probability sum against the [1/4, 3/4] window.
+def verdict_codes(totals) -> np.ndarray:
+    """Classify probability sums against the [1/4, 3/4] window.
 
-    Bounds are inclusive; equality at either edge (within TIE_TOL) is
-    within bounds.
+    Returns int8 codes of the same shape, indexing ``tuple(Verdict)``: 0
+    within bounds, 1 above, 2 below.  Bounds are inclusive; equality at
+    either edge (within TIE_TOL) is within bounds.
     """
-    if total > UPPER_BOUND + TIE_TOL:
-        return Verdict.VIOLATES_UPPER
-    if total < LOWER_BOUND - TIE_TOL:
-        return Verdict.VIOLATES_LOWER
-    return Verdict.WITHIN_BOUNDS
+    totals = np.asarray(totals, dtype=float)
+    codes = np.zeros(totals.shape, np.int8)
+    codes[totals > UPPER_BOUND + TIE_TOL] = 1
+    codes[totals < LOWER_BOUND - TIE_TOL] = 2
+    return codes
+
+
+_VERDICTS = tuple(Verdict)
+
+
+def steering_verdict(total: float) -> Verdict:
+    """The verdict_codes classification of one sum, as a Verdict."""
+    return _VERDICTS[int(verdict_codes(total))]
 
 
 @dataclass(frozen=True)

@@ -93,17 +93,8 @@ _EXTREME_PARTS = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=datetime.timedelta(seconds=5))
-@given(
-    re=_EXTREME_PARTS,
-    im=_EXTREME_PARTS,
-    cutoff=st.sampled_from([None, -1, 0, 5, 2**22 - 1, 2**22, 10**30]),
-    fmt=st.sampled_from(["csv", "json"]),
-)
-def test_every_parity_oracle_input_ends_cleanly(re, im, cutoff, fmt):
-    argv = ["parity", "--oracle", f"--re={re!r}", f"--im={im!r}", "--format", fmt]
-    if cutoff is not None:
-        argv.append(f"--cutoff={cutoff}")
+def _run_to_a_clean_end(argv):
+    """Exit code and stdout of one in-process run that ended cleanly."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -115,17 +106,78 @@ def test_every_parity_oracle_input_ends_cleanly(re, im, cutoff, fmt):
     if code == 1:
         assert err.getvalue().startswith("steerlab: error:")
         assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=80, deadline=datetime.timedelta(seconds=5))
+@given(
+    re=_EXTREME_PARTS,
+    im=_EXTREME_PARTS,
+    cutoff=st.sampled_from([None, -1, 0, 5, 2**22 - 1, 2**22, 10**30]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_parity_oracle_input_ends_cleanly(re, im, cutoff, fmt):
+    argv = ["parity", "--oracle", f"--re={re!r}", f"--im={im!r}", "--format", fmt]
+    if cutoff is not None:
+        argv.append(f"--cutoff={cutoff}")
+    code, out = _run_to_a_clean_end(argv)
     if code == 0:
         if fmt == "csv":
-            rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+            rows = [line.split(",") for line in out.splitlines()[1:]]
         else:
-            def reject(constant):
-                raise ValueError(f"non-finite JSON constant {constant}")
-
-            document = json.loads(out.getvalue(), parse_constant=reject)
-            rows = [list(row.values()) for row in document["rows"]]
+            rows = [list(row.values()) for row in _strict_json(out)["rows"]]
         assert [row[0] for row in rows] == ["closed_form", "truncated", "abs_diff"]
         assert all(float(value) <= 1e-8 for value in rows[2][1:])
+
+
+# Flag values from every corner, and p bounds that often form a valid range.
+_EXTREME_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-310,
+         math.inf, -math.inf, math.nan]
+    ),
+    st.floats(-5.0, 5.0),
+)
+_P_BOUNDS = st.one_of(st.floats(0.0, 1.0), _EXTREME_VALUES)
+
+
+@st.composite
+def _sweep_argv(draw):
+    if draw(st.booleans()):
+        steps = draw(st.one_of(st.integers(-1, 30), st.just(500)))
+        argv = ["steer-region", "--steps", str(steps),
+                "--channel", draw(st.sampled_from(["ideal", "clone"]))]
+        flags = {"--alpha": _EXTREME_VALUES, "--beta-min": _EXTREME_VALUES,
+                 "--beta-max": _EXTREME_VALUES, "--p-min": _P_BOUNDS, "--p-max": _P_BOUNDS,
+                 "--eta": _EXTREME_VALUES}
+    else:
+        steps = draw(st.one_of(st.integers(-1, 100), st.just(2000)))
+        argv = ["keyrate", "--steps", str(steps)]
+        flags = {"--alpha": _EXTREME_VALUES, "--beta": _EXTREME_VALUES}
+    argv += [f"{flag}={draw(values)!r}" for flag, values in flags.items()]
+    return [*argv, "--format", draw(st.sampled_from(["csv", "json", "svg"]))]
+
+
+@settings(max_examples=150, deadline=datetime.timedelta(seconds=5))
+@given(argv=_sweep_argv())
+def test_every_sweep_input_ends_cleanly(argv):
+    # Steps stay within the caps, so no example allocates past them.
+    code, out = _run_to_a_clean_end(argv)
+    if code == 0:
+        fmt = argv[-1]
+        if fmt == "json":
+            _strict_json(out)
+        elif fmt == "svg":
+            assert out.startswith("<svg") and out.endswith("</svg>\n")
+        else:
+            assert out.endswith("\n") and len(out.splitlines()) > 1
 
 
 # SHA-256 of each output file, recorded before the table writers were
@@ -326,6 +378,14 @@ class TestSteerRegionCommand:
         with pytest.raises(SystemExit) as exc:
             main(["steer-region", "--p-max", "1.5"])
         assert exc.value.code == 2
+
+    def test_infinite_range_bound_exits_2(self, capsys):
+        # With one step the upper bound is never swept, and it once reached
+        # the JSON meta as a bare Infinity.
+        with pytest.raises(SystemExit) as exc:
+            main(["steer-region", "--steps", "1", "--beta-max", "inf", "--format", "json"])
+        assert exc.value.code == 2
+        assert "ranges must be finite" in capsys.readouterr().err
 
     def test_too_many_steps_exits_2(self, capsys):
         # Rejected before any grid is built: the sweep's memory grows with steps^2.

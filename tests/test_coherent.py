@@ -205,6 +205,21 @@ class TestParityByTruncation:
         assert abs(t.p_even - t.p_odd) < 1e-15
         assert abs(t.p_even - 0.5) < 1e-8
 
+    @pytest.mark.parametrize("lam", [1000.5, 4e6])
+    def test_table_reaches_zero_where_the_pmf_underflows(self, lam):
+        # A cumprod of n / lam below the mode stalled at 5e-324 while
+        # n / lam > 1/2: at mean 4e6, 999,999 entries read 5e-324.
+        weights, _ = coherent._poisson_weights(lam, 0, _poisson_cutoff(lam))
+        m = math.floor(lam)
+
+        def log_ratio(n):  # log(p_n / p_m)
+            return (n - m) * math.log(lam) + math.lgamma(m + 1.0) - math.lgamma(n + 1.0)
+
+        first = int(np.flatnonzero(weights)[0])
+        assert log_ratio(first - 1) < math.log(5e-324) <= log_ratio(first)
+        assert not weights[:first].any()
+        assert np.count_nonzero(weights == 5e-324) <= 1
+
     def test_default_cutoff_checks_the_table_limit_before_rounding(self):
         # |1e200|^2 overflows to inf, which the cutoff formula cannot round.
         with pytest.raises(ValueError, match="mean photon number inf needs a Poisson table"):

@@ -102,6 +102,7 @@ class TestRunProtocol:
         assert len(view) == 60
         assert [r.index for r in records] == list(range(60))
         assert all(type(r) is RoundRecord for r in records)
+        assert type(view[7]) is RoundRecord
         assert view[7] == records[7] and view[-1] == records[-1]
         assert view[5:40:3] == records[5:40:3]
         assert isinstance(view[5:9], list)
@@ -334,7 +335,11 @@ class TestTranscriptCodec:
         write_transcript(records, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
-        assert read_transcript(path) == records
+        decoded = read_transcript(path)
+        assert decoded == records
+        # Records are built without RoundRecord's own __new__.
+        assert all(type(r) is RoundRecord for r in decoded)
+        assert type(decoded[2]) is RoundRecord and decoded[2].eve_outcome is None
 
     def test_eve_field_omitted_not_null(self, tmp_path):
         records = [RoundRecord(0, Prep.PLUS, complex(-1.5, 0.0), Parity.EVEN, None)]
