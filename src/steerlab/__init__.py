@@ -51,6 +51,7 @@ from .steering import (
     steerable_region_bounds,
     steering_sum,
     steering_verdict,
+    verdict_codes,
 )
 from .uncertainty import (
     EntropicSumResult,

@@ -251,9 +251,10 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     p_n = p_{n-1} lam / n, with factor 1.  Any other range holds the ratios
     p_n / p_m about the mode m = floor(lam), which never exceed 1, with
     factor p_m from one lgamma call.  Below the mode, every n whose
-    p_n / p_m is under the smallest double gets 0, and a bisection on
-    lgamma finds where that starts: the product recursion would stall at
-    5e-324 instead, since 5e-324 * n / lam rounds back to it while n / lam
+    p_n / p_m is under the smallest double gets 0: one more lgamma call
+    tells whether the range reaches that far, and a bisection on lgamma
+    finds where it starts.  The product recursion would stall at 5e-324
+    instead, since 5e-324 * n / lam rounds back to it while n / lam
     exceeds 1/2.
     """
     if lo == 0 and lam <= _DIRECT_EXP_LIMIT:
@@ -264,14 +265,15 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     m = math.floor(lam)
     above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
     log_lam, log_m_factorial = math.log(lam), math.lgamma(m + 1.0)
-    start = lo + bisect.bisect_left(
-        range(lo, m),
-        _LOG_SMALLEST_DOUBLE,
-        key=lambda n: (n - m) * log_lam + log_m_factorial - math.lgamma(n + 1.0),
-    )
-    below = np.zeros(m - lo)  # p_n / p_m, n = m-1..lo
-    below[:m - start] = np.cumprod(np.arange(m, start, -1) / lam)
-    weights = np.concatenate((below[::-1], [1.0], above))
+
+    def log_ratio(n: int) -> float:  # log(p_n / p_m)
+        return (n - m) * log_lam + log_m_factorial - math.lgamma(n + 1.0)
+
+    start = lo  # first n whose p_n / p_m is representable
+    if log_ratio(lo) < _LOG_SMALLEST_DOUBLE:
+        start += bisect.bisect_left(range(lo, m), _LOG_SMALLEST_DOUBLE, key=log_ratio)
+    below = np.cumprod(np.arange(m, start, -1) / lam)  # p_n / p_m, n = m-1..start
+    weights = np.concatenate((np.zeros(start - lo), below[::-1], [1.0], above))
     return weights, math.exp(m * log_lam - lam - log_m_factorial)
 
 

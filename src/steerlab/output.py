@@ -131,6 +131,13 @@ def _json_cells(values: list) -> list[str]:
     return list(map(json.dumps, values))
 
 
+def _json_key(name) -> str:
+    """``name`` as json.dumps writes a dict key: a non-string as its JSON text, quoted."""
+    if isinstance(name, str):
+        return json.dumps(name)
+    return json.dumps({name: None})[1:-len(": null}")]
+
+
 def _column_slices(column: Column, cells):
     """The formatted cells of ``column``, one list per slice of rows."""
     rows = len(column)
@@ -183,8 +190,8 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     last = {}
     for k, name in enumerate(header):
         last[name] = k
-    keys = (json.dumps({name: None})[1:-len(": null}")] for name in last)
-    row = ",\n    {" + ",".join(f"\n      {key.replace('%', '%%')}: %s" for key in keys) + "\n    }"
+    keys = (_json_key(name).replace("%", "%%") for name in last)
+    row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     fh.write(empty[:-len("]\n}")])
     lead = 1  # no comma before the first row
     for parts in _row_slices([columns[k] for k in last.values()], _json_cells):

@@ -16,6 +16,7 @@ from steerlab.steering import (
     steerable_region_bounds,
     steering_sum,
     steering_verdict,
+    verdict_codes,
 )
 
 
@@ -142,6 +143,16 @@ class TestVerdict:
 
     def test_below_lower(self):
         assert steering_verdict(0.2) is Verdict.VIOLATES_LOWER
+
+    def test_codes_classify_an_array_in_place(self):
+        # Codes index tuple(Verdict); the tie tolerance widens both edges.
+        totals = np.array([[0.2, 0.25 - 5e-13, 0.5], [0.75 + 5e-13, 0.75 + 2e-12, 1.0]])
+        codes = verdict_codes(totals)
+        assert codes.shape == totals.shape and codes.dtype == np.int8
+        assert codes.tolist() == [[2, 0, 0], [0, 1, 1]]
+        assert [tuple(Verdict)[c] for c in codes.ravel()] == [
+            steering_verdict(t) for t in totals.ravel()
+        ]
 
 
 class TestRegionBoundary:
