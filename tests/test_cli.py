@@ -180,6 +180,36 @@ def test_every_sweep_input_ends_cleanly(argv):
             assert out.endswith("\n") and len(out.splitlines()) > 1
 
 
+# Amplitudes up to +-3000 keep every admitted sampler window below about
+# 3e5 entries (means up to 1.44e8), so no example allocates much.
+_PROTOCOL_VALUES = st.one_of(_EXTREME_VALUES, st.floats(-3000.0, 3000.0))
+
+
+@st.composite
+def _protocol_argv(draw):
+    argv = ["protocol", "--channel", draw(st.sampled_from(["ideal", "clone"])),
+            "--rounds", str(draw(st.integers(0, 40))),
+            "--seed", str(draw(st.integers(-1, 2**64)))]
+    flags = {"--alpha": _PROTOCOL_VALUES, "--beta": _PROTOCOL_VALUES,
+             "--p-plus": _P_BOUNDS, "--eta": _EXTREME_VALUES}
+    argv += [f"{flag}={draw(values)!r}" for flag, values in flags.items()]
+    return [*argv, "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@settings(max_examples=150, deadline=datetime.timedelta(seconds=5))
+@given(argv=_protocol_argv())
+def test_every_protocol_input_ends_cleanly(argv):
+    code, out = _run_to_a_clean_end(argv)
+    if code == 0:
+        rounds = int(argv[argv.index("--rounds") + 1])
+        if argv[-1] == "json":
+            stats = _strict_json(out)["rows"][0]
+        else:
+            header, row = out.splitlines()
+            stats = dict(zip(header.split(","), row.split(",")))
+        assert int(stats["n_plus"]) + int(stats["n_minus"]) == rounds
+
+
 # SHA-256 of each output file, recorded before the table writers were
 # rewritten to stream per-column formatted text.  The clone sweep at
 # alpha -0.7 has a distinct sum in every cell (the ideal grid is all ones);
@@ -548,6 +578,39 @@ class TestProtocolCommand:
         assert code == 1
         assert "Poisson table" in err
         assert not out_path.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_means_exit_1_naming_them(self, capsys):
+        # Bob's and Eve's means overflow to inf for both preparations.  The
+        # warning filter stands for a console, where numpy warnings are no
+        # errors.
+        code, _, err = run_cli(
+            ["protocol", "--channel", "clone", "--alpha=1e300", "--eta", "0.7", "--rounds", "2"],
+            capsys,
+        )
+        assert code == 1
+        assert err == "steerlab: error: Poisson means must be finite and nonnegative\n"
+
+    @pytest.mark.parametrize("alpha, beta", [("5e6", "-5e6"), ("1e200", "-1e200")])
+    def test_a_preparation_that_never_occurs_needs_no_table(self, capsys, alpha, beta):
+        # p_plus 1: every round prepares alpha + beta = 0.  The other
+        # preparation's means (about 5.7e12, or an overflow to inf) would
+        # need a table past the limit, or none at all.
+        code, out, err = run_cli(
+            ["protocol", "--channel", "clone", f"--alpha={alpha}", f"--beta={beta}",
+             "--p-plus=1", "--eta", "0.7", "--rounds", "2"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "2,0,0,0,0,0"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--eta"])
+    def test_huge_ideal_channel_flags_run(self, capsys, flag):
+        # The ideal channel cancels any finite amplitude exactly and
+        # ignores --eta, so both runs end with every round even.
+        code, out, err = run_cli(["protocol", flag, "1e300", "--rounds", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[2] == "0"
 
     def test_large_alpha_runs(self, capsys):
         # Means of about 3.1e6: windows of about 4.2e4 entries, where a

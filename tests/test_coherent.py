@@ -462,6 +462,25 @@ class TestSampling:
         sigma = math.sqrt(p_odd * (1 - p_odd) / n)
         assert abs((draws % 2).mean() - p_odd) < 4 * sigma
 
+    # Parities for uniforms outside [0, 1), recorded while every distinct
+    # mean had a searchsorted call of its own: u = 1.0 lands on the first
+    # entry whose CDF rounds to 1 (if any), and 2.0, inf and nan on hi + 1.
+    EDGE_UNIFORMS = [1.0, 2.0, -0.5, math.inf, math.nan]
+    EDGE_PARITIES = {
+        0.0: [False, True, False, True, True],
+        1e-300: [False, True, False, True, True],
+        1.0: [False, True, False, True, True],
+        183.0: [True, True, False, True, True],
+        185.0: [False, False, True, False, False],
+        1e6: [True, False, True, False, False],
+    }
+
+    @pytest.mark.parametrize("lam", sorted(EDGE_PARITIES))
+    def test_uniforms_outside_the_unit_interval_keep_their_parities(self, lam):
+        n = len(self.EDGE_UNIFORMS)
+        odd = batch_parity_is_odd(np.full(n, lam), np.array(self.EDGE_UNIFORMS))
+        assert odd.tolist() == self.EDGE_PARITIES[lam]
+
     def test_invalid_mean_rejected(self):
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):

@@ -257,6 +257,41 @@ def test_multi_chunk_golden_hashes(channel, rounds, seed, stats_digest, transcri
     assert run_protocol(config, keep_transcript=False).stats == result.stats
 
 
+# The same digests for clone runs at eta = pi/4 whose Bob and Eve means
+# (about 860, 7.7e3 and 3.4e5) put every Poisson table on a window that
+# starts above 0 and is normalised over it: 742-748, 2147-2154 and
+# 14097-14104 entries.
+# Recorded while each chunk still built one table per distinct mean.
+WINDOWED_GOLDENS = [
+    (
+        100.0,
+        "cae9ce44fdaaf76ed9ee3e419954e56e4477d17194f82f589b78d5e47386f66d",
+        "f2065d677a94425baf23fa3d9ec5644a94a7475a55cb1fd69a025f7b03b71308",
+    ),
+    (
+        300.0,
+        "b88f396135ddb6738604ab57dc1e13828e0ef818ab1b7fbd4c7c328b2bab23f9",
+        "2b7715fa116c50fe4c63668fb931997d4070b80b084f06ca8ed130011b51ba9f",
+    ),
+    (
+        2000.0,
+        "04308773f3703aa9ca5ebbfca1312c700a4ca7ff86cecdffa17a57d1160c5387",
+        "1ed9dd1052629707539069bdc85054e65ce92fbabeed2f84e6d2363e06d5064d",
+    ),
+]
+
+
+@pytest.mark.parametrize("alpha,stats_digest,transcript_digest", WINDOWED_GOLDENS)
+def test_windowed_golden_hashes(alpha, stats_digest, transcript_digest):
+    channel = GaussianCloneChannel(eta=math.pi / 4)
+    config = SimConfig(alpha=alpha, beta=0.5, channel=channel, rounds=protocol._CHUNK + 17, seed=41)
+    result = run_protocol(config)
+    buf = io.StringIO()
+    write_transcript(result.transcript, buf)
+    assert _stats_digest(result.stats) == stats_digest
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == transcript_digest
+
+
 # Largest round count drawn per chunk size, so that the example takes a few
 # chunks without a per-round loop of thousands of iterations.
 _MAX_ROUNDS_PER_CHUNK = {1: 40, 3: 200, 4096: 13_000}
