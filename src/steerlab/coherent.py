@@ -14,6 +14,12 @@ that single fact:
   inverting the Poisson CDF tabulated over a window of about 24 sqrt(lam)
   photon numbers around the mean, so a table costs O(sqrt(lam)).
 
+ParitySampler is the one CDF inversion: it draws for a fixed tuple of
+means, indexed per draw by a kind, and builds a mean's table when a draw
+first needs it.  A short table also gets a guide table that starts most
+draws on their answer; a long one is bisected.  batch_parity_is_odd
+samples an array of means through it, one kind per distinct mean.
+
 A brute-force truncated-sum evaluation of the parity probabilities is kept
 alongside the closed form as an independent oracle.  One numpy builder,
 _poisson_weights, tabulates both the oracle's 0..cutoff and the sampler's
@@ -43,6 +49,7 @@ __all__ = [
     "minimal_admissible_cutoff",
     "sample_parity",
     "batch_parity_is_odd",
+    "ParitySampler",
 ]
 
 # Joint smallness threshold below which the degenerate point of the
@@ -257,13 +264,14 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     instead, since 5e-324 * n / lam rounds back to it while n / lam
     exceeds 1/2.
     """
+    weights = np.empty(hi - lo + 1)
     if lo == 0 and lam <= _DIRECT_EXP_LIMIT:
-        factors = np.empty(hi + 1)
-        factors[0] = math.exp(-lam)
-        factors[1:] = lam / np.arange(1, hi + 1)
-        return np.cumprod(factors), 1.0
+        weights[0] = math.exp(-lam)
+        np.divide(lam, np.arange(1, hi + 1), out=weights[1:])
+        return np.cumprod(weights, out=weights), 1.0
     m = math.floor(lam)
-    above = np.cumprod(lam / np.arange(m + 1, hi + 1))  # p_n / p_m, n = m+1..hi
+    above = weights[m - lo + 1:]  # p_n / p_m, n = m+1..hi
+    np.cumprod(np.divide(lam, np.arange(m + 1, hi + 1), out=above), out=above)
     log_lam, log_m_factorial = math.log(lam), math.lgamma(m + 1.0)
 
     def log_ratio(n: int) -> float:  # log(p_n / p_m)
@@ -272,8 +280,10 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     start = lo  # first n whose p_n / p_m is representable
     if log_ratio(lo) < _LOG_SMALLEST_DOUBLE:
         start += bisect.bisect_left(range(lo, m), _LOG_SMALLEST_DOUBLE, key=log_ratio)
-    below = np.cumprod(np.arange(m, start, -1) / lam)  # p_n / p_m, n = m-1..start
-    weights = np.concatenate((np.zeros(start - lo), below[::-1], [1.0], above))
+    below = weights[start - lo:m - lo][::-1]  # p_n / p_m, n = m-1..start
+    np.cumprod(np.divide(np.arange(m, start, -1), lam, out=below), out=below)
+    weights[:start - lo] = 0.0
+    weights[m - lo] = 1.0
     return weights, math.exp(m * log_lam - lam - log_m_factorial)
 
 
@@ -319,16 +329,130 @@ def sample_parity(mu: complex, rng: np.random.Generator) -> Parity:
     return Parity.ODD if odd[0] else Parity.EVEN
 
 
-def _poisson_quantile(lam: float, uniforms: np.ndarray) -> np.ndarray:
-    # Smallest n in the window with uniform <= CDF(n), for each uniform.
+def _checked_window(lam: float) -> tuple[int, int]:
+    # The sampler's window lo..hi, once its size is known to fit.
     lo, hi = _poisson_window(lam)
     # Far above 2^53 the rounded bounds lose the window; its half-width
     # still bounds the entry count from below.
     _require_table_fits(max(hi - lo + 1, _poisson_half_width(lam)), f"Poisson mean {lam:g}")
-    cdf = np.cumsum(_poisson_weights(lam, lo, hi)[0])
+    return lo, hi
+
+
+def _poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
+    # The CDF over the window lo..hi, normalised to end at exactly 1 when
+    # it starts above 0.
+    weights = _poisson_weights(lam, lo, hi)[0]
+    cdf = np.cumsum(weights, out=weights)
     if lo > 0:
         cdf /= cdf[-1]
-    return lo + np.searchsorted(cdf, uniforms, side="left")
+    return cdf
+
+
+# Bins of a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4).
+_GUIDE_BINS = 1 << 10
+
+# Longest table that gets a guide.  A longer table would leave many entries
+# per bin, so its draws go straight to a bisection of the table.
+_GUIDED_ENTRIES = 1 << 11
+
+
+class ParitySampler:
+    """Photon-number parities of Poisson draws, one mean per draw kind.
+
+    Draw i takes the mean ``lams[kinds[i]]`` and maps ``uniforms[i]`` to
+    the smallest photon number n in that mean's window with
+    ``uniforms[i] <= CDF(n)``, or to hi + 1 when no entry reaches it (a
+    uniform of nan included).  A kind is set up the first time a call
+    draws from it, kinds in ascending mean: the call first checks that the
+    means of its new kinds are finite and nonnegative, and a window that
+    would exceed MAX_TABLE_ENTRIES raises ValueError before anything is
+    allocated.  So a kind that is never drawn can hold any mean.
+
+    A table of at most _GUIDED_ENTRIES entries is built then, once per
+    distinct mean, and gets a guide: bin b of _GUIDE_BINS holds the first
+    entry whose CDF reaches b / _GUIDE_BINS.  A draw starts at the entry
+    its bin names and takes at most one step up.  Since b / _GUIDE_BINS
+    <= u exactly, the start is never past the answer; a draw whose entry
+    is still below u after the step is searched on its own table by
+    bisection.  A longer table gets no guide and is not kept: each call
+    builds it, bisects it for every draw of its kind and drops it before
+    the next, as a chunk-by-chunk run always did.  So every draw lands
+    where a bisection of its table lands.
+    """
+
+    def __init__(self, lams):
+        self._lams = np.asarray(lams, dtype=float)
+        kinds = len(self._lams)
+        # Per kind, once set up: (lam, lo, hi, cdf), cdf None if not kept.
+        self._tables: list[tuple | None] = [None] * kinds
+        self._pending = kinds
+        self._guided: dict[float, tuple] = {}  # mean -> (cdf, guide row)
+        # The guided tables' CDFs end to end, each followed by +inf so that
+        # a step never leaves its table; entry 0 is a nan that no uniform
+        # reaches, where the guide of every other kind points.
+        self._cdf = np.array([np.nan])
+        self._odd = np.zeros(1, bool)  # parity of each entry's photon number
+        self._guide = np.zeros(kinds * _GUIDE_BINS, np.intp)
+
+    def _set_up(self, kinds: np.ndarray) -> None:
+        present = np.flatnonzero(np.bincount(kinds, minlength=len(self._lams)))
+        new = [k for k in present.tolist() if self._tables[k] is None]
+        if not new:
+            return
+        lams = self._lams[new]
+        if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
+            raise ValueError("Poisson means must be finite and nonnegative")
+        for k in sorted(new, key=self._lams.item):
+            lam = self._lams.item(k)
+            lo, hi = _checked_window(lam)
+            cdf = None
+            if hi - lo < _GUIDED_ENTRIES:
+                if lam not in self._guided:
+                    self._guided[lam] = self._add_guide(_poisson_cdf(lam, lo, hi), lo)
+                cdf, row = self._guided[lam]
+                self._guide[k * _GUIDE_BINS:(k + 1) * _GUIDE_BINS] = row
+            self._tables[k] = (lam, lo, hi, cdf)
+            self._pending -= 1
+
+    def _add_guide(self, cdf: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        start = len(self._cdf)
+        self._cdf = np.concatenate((self._cdf, cdf, [np.inf]))
+        photons = np.arange(lo, lo + len(cdf) + 1)
+        self._odd = np.concatenate((self._odd, (photons & 1).astype(bool)))
+        return cdf, start + np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
+
+    def _bisect(self, odd: np.ndarray, kinds: np.ndarray, uniforms: np.ndarray) -> None:
+        # Fill odd by a bisection of each draw's own table.
+        present = np.flatnonzero(np.bincount(kinds, minlength=len(self._tables))).tolist()
+        for k in present:
+            draws = kinds == k if len(present) > 1 else slice(None)
+            lam, lo, hi, cdf = self._tables[k]
+            if cdf is None:
+                cdf = _poisson_cdf(lam, lo, hi)
+            odd[draws] = (lo + np.searchsorted(cdf, uniforms[draws], side="left")) & 1
+
+    def __call__(self, kinds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Whether each draw's photon number is odd; ``kinds`` index the means."""
+        if self._pending:
+            self._set_up(kinds)
+        if len(self._cdf) == 1:  # no table has a guide
+            odd = np.empty(len(kinds), bool)
+            self._bisect(odd, kinds, uniforms)
+            return odd
+        # Bins clamped to the guide, so uniforms outside [0, 1) read a
+        # start that is still never past their answer; nan reads bin 0.
+        bins = uniforms * _GUIDE_BINS
+        np.fmax(bins, 0.0, out=bins)
+        np.fmin(bins, _GUIDE_BINS - 1, out=bins)
+        entry = self._guide[kinds * _GUIDE_BINS + bins.astype(np.intp)]
+        entry += self._cdf[entry] < uniforms
+        odd = self._odd[entry]
+        short = np.flatnonzero(~(self._cdf[entry] >= uniforms))
+        if short.size:
+            found = np.empty(short.size, bool)
+            self._bisect(found, kinds[short], uniforms[short])
+            odd[short] = found
+        return odd
 
 
 def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -344,17 +468,13 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     starting at 0 (every mean up to about 184) hold the CDF from the
     recursion p_0 = exp(-lam), p_n = p_{n-1} lam / n; higher windows are
     built by ratios about the mode and normalised to end at exactly 1.
-    Raises ValueError when a mean's window would exceed MAX_TABLE_ENTRIES,
+    The distinct means become the kinds of one ParitySampler.  Raises
+    ValueError when a mean's window would exceed MAX_TABLE_ENTRIES,
     before it is allocated.
     """
     lams = np.asarray(lams, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
     if lams.shape != uniforms.shape:
         raise ValueError("lams and uniforms must have matching shapes")
-    if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
-        raise ValueError("Poisson means must be finite and nonnegative")
-    odd = np.empty(lams.shape, dtype=bool)
-    for lam in np.unique(lams).tolist():
-        mask = lams == lam
-        odd[mask] = (_poisson_quantile(lam, uniforms[mask]) & 1).astype(bool)
-    return odd
+    means, kinds = np.unique(lams.ravel(), return_inverse=True)
+    return ParitySampler(means)(kinds.ravel(), uniforms.ravel()).reshape(lams.shape)

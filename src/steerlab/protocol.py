@@ -16,10 +16,13 @@ master seed.  Round i owns the block of four uniforms at stream offsets
 4 i .. 4 i + 3 (in order: preparation choice, mixture-component choice,
 Bob's parity draw, Eve's parity draw), so any round's randomness is a pure
 function of (seed, round index): rounds could be evaluated in any order or
-in parallel without changing the transcript.  Parity draws map a single
-uniform through the Poisson CDF tabulated by coherent.batch_parity_is_odd,
-one table per distinct mean over about 24 sqrt(mean) photon numbers, as
-coherent.sample_parity does for one draw.  Identical configs produce
+in parallel without changing the transcript.  A round's kind is its
+preparation and, for a mixture channel, its component; the kind fixes
+Bob's and Eve's Poisson means, which a run computes once per kind.  Each
+parity draw maps its single uniform through the Poisson CDF of its kind's
+mean, tabulated over about 24 sqrt(mean) photon numbers, by one
+coherent.ParitySampler per party and run: a kind's table is built the
+first time a round of that kind is drawn.  Identical configs produce
 bit-identical transcripts.
 
 Chunked generation
@@ -59,7 +62,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coherent import Parity, batch_parity_is_odd
+from .coherent import Parity, ParitySampler
+# Not called here any more; perfbench/selftest.py still checks that the
+# benchmark's tracer wraps this name in this module.
+from .coherent import batch_parity_is_odd  # noqa: F401
 from .keyrate import binary_entropy
 from .steering import Channel, IdealChannel
 
@@ -200,29 +206,45 @@ def _parity(odd: bool) -> Parity:
     return Parity.ODD if odd else Parity.EVEN
 
 
-def _sample_chunk(config: SimConfig, u: np.ndarray):
+def _kind_samplers(config: SimConfig):
+    """Bob's and Eve's (or None) ParitySampler over the round kinds, and the
+    cumulative weights of the channel's components.
+
+    A round's kind is prep * len(components) + component, with prep 1 for
+    PLUS: the kind fixes both received amplitudes and the announced gamma,
+    hence both parity means.  Each mean comes from the same numpy
+    expressions a per-round array would take, so it is bitwise the mean of
+    every round of its kind.  A mean that overflows is not an error here:
+    the sampler reports it if a round of its kind is ever drawn.
+    """
+    prep_amp = np.array([config.alpha - config.beta, config.alpha + config.beta])
+    gamma = -prep_amp[:, None]  # gamma2 and gamma1, the announced corrective displacements
+    weights, bobs, eves = zip(*config.channel.components(prep_amp))
+
+    def means(amplitudes) -> np.ndarray:
+        # Received amplitudes as (2, components), or (components,) for the
+        # scalar ones of a mixture, which broadcast over prep.
+        received = np.array(amplitudes).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _squared_modulus(received + gamma).ravel()
+
+    eve = None if eves[0] is None else ParitySampler(means(eves))
+    return np.cumsum(weights), ParitySampler(means(bobs)), eve
+
+
+def _sample_chunk(samplers, p_plus: float, u: np.ndarray):
     """(plus, bob_odd, eve_odd or None) for the rounds whose uniforms are ``u``."""
-    alpha, beta = config.alpha, config.beta
-    plus = u[:, 0] < config.p_plus
-    prep_amp = np.where(plus, alpha + beta, alpha - beta)
-    gamma = -prep_amp  # gamma1 or gamma2, the announced corrective displacement
-
-    components = config.channel.components(prep_amp)
-    if len(components) == 1:
-        _, bob_received, eve_received = components[0]
-    else:
-        # A preparation-independent mixture: scalar amplitudes, one drawn
-        # per round by the round's component uniform.
-        weights, bobs, eves = zip(*components)
-        idx = np.searchsorted(np.cumsum(weights), u[:, 1], side="right")
-        idx = np.minimum(idx, len(components) - 1)
-        bob_received = np.asarray(bobs, dtype=complex)[idx]
-        eve_received = None if eves[0] is None else np.asarray(eves, dtype=complex)[idx]
-
-    bob_odd = batch_parity_is_odd(_squared_modulus(bob_received + gamma), u[:, 2])
-    eve_odd: np.ndarray | None = None
-    if eve_received is not None:
-        eve_odd = batch_parity_is_odd(_squared_modulus(eve_received + gamma), u[:, 3])
+    cumulative, bob, eve = samplers
+    plus = u[:, 0] < p_plus
+    kind = plus.astype(np.intp)
+    if len(cumulative) > 1:
+        # A preparation-independent mixture: one component per round, drawn
+        # by the round's component uniform.
+        component = np.searchsorted(cumulative, u[:, 1], side="right")
+        kind *= len(cumulative)
+        kind += np.minimum(component, len(cumulative) - 1)
+    bob_odd = bob(kind, u[:, 2])
+    eve_odd = None if eve is None else eve(kind, u[:, 3])
     return plus, bob_odd, eve_odd
 
 
@@ -238,11 +260,12 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     rounds = int(config.rounds)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     codes = np.empty(rounds, np.uint8) if keep_transcript else None
+    samplers = _kind_samplers(config)
     n_plus = n_bob_odd = n_eve_odd = 0
     for start in range(0, rounds, _CHUNK):
         stop = min(start + _CHUNK, rounds)
         plus, bob_odd, eve_odd = _sample_chunk(
-            config, rng.random((stop - start, _UNIFORMS_PER_ROUND))
+            samplers, config.p_plus, rng.random((stop - start, _UNIFORMS_PER_ROUND))
         )
         n_plus += int(np.count_nonzero(plus))
         n_bob_odd += int(np.count_nonzero(bob_odd))

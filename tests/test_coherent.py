@@ -21,9 +21,9 @@ from steerlab.coherent import (
     parity_by_truncation,
     parity_probabilities,
     sample_parity,
+    ParitySampler,
     _poisson_cutoff,
     _poisson_half_width,
-    _poisson_quantile,
     _poisson_window,
 )
 
@@ -52,6 +52,13 @@ def _ptrs_draw(lam: float, rng: np.random.Generator) -> int:
             <= k * loglam - lam - math.lgamma(k + 1.0)
         ):
             return int(k)
+
+
+def _poisson_quantile(lam: float, uniforms: np.ndarray) -> np.ndarray:
+    # The plain inversion that the sampler must reproduce: a bisection of
+    # the mean's whole window table, for every draw.
+    lo, hi = coherent._checked_window(lam)
+    return lo + np.searchsorted(coherent._poisson_cdf(lam, lo, hi), uniforms, side="left")
 
 
 def _clone_mean(alpha: float, beta: float = 0.5) -> float:
@@ -401,6 +408,69 @@ class TestWindowedSampler:
         table = _poisson_quantile(lam, rng.random(n)).astype(float)
         assert abs(ptrs.mean() - table.mean()) < 5.0 * math.sqrt(2.0 * lam / n)
         assert abs(ptrs.var() - table.var()) < 5.0 * lam * math.sqrt(4.0 / n)
+
+
+def _edge_uniforms(lam: float) -> np.ndarray:
+    # 0, 1 - 2^-53, every CDF entry of the mean's table and every guide bin
+    # edge b / 1024, each with both of its floating-point neighbours.
+    lo, hi = coherent._checked_window(lam)
+    cdf = coherent._poisson_cdf(lam, lo, hi)
+    points = np.concatenate([cdf, np.arange(coherent._GUIDE_BINS + 1) / coherent._GUIDE_BINS])
+    neighbours = [np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)]
+    return np.concatenate([[0.0, 1.0 - 2.0**-53], *neighbours])
+
+
+class TestParitySampler:
+    # The vacuum, a mean whose CDF is 1 from its first entry, means on
+    # either side of the window's lo = 0 edge (about 184), and a mean whose
+    # table is too long for a guide.
+    MEANS = [0.0, 1e-300, 1.0, 183.0, 185.0, 1e6]
+    OUT_OF_RANGE = np.array([1.0, 2.0, -0.5, math.inf, -math.inf, math.nan, 1e300, -1e300])
+
+    def test_guides_go_to_short_tables_only(self):
+        for lam, guided in [(183.0, True), (5e3, True), (1e4, False), (1e6, False)]:
+            lo, hi = coherent._checked_window(lam)
+            assert (hi - lo + 1 <= coherent._GUIDED_ENTRIES) is guided
+
+    @pytest.mark.parametrize("lam", MEANS)
+    def test_every_cdf_entry_and_its_neighbours(self, lam):
+        u = np.concatenate([_edge_uniforms(lam), self.OUT_OF_RANGE])
+        odd = ParitySampler([lam])(np.zeros(len(u), np.intp), u)
+        assert np.array_equal(odd, _poisson_quantile(lam, u) & 1)
+
+    def test_mixed_kinds_in_one_call(self):
+        # Repeated means share a table; each kind reads its own guide row.
+        means = [*self.MEANS, 183.0, 0.0]
+        edges = [_edge_uniforms(lam) for lam in means]
+        kinds = np.concatenate([np.full(len(u), k) for k, u in enumerate(edges)])
+        u = np.concatenate(edges)
+        rng = np.random.default_rng(17)
+        order = rng.permutation(len(u))
+        kinds, u = kinds[order], u[order]
+        u[::97] = rng.random(len(u[::97]))
+        odd = ParitySampler(means)(kinds, u)
+        for k, lam in enumerate(means):
+            assert np.array_equal(odd[kinds == k], _poisson_quantile(lam, u[kinds == k]) & 1)
+
+    def test_kinds_are_set_up_when_first_drawn(self, monkeypatch):
+        built = []
+        cdf = coherent._poisson_cdf
+        monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
+        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6])
+        u = np.full(4, 0.5)
+        sampler(np.array([4, 0, 2, 0]), u)
+        assert built == [2.0, 5.0]  # ascending, once per mean
+        sampler(np.array([2, 0, 4, 2]), u)
+        assert built == [2.0, 5.0]
+        # A table too long for a guide is built for each call that draws
+        # from it, and never kept.
+        sampler(np.array([5, 0, 5, 2]), u)
+        sampler(np.array([5, 5, 5, 5]), u)
+        assert built == [2.0, 5.0, 1e6, 1e6]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sampler(np.array([0, 1, 3, 0]), u)
+        with pytest.raises(ValueError, match="Poisson mean 1e\\+40 needs a Poisson table"):
+            sampler(np.array([0, 3, 3, 0]), u)
 
 
 class TestSampling:
