@@ -60,7 +60,9 @@ def open_atomic(path: str):
     """Text file for ``path`` that appears there only if the block completes.
 
     Writes go to a temp file in the same directory, renamed over ``path``
-    on success and removed on any exception.  The "-" marker yields stdout.
+    on success and removed on any exception.  The file gets the mode a
+    plain ``open`` would give it, 0666 less the umask, where the temp file
+    starts at 0600.  The "-" marker yields stdout.
     """
     if path == STDOUT_MARKER:
         yield sys.stdout
@@ -69,6 +71,9 @@ def open_atomic(path: str):
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-steerlab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)  # read by setting it, so put it straight back
+            os.umask(umask)
+            os.chmod(tmp_path, 0o666 & ~umask)
             yield fh
         os.replace(tmp_path, path)
     except BaseException:
@@ -123,18 +128,30 @@ def _csv_cells(values: list) -> list[str]:
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Cells of exactly these types, as json.dumps writes them, except that
+# float.__repr__ writes non-finite floats as nan, inf and -inf.
+_JSON_SCALARS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
 
 def _json_cells(values: list) -> list[str]:
-    """``json.dumps`` of each value; an all-float list goes through repr."""
-    if all(isinstance(v, float) for v in values):
-        return [_JSON_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
-    return list(map(json.dumps, values))
+    """``json.dumps`` of each value."""
+    cells = [_JSON_SCALARS.get(type(v), json.dumps)(v) for v in values]
+    # No other cell can read nan, inf or -inf: strings come quoted.
+    if "nan" in cells or "inf" in cells or "-inf" in cells:
+        cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+    return cells
 
 
 def _json_key(name) -> str:
     """``name`` as json.dumps writes a dict key: a non-string as its JSON text, quoted."""
     if isinstance(name, str):
-        return json.dumps(name)
+        return json.encoder.encode_basestring_ascii(name)
     return json.dumps({name: None})[1:-len(": null}")]
 
 
@@ -163,15 +180,29 @@ def _column_slices(column: Column, cells):
 
 
 def _row_slices(columns: list[Column], cells):
-    """Per slice of rows, one list of formatted cells per column."""
-    return zip(*(_column_slices(column, cells) for column in columns))
+    """Per slice of rows, its row count and its formatted cells, row by row.
+
+    A table of default columns that fits in one slice is formatted in one
+    pass over its rows; any other is formatted a column at a time per
+    slice.
+    """
+    rows = len(columns[0]) if columns else 0
+    if 0 < rows <= _SLICE_ROWS and all(
+        column.codes is None and column.repeat == column.tile == 1 for column in columns
+    ):
+        values = zip(*(_as_list(column.values) for column in columns))
+        yield rows, cells(list(itertools.chain.from_iterable(values)))
+        return
+    for parts in zip(*(_column_slices(column, cells) for column in columns)):
+        yield len(parts[0]), list(itertools.chain.from_iterable(zip(*parts)))
 
 
 def write_csv(fh, header: list[str], columns: list[Column]) -> None:
     """The header line, then one line per row: cells through format_number."""
     fh.write(",".join(header) + "\n")
-    for parts in _row_slices(columns, _csv_cells):
-        fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+    for count, cells in _row_slices(columns, _csv_cells):
+        rows = zip(*[iter(cells)] * len(columns))  # the cells, a row at a time
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None:
@@ -194,9 +225,8 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     fh.write(empty[:-len("]\n}")])
     lead = 1  # no comma before the first row
-    for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
-        text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))
-        fh.write(text[lead:])
+    for count, cells in _row_slices([columns[k] for k in last.values()], _json_cells):
+        fh.write(((row * count) % tuple(cells))[lead:])
         lead = 0
     fh.write("\n  ]\n}\n")
 

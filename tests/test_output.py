@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -64,20 +66,45 @@ def tables(draw):
     return header, columns, cells
 
 
+@st.composite
+def plain_tables(draw):
+    """Columns of the default form only, row by row, beside their rows."""
+    width = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.lists(_SCALARS, min_size=width, max_size=width), max_size=6))
+    columns = [Column(list(values)) for values in zip(*cells)] or [Column([]) for _ in range(width)]
+    header = draw(st.lists(_SCALARS, min_size=width, max_size=width))
+    return header, columns, cells
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    table=tables(),
+    table=st.one_of(tables(), plain_tables()),
     meta=st.dictionaries(_TEXT, _SCALARS, max_size=3),
-    slice_rows=st.integers(1, 5),
+    slice_rows=st.one_of(st.integers(1, 5), st.just(output._SLICE_ROWS)),
 )
 def test_writers_match_the_reference_bytes(table, meta, slice_rows):
     header, columns, rows = table
     csv_header = [format_number(name) for name in header]
     with pytest.MonkeyPatch.context() as patch:
-        # Small slices, so most tables stream in more than one.
+        # Mostly small slices, so that most tables stream in more than one.
         patch.setattr(output, "_SLICE_ROWS", slice_rows)
         csv_out, json_out = io.StringIO(), io.StringIO()
         write_csv(csv_out, csv_header, columns)
         write_json(json_out, meta, header, columns)
     assert csv_out.getvalue() == reference_csv(csv_header, rows)
     assert json_out.getvalue() == reference_json(meta, header, rows)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        output.write_text(str(tmp_path / "atomic.txt"), "x")
+    finally:
+        os.umask(previous)
+    plain = stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+    assert plain == 0o666 & ~umask
+    assert stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode) == plain
