@@ -368,16 +368,18 @@ class ParitySampler:
     would exceed MAX_TABLE_ENTRIES raises ValueError before anything is
     allocated.  So a kind that is never drawn can hold any mean.
 
-    A table of at most _GUIDED_ENTRIES entries is built then, once per
-    distinct mean, and gets a guide: bin b of _GUIDE_BINS holds the first
-    entry whose CDF reaches b / _GUIDE_BINS.  A draw starts at the entry
-    its bin names and takes at most one step up.  Since b / _GUIDE_BINS
-    <= u exactly, the start is never past the answer; a draw whose entry
-    is still below u after the step is searched on its own table by
-    bisection.  A longer table gets no guide and is not kept: each call
-    builds it, bisects it for every draw of its kind and drops it before
-    the next, as a chunk-by-chunk run always did.  So every draw lands
-    where a bisection of its table lands.
+    A table of at most _GUIDED_ENTRIES entries whose kind has at least
+    _GUIDE_BINS draws in that first call (so the guide's searches and
+    memory are no more than the draws') is built then, once per distinct
+    mean, and gets a guide: bin b of _GUIDE_BINS holds the first entry
+    whose CDF reaches b / _GUIDE_BINS.  A draw starts at the entry its bin
+    names and takes at most one step up.  Since b / _GUIDE_BINS <= u
+    exactly, the start is never past the answer; a draw whose entry is
+    still below u after the step is searched on its own table by
+    bisection.  Any other table is not kept: each call builds it, bisects
+    it for every draw of its kind and drops it before the next, as a
+    chunk-by-chunk run always did.  So every draw lands where a bisection
+    of its table lands.
     """
 
     def __init__(self, lams):
@@ -386,17 +388,21 @@ class ParitySampler:
         # Per kind, once set up: (lam, lo, hi, cdf), cdf None if not kept.
         self._tables: list[tuple | None] = [None] * kinds
         self._pending = kinds
-        self._guided: dict[float, tuple] = {}  # mean -> (cdf, guide row)
+        self._guided: dict[float, tuple] = {}  # mean -> (cdf, start of its guide)
         # The guided tables' CDFs end to end, each followed by +inf so that
         # a step never leaves its table; entry 0 is a nan that no uniform
-        # reaches, where the guide of every other kind points.
+        # reaches.
         self._cdf = np.array([np.nan])
         self._odd = np.zeros(1, bool)  # parity of each entry's photon number
-        self._guide = np.zeros(kinds * _GUIDE_BINS, np.intp)
+        # The guides end to end, after one that sends every bin to the nan
+        # entry; each kind's start, which is that first guide's for a kind
+        # without one.
+        self._guide = np.zeros(_GUIDE_BINS, np.intp)
+        self._start = np.zeros(kinds, np.intp)
 
     def _set_up(self, kinds: np.ndarray) -> None:
-        present = np.flatnonzero(np.bincount(kinds, minlength=len(self._lams)))
-        new = [k for k in present.tolist() if self._tables[k] is None]
+        counts = np.bincount(kinds, minlength=len(self._lams))
+        new = [k for k in np.flatnonzero(counts).tolist() if self._tables[k] is None]
         if not new:
             return
         lams = self._lams[new]
@@ -406,20 +412,22 @@ class ParitySampler:
             lam = self._lams.item(k)
             lo, hi = _checked_window(lam)
             cdf = None
-            if hi - lo < _GUIDED_ENTRIES:
+            if hi - lo < _GUIDED_ENTRIES and (lam in self._guided or counts[k] >= _GUIDE_BINS):
                 if lam not in self._guided:
                     self._guided[lam] = self._add_guide(_poisson_cdf(lam, lo, hi), lo)
-                cdf, row = self._guided[lam]
-                self._guide[k * _GUIDE_BINS:(k + 1) * _GUIDE_BINS] = row
+                cdf, self._start[k] = self._guided[lam]
             self._tables[k] = (lam, lo, hi, cdf)
             self._pending -= 1
 
-    def _add_guide(self, cdf: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-        start = len(self._cdf)
+    def _add_guide(self, cdf: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
+        first = len(self._cdf)
         self._cdf = np.concatenate((self._cdf, cdf, [np.inf]))
         photons = np.arange(lo, lo + len(cdf) + 1)
         self._odd = np.concatenate((self._odd, (photons & 1).astype(bool)))
-        return cdf, start + np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
+        guide = first + np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
+        start = len(self._guide)
+        self._guide = np.concatenate((self._guide, guide))
+        return cdf, start
 
     def _bisect(self, odd: np.ndarray, kinds: np.ndarray, uniforms: np.ndarray) -> None:
         # Fill odd by a bisection of each draw's own table.
@@ -435,7 +443,7 @@ class ParitySampler:
         """Whether each draw's photon number is odd; ``kinds`` index the means."""
         if self._pending:
             self._set_up(kinds)
-        if len(self._cdf) == 1:  # no table has a guide
+        if not self._guided:
             odd = np.empty(len(kinds), bool)
             self._bisect(odd, kinds, uniforms)
             return odd
@@ -444,7 +452,7 @@ class ParitySampler:
         bins = uniforms * _GUIDE_BINS
         np.fmax(bins, 0.0, out=bins)
         np.fmin(bins, _GUIDE_BINS - 1, out=bins)
-        entry = self._guide[kinds * _GUIDE_BINS + bins.astype(np.intp)]
+        entry = self._guide[self._start.take(kinds) + bins.astype(np.intp)]
         entry += self._cdf[entry] < uniforms
         odd = self._odd[entry]
         short = np.flatnonzero(~(self._cdf[entry] >= uniforms))

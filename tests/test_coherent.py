@@ -456,21 +456,38 @@ class TestParitySampler:
         built = []
         cdf = coherent._poisson_cdf
         monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
-        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6])
-        u = np.full(4, 0.5)
-        sampler(np.array([4, 0, 2, 0]), u)
+        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6, 7.0])
+
+        def draw(kinds, each=coherent._GUIDE_BINS):
+            kinds = np.repeat(kinds, each)
+            return sampler(kinds, np.full(len(kinds), 0.5))
+
+        draw([4, 0, 2])
         assert built == [2.0, 5.0]  # ascending, once per mean
-        sampler(np.array([2, 0, 4, 2]), u)
+        draw([2, 0, 4])
         assert built == [2.0, 5.0]
-        # A table too long for a guide is built for each call that draws
-        # from it, and never kept.
-        sampler(np.array([5, 0, 5, 2]), u)
-        sampler(np.array([5, 5, 5, 5]), u)
-        assert built == [2.0, 5.0, 1e6, 1e6]
+        # A table too long for a guide, or first drawn fewer times than a
+        # guide has bins, is built for each call that draws from it.
+        draw([5, 0])
+        draw([5])
+        draw([6], each=2)
+        draw([6])
+        assert built == [2.0, 5.0, 1e6, 1e6, 7.0, 7.0]
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            sampler(np.array([0, 1, 3, 0]), u)
+            draw([0, 1, 3, 0])
         with pytest.raises(ValueError, match="Poisson mean 1e\\+40 needs a Poisson table"):
-            sampler(np.array([0, 3, 3, 0]), u)
+            draw([0, 3, 3, 0])
+
+    def test_guides_stay_within_the_draws(self):
+        # Many distinct means with a few draws each: no kind gets a guide,
+        # so the sampler holds no more than its tables while it bisects.
+        lams = np.linspace(0.0, 50.0, 5000)
+        u = np.random.default_rng(4).random(len(lams))
+        sampler = ParitySampler(lams)
+        odd = sampler(np.arange(len(lams)), u)
+        assert len(sampler._guide) == coherent._GUIDE_BINS
+        for k in range(0, len(lams), 250):
+            assert odd[k] == _poisson_quantile(lams[k], u[k:k + 1])[0] & 1
 
 
 class TestSampling:
