@@ -128,10 +128,14 @@ def _csv_cells(values: list) -> list[str]:
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Cells of exactly these types, as json.dumps writes them, except that
-# float.__repr__ writes non-finite floats as nan, inf and -inf.
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+# What json.dumps writes for a value of exactly these types.
 _JSON_SCALARS = {
-    float: float.__repr__,
+    float: _json_float,
     int: int.__repr__,
     str: json.encoder.encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -140,12 +144,10 @@ _JSON_SCALARS = {
 
 
 def _json_cells(values: list) -> list[str]:
-    """``json.dumps`` of each value."""
-    cells = [_JSON_SCALARS.get(type(v), json.dumps)(v) for v in values]
-    # No other cell can read nan, inf or -inf: strings come quoted.
-    if "nan" in cells or "inf" in cells or "-inf" in cells:
-        cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
-    return cells
+    """``json.dumps`` of each value; an all-float list goes through repr."""
+    if all(isinstance(v, float) for v in values):
+        return [_JSON_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
+    return [_JSON_SCALARS.get(type(v), json.dumps)(v) for v in values]
 
 
 def _json_key(name) -> str:
@@ -180,29 +182,23 @@ def _column_slices(column: Column, cells):
 
 
 def _row_slices(columns: list[Column], cells):
-    """Per slice of rows, its row count and its formatted cells, row by row.
-
-    A table of default columns that fits in one slice is formatted in one
-    pass over its rows; any other is formatted a column at a time per
-    slice.
-    """
+    """Per slice of rows, one list of formatted cells per column."""
     rows = len(columns[0]) if columns else 0
     if 0 < rows <= _SLICE_ROWS and all(
         column.codes is None and column.repeat == column.tile == 1 for column in columns
     ):
+        # Default columns in one slice: their cells in one pass over the rows.
         values = zip(*(_as_list(column.values) for column in columns))
-        yield rows, cells(list(itertools.chain.from_iterable(values)))
-        return
-    for parts in zip(*(_column_slices(column, cells) for column in columns)):
-        yield len(parts[0]), list(itertools.chain.from_iterable(zip(*parts)))
+        flat = cells(list(itertools.chain.from_iterable(values)))
+        return [[flat[k::len(columns)] for k in range(len(columns))]]
+    return zip(*(_column_slices(column, cells) for column in columns))
 
 
 def write_csv(fh, header: list[str], columns: list[Column]) -> None:
     """The header line, then one line per row: cells through format_number."""
     fh.write(",".join(header) + "\n")
-    for count, cells in _row_slices(columns, _csv_cells):
-        rows = zip(*[iter(cells)] * len(columns))  # the cells, a row at a time
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+    for parts in _row_slices(columns, _csv_cells):
+        fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None:
@@ -225,8 +221,9 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     fh.write(empty[:-len("]\n}")])
     lead = 1  # no comma before the first row
-    for count, cells in _row_slices([columns[k] for k in last.values()], _json_cells):
-        fh.write(((row * count) % tuple(cells))[lead:])
+    for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
+        text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))
+        fh.write(text[lead:])
         lead = 0
     fh.write("\n  ]\n}\n")
 

@@ -428,9 +428,13 @@ class TestParitySampler:
     OUT_OF_RANGE = np.array([1.0, 2.0, -0.5, math.inf, -math.inf, math.nan, 1e300, -1e300])
 
     def test_guides_go_to_short_tables_only(self):
-        for lam, guided in [(183.0, True), (5e3, True), (1e4, False), (1e6, False)]:
-            lo, hi = coherent._checked_window(lam)
-            assert (hi - lo + 1 <= coherent._GUIDED_ENTRIES) is guided
+        # Tables of 367, 1739, 2443 and 24043 entries, each drawn often
+        # enough for a guide.
+        lams = [183.0, 5e3, 1e4, 1e6]
+        sampler = ParitySampler(lams)
+        kinds = np.repeat(np.arange(len(lams)), coherent._GUIDE_BINS)
+        sampler(kinds, np.random.default_rng(3).random(len(kinds)))
+        assert [start > 0 for start in sampler._start.tolist()] == [True, True, False, False]
 
     @pytest.mark.parametrize("lam", MEANS)
     def test_every_cdf_entry_and_its_neighbours(self, lam):
