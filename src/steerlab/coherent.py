@@ -385,7 +385,7 @@ class ParitySampler:
     def __init__(self, lams):
         self._lams = np.asarray(lams, dtype=float)
         kinds = len(self._lams)
-        # Per kind, once set up: (lam, lo, hi, cdf), cdf None if not kept.
+        # Per kind, once set up: (lo, hi, cdf), cdf None if not kept.
         self._tables: list[tuple | None] = [None] * kinds
         self._pending = kinds
         self._guided: dict[float, tuple] = {}  # mean -> (cdf, start of its guide)
@@ -416,7 +416,7 @@ class ParitySampler:
                 if lam not in self._guided:
                     self._guided[lam] = self._add_guide(_poisson_cdf(lam, lo, hi), lo)
                 cdf, self._start[k] = self._guided[lam]
-            self._tables[k] = (lam, lo, hi, cdf)
+            self._tables[k] = (lo, hi, cdf)
             self._pending -= 1
 
     def _add_guide(self, cdf: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
@@ -434,9 +434,9 @@ class ParitySampler:
         present = np.flatnonzero(np.bincount(kinds, minlength=len(self._tables))).tolist()
         for k in present:
             draws = kinds == k if len(present) > 1 else slice(None)
-            lam, lo, hi, cdf = self._tables[k]
+            lo, hi, cdf = self._tables[k]
             if cdf is None:
-                cdf = _poisson_cdf(lam, lo, hi)
+                cdf = _poisson_cdf(self._lams.item(k), lo, hi)
             odd[draws] = (lo + np.searchsorted(cdf, uniforms[draws], side="left")) & 1
 
     def __call__(self, kinds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

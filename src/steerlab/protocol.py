@@ -21,9 +21,10 @@ preparation and, for a mixture channel, its component; the kind fixes
 Bob's and Eve's Poisson means, which a run computes once per kind.  Each
 parity draw maps its single uniform through the Poisson CDF of its kind's
 mean, tabulated over about 24 sqrt(mean) photon numbers, by one
-coherent.ParitySampler per party and run: a kind's table is built the
-first time a round of that kind is drawn.  Identical configs produce
-bit-identical transcripts.
+coherent.ParitySampler per party and run: no table is built before a
+round of its kind is drawn, and a short table drawn often enough is kept
+for the rest of the run.  Identical configs produce bit-identical
+transcripts.
 
 Chunked generation
 ------------------
@@ -63,8 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherent import Parity, ParitySampler
-# Not called here any more; perfbench/selftest.py still checks that the
-# benchmark's tracer wraps this name in this module.
+# Unused here: perfbench/selftest.py checks that the benchmark's tracer
+# wraps this name in this module.
 from .coherent import batch_parity_is_odd  # noqa: F401
 from .keyrate import binary_entropy
 from .steering import Channel, IdealChannel
