@@ -42,9 +42,10 @@ code per round, prep << 2 | bob << 1 | eve (bits set for PLUS and ODD),
 beside the table of kinds, so a transcript costs one byte per round.
 ``Transcript`` builds ``RoundRecord``s from the codes only when a caller
 indexes or iterates.  The JSONL codec works on the same kinds: the
-encoder renders one line tail per kind and fills in the round index, and
-the decoder maps tails it has seen back to kinds, parsing every other
-line with ``json.loads``.  It reads ``_CHUNK`` lines at a time into a
+encoder renders one line tail per kind and fills in the round index; the
+decoder learns each kind's tail from a line parsed by ``json.loads``, and
+checks and decodes the lines of learned tails in one numpy pass per block
+of bytes, so that only other lines become ``str``.  It builds a
 ``Transcript`` of its own, which also keeps the indices when they are
 not 0, 1, ..., n - 1, and as many kinds as the file holds.
 """
@@ -54,14 +55,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherent import Parity, ParitySampler
 # Unused here: perfbench/selftest.py checks that the benchmark's tracer
@@ -85,11 +86,12 @@ __all__ = [
 
 _UNIFORMS_PER_ROUND = 4
 
-# Rounds handled at once: drawn, mapped and sampled by run_protocol,
-# converted to Python ints by Transcript, encoded per write by
-# write_transcript, decoded per read by read_transcript.  It bounds the
-# working memory of each, and no output depends on it.
+# Rounds drawn, mapped and sampled at once by run_protocol, converted to
+# Python ints by Transcript, encoded by write_transcript and read from a
+# text source by read_transcript; and bytes read at once from a file.  Each
+# bounds working memory, and no output depends on either.
 _CHUNK = 1 << 16
+_BLOCK = 1 << 19
 
 
 class Prep(Enum):
@@ -281,20 +283,16 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     has_eve = eve_odd is not None
 
     p01 = n_bob_odd / rounds
-    q01 = n_eve_odd / rounds if has_eve else None
-    stderr = math.sqrt(p01 * (1.0 - p01) / rounds)
-    rate = None
-    if q01 is not None:
-        rate = (1.0 - binary_entropy(p01)) - (1.0 - binary_entropy(q01))
-
     stats = SimStats(
         n_plus=n_plus,
         n_minus=rounds - n_plus,
         empirical_p01=p01,
-        empirical_q01=q01,
-        stderr_p01=stderr,
-        empirical_rate=rate,
+        empirical_q01=n_eve_odd / rounds if has_eve else None,
+        stderr_p01=math.sqrt(p01 * (1.0 - p01) / rounds),
+        empirical_rate=None,
     )
+    if has_eve:
+        stats = replace(stats, empirical_rate=empirical_key_rate(stats))
 
     if codes is None:
         return ProtocolResult(stats=stats, transcript=Transcript(np.empty(0, np.uint8), ()))
@@ -331,8 +329,7 @@ _HEAD = '{"i":'
 # cache on files whose gammas vary from line to line.
 _MAX_CACHED_TAILS = 64
 
-# Longest index the decoder's numpy pass parses: 10**18 - 1 fits int64.
-# Longer indices go through the per-line path.
+# Most digits the decoder's numpy pass parses (10**18 - 1 fits int64).
 _MAX_RUN_DIGITS = 18
 
 
@@ -406,52 +403,23 @@ def _decode_record(obj) -> RoundRecord:
     )
 
 
-def _tail_probes(tails: list[str]) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
-    """Byte probes that tell the ``tails`` apart, and the tail each names.
-
-    Each probe reads the byte at an offset into a tail, or the newline for
-    an offset past its end, and maps (class so far, byte) to a finer class
-    through its table.  Offsets are chosen greedily until every tail has a
-    class of its own; the second result maps a class to its tail's
-    position in ``tails``.
-    """
-    width = max(map(len, tails)) + 1
-    rows = np.frombuffer(
-        "".join(tail.ljust(width, "\n") for tail in tails).encode("ascii"), np.uint8
-    ).reshape(len(tails), width)
-    classes = np.zeros(len(tails), np.intp)
-    probes = []
-    while len(np.unique(classes)) < len(tails):
-        keys = classes[:, None] * 256 + rows
-        distinct = 1 + np.count_nonzero(np.diff(np.sort(keys, axis=0), axis=0), axis=0)
-        offset = int(np.argmax(distinct))
-        values, classes = np.unique(keys[:, offset], return_inverse=True)
-        table = np.zeros(values[-1] + 1, np.intp)
-        table[values] = np.arange(len(values))
-        probes.append((offset, table))
-    which = np.empty(len(tails), np.intp)
-    which[classes] = np.arange(len(tails))
-    return probes, which
-
-
 class _LineDecoder:
     """Maps JSONL lines to (index, kind code), learning line tails as it goes.
 
     A tail is learned only from a line that is exactly the encoding of its
-    record; a line '{"i":' + canonical digits + a learned tail is then the
-    encoding of the same kind at that index.  Runs of such lines, each
-    ending in a newline, are found by one regular expression and decoded
-    together by numpy over the text's bytes; any other line is stripped
-    and, unless it is a learned line, parsed with ``json.loads``.
+    record; a line '{"i":' + canonical digits + a learned tail + newline is
+    then the encoding of the same kind at that index.  ``decode_fast`` finds
+    such lines among a block's bytes and checks and parses them with numpy;
+    ``decode_line`` parses any other line, stripped, with ``json.loads``.
     """
 
     def __init__(self):
         self.kinds: list[tuple] = []
         self._codes: dict[tuple, int] = {}
         self._tails: dict[str, int] = {}
-        self._run: re.Pattern | None = None
-        self._probes: list[tuple[int, np.ndarray]] = []
-        self._probe_codes = np.empty(0, np.intp)
+        # Per tail width, newline included, widest first: those tails' lines
+        # less digits, in class order, their kind codes and their probes.
+        self._forms: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
 
     def _code(self, kind: tuple) -> int:
         key = _kind_key(*kind)
@@ -463,35 +431,53 @@ class _LineDecoder:
 
     def _learn(self, tail: str, code: int) -> None:
         self._tails[tail] = code
-        tails = list(self._tails)
-        digits = f"(?:0|[1-9][0-9]{{0,{_MAX_RUN_DIGITS - 1}}})"
-        alternatives = "|".join(map(re.escape, tails))
-        self._run = re.compile(f"(?:{re.escape(_HEAD)}{digits}(?:{alternatives})\\n)*")
-        self._probes, which = _tail_probes(tails)
-        self._probe_codes = np.array(list(self._tails.values()), np.intp)[which]
+        same = [t for t in self._tails if len(t) == len(tail)]
+        rows = np.array([list(f"{_HEAD}{t}\n".encode("ascii")) for t in same], np.uint8)
+        # Probes map (class so far, byte in a column) to finer classes, one per tail.
+        classes, probes = np.zeros(len(same), np.intp), []
+        for col in np.flatnonzero((rows != rows[0]).any(axis=0)).tolist():
+            values, finer = np.unique(classes * 256 + rows[:, col], return_inverse=True)
+            if len(values) > classes.max() + 1:
+                table = np.zeros(256 * (classes.max() + 1), np.intp)
+                table[values] = np.arange(len(values))
+                probes.append((col, table))
+                classes = finer
+        order = np.argsort(classes)
+        codes = np.array([self._tails[t] for t in same], np.intp)
+        self._forms[len(tail) + 1] = (rows[order], codes[order], probes)
+        self._forms = dict(sorted(self._forms.items(), reverse=True))
 
-    def run_end(self, text: str, pos: int) -> int:
-        """End of the run of learned lines at ``text[pos:]``."""
-        return pos if self._run is None else self._run.match(text, pos).end()
-
-    def decode_learned(
-        self, data: np.ndarray, starts: np.ndarray, newlines: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, kind codes) of the learned lines ``data[starts:newlines]``.
-
-        ``data`` holds one byte per character of the text.
-        """
-        all_commas = np.flatnonzero(data == ord(","))
-        commas = all_commas[np.searchsorted(all_commas, starts + len(_HEAD))]
-        digits = commas - starts - len(_HEAD)
-        index = np.zeros(len(starts), np.int64)
-        for k in range(int(digits.max())):
-            digit = data[starts + len(_HEAD) + k].astype(np.int64) - ord("0")
-            index = np.where(digits > k, index * 10 + digit, index)
-        classes = np.zeros(len(starts), np.intp)
-        for offset, table in self._probes:
-            classes = table[classes * 256 + data[np.minimum(commas + offset, newlines)]]
-        return index, self._probe_codes[classes]
+    def decode_fast(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
+        """(positions, indices, kind codes) of the learned lines data[starts:stops]."""
+        # Group: 32 * (1 + the rank of the tail width) + digits.  A tail starts
+        # at the first comma after the digits, so the widest are tried first.
+        group = np.zeros(len(starts), np.intp)
+        for rank, width in enumerate(self._forms, 1):
+            digits = stops - starts - len(_HEAD) - width
+            lines = np.flatnonzero((group == 0) & (digits > 0) & (digits <= _MAX_RUN_DIGITS))
+            lines = lines[data[stops[lines] - width] == ord(",")]
+            group[lines] = 32 * rank + digits[lines]
+        forms = list(self._forms.items())
+        found = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.intp))]
+        for key in (np.flatnonzero(np.bincount(group)[1:]) + 1).tolist():
+            width, (form, codes, probes) = forms[key // 32 - 1]
+            digits, size = key % 32, len(_HEAD) + key % 32 + width
+            lines = np.flatnonzero(group == key)
+            at = starts[lines]
+            rows = sliding_window_view(data, size)  # a view where the lines lie end to end
+            rows = rows[at[0]:at[-1] + 1:size] if at[-1] - at[0] == size * (len(at) - 1) else rows[at]
+            classes = np.zeros(len(lines), np.intp)
+            for col, table in probes:
+                classes = table[classes * 256 + rows[:, digits + col]]
+            # A byte may exceed its least value by 9 in a digit, 0 elsewhere.
+            low = np.insert(form, [len(_HEAD)] * digits, ord("0"), axis=1)[classes]
+            span = np.insert(np.zeros(form.shape[1], np.uint8), [len(_HEAD)] * digits, 9)
+            ok = ((rows - low) <= span).all(axis=1)
+            ok = np.flatnonzero(ok & ((digits == 1) | (rows[:, len(_HEAD)] != ord("0"))))
+            powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+            number = rows[:, len(_HEAD):-width].astype(np.int64) @ powers - ord("0") * powers.sum()
+            found.append((lines[ok], number[ok], codes[classes[ok]]))
+        return tuple(map(np.concatenate, zip(*found)))
 
     def decode_line(self, line: str) -> tuple[int, int] | None:
         """(index, kind code) of one line, or None for a blank line."""
@@ -511,59 +497,72 @@ class _LineDecoder:
         return record.index, code
 
 
-def _decode_chunk(decoder: _LineDecoder, chunk: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, kind codes) of the records on the lines ``chunk``."""
-    text = "".join(chunk)
-    # One byte per character, so byte and character offsets agree.
-    data = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
-    lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-    ends = np.cumsum(lengths)
-    newlines = np.flatnonzero(data == ord("\n"))
-    # Runs are only taken where every line but the last ends in the text's
-    # one newline, so that a run's lines are the source's own lines.
-    aligned = len(newlines) >= len(chunk) - 1 and np.array_equal(newlines, ends[:len(newlines)] - 1)
-    learned = np.zeros(len(chunk), bool)  # lines of runs, decoded below
-    blank = np.zeros(len(chunk), bool)
-    codes = np.empty(len(chunk), np.intp)
-    index = np.empty(len(chunk), np.int64)
-    done = pos = 0  # lines consumed, position in text
-    while done < len(chunk):
-        if aligned:
-            end = decoder.run_end(text, pos)
-            run = text.count("\n", pos, end)
-            learned[done:done + run] = True
-            done += run
-            pos = end
-            if done == len(chunk):
-                break
-        # The line after a run is decoded on its own.
-        line = chunk[done]
-        decoded = decoder.decode_line(line)
-        if decoded is None:
-            blank[done] = True
-        else:
-            value, codes[done] = decoded  # index, kind code
-            try:
-                index[done] = value
-            except OverflowError:
-                index = index.astype(object)
-                index[done] = value
-        done += 1
-        pos += len(line)
-    if learned.any():
-        index[learned], codes[learned] = decoder.decode_learned(
-            data, ends[learned] - lengths[learned], ends[learned] - 1
-        )
-    return index[~blank], codes[~blank]
+def _decode_block(decoder: _LineDecoder, block: bytes, stops: np.ndarray) -> tuple:
+    """(indices, kind codes) of the records on the lines of ``block`` that
+    end at ``stops``: the learned ones decoded in bulk, the others one by one."""
+    data, starts, n = np.frombuffer(block, np.uint8), np.append(0, stops[:-1]), len(stops)
+    index, codes = np.empty(n, np.int64), np.empty(n, np.intp)
+    pending, pos, passed, quiet = np.arange(n), 0, -1, 0
+    while pos < len(pending):
+        # A bulk pass first, then over the lines left once new tails have been
+        # quiet for 64 lines, if enough are left: once per learned tail at most.
+        if passed < 0 or (len(decoder._tails) > passed and quiet >= 64 and len(pending) - pos >= 1024):
+            lines = pending[pos:]
+            found, values, kinds = decoder.decode_fast(data, starts[lines], stops[lines])
+            index[lines[found]], codes[lines[found]] = values, kinds
+            pending, pos, passed = np.delete(lines, found), 0, len(decoder._tails)
+            continue
+        k, tails = pending[pos], len(decoder._tails)
+        pos += 1
+        # Lone surrogates of a text source pass; a file was checked strictly.
+        decoded = decoder.decode_line(block[starts[k]:stops[k]].decode("utf-8", "surrogatepass"))
+        value, codes[k] = (0, -1) if decoded is None else decoded  # code -1: a blank line
+        if index.dtype != object and not -(2**63) <= value < 2**63:
+            index = index.astype(object)
+        index[k] = value
+        quiet = 0 if len(decoder._tails) > tails else quiet + 1
+    return index[codes >= 0], codes[codes >= 0]
 
 
-def _decode_lines(lines: Iterable[str]) -> Transcript:
-    decoder = _LineDecoder()
+def _byte_blocks(fh) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Blocks of whole lines of the binary file ``fh`` with the end of each
+    line, read as text mode reads them: "\\r\\n" and a lone "\\r" end a line,
+    and bytes that are not UTF-8 raise ``UnicodeDecodeError``.  A "\\r\\n"
+    split between two reads leaves a blank line, which the decoder skips."""
+    rest = b""
+    while True:
+        chunk = fh.read(max(_BLOCK, len(rest)))  # reads grow with a longer line
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        block, rest = data[:cut], data[cut:]
+        if not block.isascii():
+            block.decode("utf-8")
+        newlines = np.flatnonzero(np.frombuffer(block, np.uint8)[:-1] == ord("\n"))
+        yield block, np.append(newlines + 1, len(block))  # b"" is one blank line
+        if not chunk:
+            return
+
+
+def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The lines of a text source ``_CHUNK`` at a time, as UTF-8 bytes with
+    the end of each line: the source's own lines, wherever its newlines are."""
     lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK)):
+        text = "".join(chunk)
+        if not text.isascii():  # lines of more bytes than characters
+            chunk = [line.encode("utf-8", "surrogatepass") for line in chunk]
+        stops = np.cumsum(np.fromiter(map(len, chunk), np.intp, len(chunk)))
+        yield text.encode("utf-8", "surrogatepass"), stops
+
+
+def _decode_blocks(blocks: Iterable[tuple[bytes, np.ndarray]]) -> Transcript:
+    decoder = _LineDecoder()
     code_parts, index_parts = [], []
     rounds = 0
-    while chunk := list(islice(lines, _CHUNK)):
-        index, codes = _decode_chunk(decoder, chunk)
+    for block, stops in blocks:
+        index, codes = _decode_block(decoder, block, stops)
         code_parts.append(codes.astype(np.min_scalar_type(max(len(decoder.kinds) - 1, 0))))
         sequential = np.array_equal(index, np.arange(rounds, rounds + len(index)))
         index_parts.append(None if sequential else index)
@@ -582,12 +581,13 @@ def _decode_lines(lines: Iterable[str]) -> Transcript:
 def read_transcript(source) -> Transcript:
     """Parse a JSONL transcript back into a read-only ``Transcript`` view.
 
-    ``source`` may be a path or a text file object; it is read ``_CHUNK``
-    lines at a time.  Blank lines and whitespace around a line are
-    ignored.  The view compares equal to the list of the records and
-    builds each ``RoundRecord`` when indexed or iterated.
+    ``source`` may be a path, read in blocks of ``_BLOCK`` bytes with
+    universal newlines, or a text file object, read ``_CHUNK`` lines at a
+    time.  Blank lines and whitespace around a line are ignored.  The view
+    compares equal to the list of the records and builds each
+    ``RoundRecord`` when indexed or iterated.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _decode_lines(fh)
-    return _decode_lines(source)
+        with open(source, "rb") as fh:
+            return _decode_blocks(_byte_blocks(fh))
+    return _decode_blocks(_text_blocks(source))

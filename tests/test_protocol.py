@@ -450,14 +450,22 @@ def _exact(records) -> list[tuple]:
     ]
 
 
-def _assert_decodes_like_reference(text: str, tmp_path) -> None:
+def _assert_decodes_like_reference(text: str | bytes, tmp_path) -> None:
+    # Text is read from a text file object and from a file of its UTF-8
+    # bytes; bytes, which need not be UTF-8, only from a file.
     path = tmp_path / "case.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    with open(path, encoding="utf-8") as fh:
-        file_text = fh.read()  # universal newlines, as a path source is read
-    for source, reference_text in ((lambda: io.StringIO(text), text), (lambda: path, file_text)):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+
+    def file_text():
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()  # universal newlines, as a path source is read
+
+    sources = [(lambda: path, file_text)]
+    if isinstance(text, str):
+        sources.append((lambda: io.StringIO(text), lambda: text))
+    for source, reference_text in sources:
         try:
-            expected = _reference_decode(reference_text)
+            expected = _reference_decode(reference_text())
         except Exception as exc:
             with pytest.raises(type(exc)):
                 read_transcript(source())
@@ -471,36 +479,49 @@ _TAIL = ',"prep":"+","gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O"}'
 _PRIMER = '{"i":0' + _TAIL + "\n" + '{"i":1' + _TAIL + "\n"
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        '{"i":2' + _TAIL,
-        '{"i":10' + _TAIL,
-        '{"i":0' + _TAIL,
-        '{"i":007' + _TAIL,
-        '{"i":1_0' + _TAIL,
-        '{"i":\u0663' + _TAIL,
-        '{"i":-1' + _TAIL,
-        '{"i":1.0' + _TAIL,
-        '{"i":1e1' + _TAIL,
-        '{"i": 3' + _TAIL,
-        '{"i":true' + _TAIL,
-        '{"i":"4"' + _TAIL,
-        '{"prep":"+","i":5,"gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O"}',
-        '{"i":6,"eve":"O","bob":"E","gamma_im":0.0,"gamma_re":-1.5,"prep":"+"}',
-        '{"i":7' + _TAIL[:-1] + ',"i":9}',
-        '{"i":8' + _TAIL[:-1] + ',"i":-2}',
-        '{"i":9' + _TAIL + "   ",
-        '  \t{"i":11' + _TAIL,
-        '{"i":12' + _TAIL + "}",
-        '{"i":13' + _TAIL[:-1],
-        '{"i":14' + _TAIL.replace("-1.5", "-1.50"),
-        '{"i":15' + _TAIL.replace("0.0", "-0.0"),
-        "[1, 2]",
-    ],
-)
+_LINES_AFTER_THE_PRIMER = [
+    '{"i":2' + _TAIL,
+    '{"i":10' + _TAIL,
+    '{"i":0' + _TAIL,
+    '{"i":007' + _TAIL,
+    '{"i":1_0' + _TAIL,
+    '{"i":\u0663' + _TAIL,
+    '{"i":-1' + _TAIL,
+    '{"i":1.0' + _TAIL,
+    '{"i":1e1' + _TAIL,
+    '{"i": 3' + _TAIL,
+    '{"i":true' + _TAIL,
+    '{"i":"4"' + _TAIL,
+    '{"prep":"+","i":5,"gamma_re":-1.5,"gamma_im":0.0,"bob":"E","eve":"O"}',
+    '{"i":6,"eve":"O","bob":"E","gamma_im":0.0,"gamma_re":-1.5,"prep":"+"}',
+    '{"i":7' + _TAIL[:-1] + ',"i":9}',
+    '{"i":8' + _TAIL[:-1] + ',"i":-2}',
+    '{"i":9' + _TAIL + "   ",
+    '  \t{"i":11' + _TAIL,
+    '{"i":12' + _TAIL + "}",
+    '{"i":13' + _TAIL[:-1],
+    '{"i":14' + _TAIL.replace("-1.5", "-1.50"),
+    '{"i":15' + _TAIL.replace("0.0", "-0.0"),
+    "[1, 2]",
+    '{"i":999999999999999999' + _TAIL,
+    '{"i":1000000000000000000' + _TAIL,
+    '{"i":9999999999999999999' + _TAIL,
+    '{"i":100000000000000000000' + _TAIL,
+]
+
+
+@pytest.mark.parametrize("line", _LINES_AFTER_THE_PRIMER)
 def test_fast_path_decodes_like_json_loads(tmp_path, line):
     _assert_decodes_like_reference(_PRIMER + line + "\n" + '{"i":16' + _TAIL + "\n", tmp_path)
+
+
+def test_bulk_pass_decodes_like_json_loads(tmp_path):
+    # Blocks of a few lines each, so that every line after the primer's
+    # first meets the bulk pass with _TAIL learned.
+    with mock.patch.object(protocol, "_BLOCK", 1):
+        for line in _LINES_AFTER_THE_PRIMER:
+            text = _PRIMER + line + "\n" + '{"i":16' + _TAIL + "\n"
+            _assert_decodes_like_reference(text, tmp_path)
 
 
 def test_tail_with_a_repeated_index_key_is_never_a_template(tmp_path):
@@ -661,3 +682,99 @@ def test_short_runs_between_other_lines_decode_like_json_loads(tmp_path):
     for k in range(3, len(lines), 3):
         lines[k] = ("\u2003" if k % 2 else "  ") + lines[k][:-1] + " \n\n"
     _assert_decodes_like_reference("".join(lines), tmp_path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_lines_across_block_boundaries_decode_like_json_loads(tmp_path, newline):
+    # Every block size up to two lines and a bit cuts the file at every
+    # offset of its first lines: lines split across blocks, "\r\n" split
+    # between two reads, and the last line read with or without its newline.
+    records = [RoundRecord(i, *(_KIND_A if i % 3 else _KIND_B)) for i in range(8)]
+    text = _reference_encode(records).replace("\n", newline)
+    for block in range(1, 2 * text.index(newline) + 8):
+        with mock.patch.object(protocol, "_BLOCK", block):
+            _assert_decodes_like_reference(text, tmp_path)
+            _assert_decodes_like_reference(text[:-len(newline)], tmp_path)
+
+
+def _spy(name):
+    """Patches the decoder's method ``name`` with a spy that calls it."""
+    return mock.patch.object(
+        protocol._LineDecoder, name, autospec=True, side_effect=getattr(protocol._LineDecoder, name)
+    )
+
+
+def test_kind_first_seen_mid_block_decodes_like_json_loads(tmp_path):
+    # Kinds A and B fill the first block of the file.  Kind C first appears
+    # in the second, after that block's bulk pass, with about 1900 lines of
+    # C left in it; the pass runs again over them once C's tail is learned,
+    # so each source decodes only some 130 lines one by one.
+    records = [RoundRecord(i, *(_KIND_A if i % 3 else _KIND_B)) for i in range(4000)]
+    records += [RoundRecord(i, *(_KIND_C if i % 2 else _KIND_A)) for i in range(4000, 8000)]
+    text = _reference_encode(records)
+    with mock.patch.object(protocol, "_BLOCK", 1 << 18), _spy("decode_line") as one_by_one:
+        _assert_decodes_like_reference(text, tmp_path)
+        assert one_by_one.call_count < 2 * 200
+
+
+def test_more_gammas_than_cached_tails_decode_like_json_loads(tmp_path):
+    # Lines cycle through 100 gammas, and so 100 tails, over several blocks:
+    # the decoder learns no more than its cap, and runs the bulk pass at
+    # most once per block and once per tail learned.
+    gammas = [complex(-k / 8, 0.0) for k in range(100)]
+    records = [RoundRecord(i, Prep.PLUS, gammas[i % 100], Parity.EVEN, None) for i in range(3000)]
+    text = _reference_encode(records)
+    blocks = -(-len(text) // 8192)
+    with (
+        mock.patch.object(protocol, "_BLOCK", 8192),
+        _spy("_learn") as learn,
+        _spy("decode_fast") as bulk,
+    ):
+        _assert_decodes_like_reference(text, tmp_path)
+        assert learn.call_count == 2 * protocol._MAX_CACHED_TAILS
+        assert bulk.call_count <= 2 * (blocks + protocol._MAX_CACHED_TAILS)
+
+
+def test_tails_of_two_widths_decode_in_bulk(tmp_path):
+    # The tail with eve below is 11 bytes longer than the one without, and
+    # has a comma where the shorter one would start: each line must still
+    # meet the check of its own tail, not go one by one.
+    with_eve = RoundRecord(0, Prep.PLUS, complex(-1.5, 0.0), Parity.EVEN, Parity.ODD)
+    without = RoundRecord(0, Prep.MINUS, complex(1.0, 0.0), Parity.ODD, None)
+    long, short = (_reference_encode([r])[len('{"i":0'):] for r in (with_eve, without))
+    assert len(long) - len(short) == 11 and long[11] == ","
+    records = [(with_eve if i % 2 else without)._replace(index=i) for i in range(3000)]
+    with _spy("decode_line") as one_by_one:
+        _assert_decodes_like_reference(_reference_encode(records), tmp_path)
+        assert one_by_one.call_count < 2 * 200
+
+
+def test_a_text_source_keeps_its_own_lines(tmp_path):
+    # Read with newline="\r", each record is one source line, though one
+    # holds a "\n" where JSON allows whitespace; split at its newlines, the
+    # text would not be the same lines.
+    records = [RoundRecord(i, *_KIND_A) for i in range(50)]
+    text = _reference_encode(records).replace("\n", "\r").replace(',"prep"', ',\n"prep"', 1)
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8", newline="\r") as fh:
+        assert _exact(read_transcript(fh)) == _exact(records)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff",  # never UTF-8
+        b"\xc3",  # a truncated two-byte character
+        b'{"i":2' + _TAIL.encode()[:-2] + b"\xe9}",  # Latin-1 in a learned line
+        b"\xed\xa0\x80",  # an encoded surrogate
+        b"  \xe2\x80\x83",  # valid: blank but for an em space
+    ],
+)
+def test_non_utf8_bytes_from_a_path_raise_like_text_mode(tmp_path, raw):
+    # A file that is not UTF-8 raises UnicodeDecodeError, as a file read in
+    # text mode does, whether or not the bad bytes straddle a block boundary.
+    text = _PRIMER.encode() + raw + b"\n" + ('{"i":3' + _TAIL + "\n").encode()
+    for block in (1, 3, 100, 1 << 19):
+        with mock.patch.object(protocol, "_BLOCK", block):
+            _assert_decodes_like_reference(text, tmp_path)
