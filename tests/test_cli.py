@@ -210,6 +210,31 @@ def test_every_protocol_input_ends_cleanly(argv):
         assert int(stats["n_plus"]) + int(stats["n_minus"]) == rounds
 
 
+@st.composite
+def _uncertainty_argv(draw):
+    # --sigma-x also from its whole admitted range, [1e-150, 1e150], which
+    # the extreme values mostly miss.
+    flags = {"--sigma-x": st.one_of(_EXTREME_VALUES, st.floats(1e-150, 1e150)),
+             "--x0": _EXTREME_VALUES, "--k0": _EXTREME_VALUES,
+             "--state-re": _EXTREME_VALUES, "--state-im": _EXTREME_VALUES,
+             "--beta-re": _EXTREME_VALUES, "--beta-im": _EXTREME_VALUES, "--p-beta": _P_BOUNDS}
+    argv = ["uncertainty", *(f"{flag}={draw(values)!r}" for flag, values in flags.items())]
+    return [*argv, "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+# Most draws fail a check and exit 1, so more of them are taken.
+@settings(max_examples=400, deadline=datetime.timedelta(seconds=5))
+@given(argv=_uncertainty_argv())
+def test_every_uncertainty_input_ends_cleanly(argv):
+    code, out = _run_to_a_clean_end(argv)
+    if code == 0:
+        if argv[-1] == "json":
+            quantities = [row["quantity"] for row in _strict_json(out)["rows"]]
+        else:
+            quantities = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert quantities[0] == "variance_product" and len(quantities) == 9
+
+
 # SHA-256 of each output file, recorded before the table writers were
 # rewritten to stream per-column formatted text.  The clone sweep at
 # alpha -0.7 has a distinct sum in every cell (the ideal grid is all ones);
