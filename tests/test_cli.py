@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -578,6 +581,22 @@ class TestProtocolCommand:
         for line in lines:
             obj = json.loads(line)
             assert obj["bob"] in ("E", "O")
+
+    def test_stdout_transcript_bytes(self):
+        # The transcript, then the CSV statistics, as the installed script
+        # writes them to stdout; recorded while every transcript line was
+        # rendered by an f-string.  The run crosses index 10**5 and two
+        # chunk boundaries.
+        src = os.path.dirname(os.path.dirname(protocol.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "steerlab.cli", "protocol", "--channel", "clone",
+             "--rounds", "150000", "--seed", "5", "--transcript", "-"],
+            env=env, check=True, capture_output=True, timeout=120,
+        ).stdout
+        assert hashlib.sha256(out).hexdigest() == (
+            "7977587a4e031ae9a7f80febf60716df444e830dafdb4efd39b35c9296a298a6"
+        )
 
     def test_too_many_rounds_exits_2_before_any_draw(self, capsys, monkeypatch):
         # The cap bounds a run's time and transcript size; the patched run

@@ -292,6 +292,62 @@ def test_windowed_golden_hashes(alpha, stats_digest, transcript_digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == transcript_digest
 
 
+class _Sha256Sink:
+    """A text sink that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.hash.update(text.encode("utf-8"))
+
+
+# SHA-256 of transcripts recorded while every line was still rendered by
+# an f-string.  The first run's indices cross 10**6 inside a chunk; the
+# other two runs take two chunks and a remainder, and their announced
+# gammas, -0.30000000000000004 and 0.1, give lines of two widths.
+ENCODER_GOLDENS = [
+    (
+        "clone",
+        1.0,
+        0.5,
+        1_000_010,
+        53,
+        "0c6b198d77b8fcd1f5b4ec95a789f8971c0cdb48a30bf41f9ff26ccab24f9929",
+    ),
+    (
+        "ideal",
+        0.1,
+        0.2,
+        2 * 65_536 + 321,
+        61,
+        "5469d2473a69f5d06dcdd98e75f1e6432e56ce8057529369e5dd6f669f8d842d",
+    ),
+    (
+        "clone",
+        0.1,
+        0.2,
+        2 * 65_536 + 321,
+        61,
+        "d317d191661b073b306140bffd3582a3ed3d634723561c628031d0c40f318b2a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "channel,alpha,beta,rounds,seed,digest",
+    ENCODER_GOLDENS,
+    ids=["million-clone", "uneven-ideal", "uneven-clone"],
+)
+def test_encoder_golden_hashes(channel, alpha, beta, rounds, seed, digest):
+    config = SimConfig(
+        alpha=alpha, beta=beta, channel=GOLDEN_CHANNELS[channel], rounds=rounds, seed=seed
+    )
+    sink = _Sha256Sink()
+    write_transcript(run_protocol(config).transcript, sink)
+    assert sink.hash.hexdigest() == digest
+
+
 # Largest round count drawn per chunk size, so that the example takes a few
 # chunks without a per-round loop of thousands of iterations.
 _MAX_ROUNDS_PER_CHUNK = {1: 40, 3: 200, 4096: 13_000}
