@@ -41,11 +41,16 @@ at most eight kinds (prep, gamma, bob, eve).  A run keeps one uint8 kind
 code per round, prep << 2 | bob << 1 | eve (bits set for PLUS and ODD),
 beside the table of kinds, so a transcript costs one byte per round.
 ``Transcript`` builds ``RoundRecord``s from the codes only when a caller
-indexes or iterates.  The JSONL codec works on the same kinds: the
-encoder renders one line tail per kind and fills in the round index; the
-decoder learns each kind's tail from a line parsed by ``json.loads``, and
-checks and decodes the lines of learned tails in one numpy pass per block
-of bytes, so that only other lines become ``str``.  It builds a
+indexes or iterates.  The JSONL codec works on the same kinds.  The
+encoder renders one line tail per kind and builds the lines of up to
+``_CHUNK`` rounds as one numpy array of bytes, a row per line: the head
+broadcast, the index digits looked up three at a time in a table of
+"000" to "999", and the tails gathered by kind code.  Where lines differ
+in width, the rows are right-padded and then cut to each line's width.
+Only an index outside [0, 10**18) is rendered per line.  The decoder
+learns each kind's tail from a line parsed by ``json.loads``, and checks
+and decodes the lines of learned tails in one numpy pass per block of
+bytes, so that only other lines become ``str``.  It builds a
 ``Transcript`` of its own, which also keeps the indices when they are
 not 0, 1, ..., n - 1, and as many kinds as the file holds.
 """
@@ -58,7 +63,8 @@ import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -329,7 +335,8 @@ _HEAD = '{"i":'
 # cache on files whose gammas vary from line to line.
 _MAX_CACHED_TAILS = 64
 
-# Most digits the decoder's numpy pass parses (10**18 - 1 fits int64).
+# Most digits the decoder's numpy pass parses and the encoder's renders
+# (10**18 - 1 fits int64).
 _MAX_RUN_DIGITS = 18
 
 
@@ -351,31 +358,140 @@ def _record_tail(record: RoundRecord) -> str:
     return _record_to_json(record._replace(index=0))[len(_HEAD) + 1:] + "\n"
 
 
-def _kind_key(prep: Prep, gamma: complex, bob: Parity, eve: Parity | None) -> tuple:
-    # The reprs of gamma's parts: equal complex values need not encode
-    # alike (0.0 == -0.0), equal reprs do.
-    return (prep, bob, eve, repr(gamma.real), repr(gamma.imag))
+class _KindCodes:
+    """Codes of round kinds (prep, gamma, bob, eve) in order of first
+    appearance; kinds that encode alike share a code."""
+
+    def __init__(self):
+        self.kinds: list[tuple] = []
+        self._codes: dict[tuple, int] = {}
+
+    def code(self, kind: tuple) -> int:
+        prep, gamma, bob, eve = kind
+        # The reprs of gamma's parts: equal complex values need not encode
+        # alike (0.0 == -0.0), equal reprs do.
+        key = (prep, bob, eve, repr(gamma.real), repr(gamma.imag))
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.kinds)
+            self.kinds.append(kind)
+        return code
 
 
-def _cached_tails(records: Iterable[RoundRecord]) -> Iterator[tuple[int, str]]:
-    tails: dict[tuple, str] = {}
-    for record in records:
-        key = _kind_key(*record[1:])
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = _record_tail(record)
-        yield record.index, tail
+# The encoder renders indices in [0, 10**18) with numpy, three digits at a
+# time through the rows "000" to "999" of _TRIPLES; _POWERS gives their
+# digit counts.  It renders any other index with an f-string.
+_TRIPLES = np.array([list(f"{k:03d}".encode("ascii")) for k in range(1000)], np.uint8)
+_POWERS = 10 ** np.arange(1, _MAX_RUN_DIGITS, dtype=np.int64)
+_INDEX_LIMIT = 10**_MAX_RUN_DIGITS
+_HEAD_BYTES = np.frombuffer(_HEAD.encode("ascii"), np.uint8)
+
+
+def _tail_table(kinds: Sequence[tuple]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Each kind's line tail as text, as a row of bytes right-padded to the
+    widest tail, and its width."""
+    text = [_record_tail(RoundRecord(0, *kind)) for kind in kinds]  # ASCII
+    widths = np.array([len(tail) for tail in text], np.intp)
+    width = int(widths.max(initial=0))
+    rows = np.frombuffer("".join(tail.ljust(width) for tail in text).encode("ascii"), np.uint8)
+    return text, rows.reshape(len(text), width), widths
+
+
+def _index_array(indices: list) -> np.ndarray:
+    """Record indices as int64 when all are ints that fit, else as objects."""
+    if set(map(type, indices)) == {int} and -(2**63) <= min(indices) and max(indices) < 2**63:
+        return np.array(indices, np.int64)
+    return np.fromiter(indices, object, len(indices))
+
+
+def _pieces(transcript: Iterable[RoundRecord]) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
+    """(indices, kind codes, tail table) of at most ``_CHUNK`` rounds at a time.
+
+    A run's own indices 0, 1, ..., n - 1 are also cut at each power of ten,
+    so that a piece's indices have one digit count.  Records are coded by
+    kind a chunk at a time, each chunk with a table of its own kinds.
+    """
+    if isinstance(transcript, Transcript):
+        codes, index, tails = transcript._codes, transcript._index, _tail_table(transcript._kinds)
+        rounds = len(codes)
+        if index is None:
+            powers = (10**k for k in range(1, _MAX_RUN_DIGITS) if 10**k < rounds)
+            cuts = sorted({*range(0, rounds, _CHUNK), *powers})
+            for start, stop in pairwise(cuts + [rounds]):
+                yield np.arange(start, stop), codes[start:stop], tails
+        else:
+            for start in range(0, rounds, _CHUNK):
+                yield index[start:start + _CHUNK], codes[start:start + _CHUNK], tails
+        return
+    records = iter(transcript)
+    while chunk := list(islice(records, _CHUNK)):
+        kinds = _KindCodes()
+        codes = np.fromiter(map(kinds.code, map(itemgetter(1, 2, 3, 4), chunk)), np.intp, len(chunk))
+        yield _index_array(list(map(itemgetter(0), chunk))), codes, _tail_table(kinds.kinds)
+
+
+def _renderable(index: np.ndarray) -> np.ndarray:
+    """Mask of the indices numpy renders: ints in [0, 10**18)."""
+    if index.dtype.kind in "iu":
+        return (index >= 0) & (index < _INDEX_LIMIT)
+    values = index.tolist()
+    return np.fromiter((type(i) is int and 0 <= i < _INDEX_LIMIT for i in values), bool, len(values))
+
+
+def _digit_counts(index: np.ndarray) -> np.ndarray:
+    return 1 + np.searchsorted(_POWERS, index, side="right")
+
+
+def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
+    """The lines of rounds with int64 indices in [0, 10**18), built as one
+    array of bytes: one row per line, right-padded where lines differ in
+    width, and then compressed to the lines' own widths."""
+    _, table, widths = tails
+    head = len(_HEAD)
+    fewest, most = (len(str(int(i))) for i in (index.min(), index.max()))
+    digits = None if fewest == most else _digit_counts(index)
+    rows = np.empty((len(index), head + most + table.shape[1]), np.uint8)
+    rows[:, :head] = _HEAD_BYTES
+    for count in range(fewest, most + 1):
+        lines = slice(None) if digits is None else np.flatnonzero(digits == count)
+        stop, value = head + count, index[lines]
+        rows[lines, stop:stop + table.shape[1]] = np.take(table, codes[lines], axis=0)
+        while stop > head:  # three digits at a time, from the right
+            value, low = np.divmod(value, 1000)
+            start = max(stop - 3, head)
+            rows[lines, start:stop] = np.take(_TRIPLES[:, start - stop:], low, axis=0)
+            stop = start
+    if digits is None and widths.min() == widths.max():
+        return str(rows, "ascii")
+    sizes = head + (most if digits is None else digits) + widths[codes]
+    width = rows.shape[1]
+    keep = np.arange(width) < np.arange(width + 1)[:, None]  # row s: the first s columns
+    return str(rows[keep[sizes]], "ascii")
+
+
+def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
+    """The JSONL lines of one piece.  An index numpy cannot render, one
+    outside [0, 10**18) or not an int, goes through an f-string."""
+    ok = _renderable(index)
+    if ok.all():
+        return _render(index.astype(np.int64, copy=False), codes, tails)
+    lines, others = np.flatnonzero(ok), np.flatnonzero(~ok)
+    fine = index[lines].astype(np.int64)
+    text = _render(fine, codes[lines], tails) if len(lines) else ""
+    sizes = len(_HEAD) + _digit_counts(fine) + tails[2][codes[lines]]
+    # Other line k follows the rendered lines before it.
+    cuts = np.concatenate(([0], np.cumsum(sizes)))[others - np.arange(len(others))].tolist()
+    parts, done = [], 0
+    for cut, i, code in zip(cuts, index[others].tolist(), codes[others].tolist()):
+        parts += (text[done:cut], f"{_HEAD}{i}{tails[0][code]}")
+        done = cut
+    parts.append(text[done:])
+    return "".join(parts)
 
 
 def _write_lines(transcript: Iterable[RoundRecord], fh) -> None:
-    # (index, line tail) per round, each distinct tail rendered once.
-    if isinstance(transcript, Transcript):
-        tails = [_record_tail(RoundRecord(0, *kind)) for kind in transcript._kinds]
-        pairs = zip(transcript._indices(), map(tails.__getitem__, _chunked_ints(transcript._codes)))
-    else:
-        pairs = _cached_tails(transcript)
-    while text := "".join([f"{_HEAD}{i}{tail}" for i, tail in islice(pairs, _CHUNK)]):
-        fh.write(text)
+    for index, codes, tails in _pieces(transcript):
+        fh.write(_encode(index, codes, tails))
 
 
 def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
@@ -384,7 +500,10 @@ def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     ``sink`` may be a path or a text file object.  The ``eve`` field is
     omitted, not null-encoded, when a round has no eavesdropper outcome.
     Each line is byte-identical to ``json.dumps`` of the record with
-    compact separators; the text is written in chunks of whole lines.
+    compact separators.  Records are coded by kind, a view's codes are
+    used as they are, and the lines of at most ``_CHUNK`` rounds at a time
+    are built by numpy as one array of bytes and written at once, so that
+    about one chunk of text is held at a time.
     """
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
@@ -403,7 +522,7 @@ def _decode_record(obj) -> RoundRecord:
     )
 
 
-class _LineDecoder:
+class _LineDecoder(_KindCodes):
     """Maps JSONL lines to (index, kind code), learning line tails as it goes.
 
     A tail is learned only from a line that is exactly the encoding of its
@@ -414,20 +533,11 @@ class _LineDecoder:
     """
 
     def __init__(self):
-        self.kinds: list[tuple] = []
-        self._codes: dict[tuple, int] = {}
+        super().__init__()
         self._tails: dict[str, int] = {}
         # Per tail width, newline included, widest first: those tails' lines
         # less digits, in class order, their kind codes and their probes.
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
-
-    def _code(self, kind: tuple) -> int:
-        key = _kind_key(*kind)
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self.kinds)
-            self.kinds.append(kind)
-        return code
 
     def _learn(self, tail: str, code: int) -> None:
         self._tails[tail] = code
@@ -491,7 +601,7 @@ class _LineDecoder:
             if digits.isascii() and digits.isdigit() and (len(digits) == 1 or digits[0] != "0"):
                 return int(digits), code
         record = _decode_record(json.loads(line))
-        code = self._code(record[1:])
+        code = self.code(record[1:])
         if len(self._tails) < _MAX_CACHED_TAILS and line == _record_to_json(record):
             self._learn(line[cut:], code)
         return record.index, code

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from steerlab import protocol
 from steerlab.coherent import Parity
 from steerlab.keyrate import binary_entropy, bob_error, eve_error
+from steerlab.output import open_atomic
 from steerlab.protocol import (
     Prep,
     RoundRecord,
@@ -664,6 +667,107 @@ def test_view_encodes_like_its_records(seed, rounds, eta):
 _KIND_A = (Prep.PLUS, complex(-1.5, 0.0), Parity.EVEN, Parity.ODD)
 _KIND_B = (Prep.MINUS, complex(-0.5, 0.0), Parity.ODD, Parity.EVEN)
 _KIND_C = (Prep.MINUS, complex(-0.5, -0.0), Parity.EVEN, None)
+# The tail of _KIND_D is 16 bytes wider than that of _KIND_A.
+_KIND_D = (Prep.PLUS, complex(-0.30000000000000004, 0.0), Parity.ODD, Parity.ODD)
+
+# Indices on both sides of each digit count the encoder renders with numpy,
+# of the int64 range, and of zero; those from 10**18 up and below zero are
+# rendered one by one, and those outside int64 make an index array of objects.
+_EDGE_INDICES = sorted(
+    {10**k + d for k in range(1, 19) for d in (-1, 0, 1)}
+    | {0, 1, -1, 2**63 - 1, 2**63, 2**64 + 5, -(2**63), -(2**63) - 1, -(10**20)}
+)
+_ANY_INDEX = st.one_of(st.sampled_from(_EDGE_INDICES), st.integers())
+_MIXED_KINDS = st.sampled_from([_KIND_A, _KIND_B, _KIND_C, _KIND_D])
+
+
+def _written_each_way(transcript, directory) -> list[str]:
+    """What write_transcript writes into a StringIO, to a path and into an
+    open_atomic handle."""
+    buf = io.StringIO()
+    write_transcript(transcript, buf)
+    path, atomic = directory / "path.jsonl", directory / "atomic.jsonl"
+    write_transcript(transcript, path)
+    with open_atomic(str(atomic)) as fh:
+        write_transcript(transcript, fh)
+    return [buf.getvalue(), path.read_bytes().decode("utf-8"), atomic.read_bytes().decode("utf-8")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 3, 4096]),
+    indices=st.lists(_ANY_INDEX, min_size=1, max_size=50),
+    ascending=st.booleans(),
+    kinds=st.lists(_MIXED_KINDS, min_size=50, max_size=50),
+)
+def test_decoded_views_encode_like_json_dumps(chunk, indices, ascending, kinds):
+    # A file whose indices have gaps decodes to a view with an index array,
+    # of objects when an index is outside int64; written back, in chunks of
+    # any size, it must be the file again.
+    if ascending:
+        indices = sorted(indices)
+    records = [RoundRecord(i, *kind) for i, kind in zip(indices, kinds)]
+    text = _reference_encode(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "source.jsonl"
+        source.write_bytes(text.encode("utf-8"))
+        view = read_transcript(source)
+        assert view._index is not None or indices == list(range(len(indices)))
+        with mock.patch.object(protocol, "_CHUNK", chunk):
+            assert _written_each_way(view, Path(tmp)) == [text] * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 3, 4096]),
+    records=st.lists(
+        st.builds(
+            RoundRecord,
+            index=_ANY_INDEX,
+            prep=st.sampled_from(Prep),
+            announced_gamma=st.one_of(st.sampled_from([kind[1] for kind in (_KIND_A, _KIND_D)]), _GAMMAS),
+            bob_outcome=st.sampled_from(Parity),
+            eve_outcome=st.one_of(st.none(), st.sampled_from(Parity)),
+        ),
+        max_size=50,
+    ),
+)
+def test_records_encode_like_json_dumps(chunk, records):
+    text = _reference_encode(records)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(protocol, "_CHUNK", chunk):
+        assert _written_each_way(records, Path(tmp)) == [text] * 3
+
+
+def test_float_indices_render_as_python_does():
+    # Not ints, so not rendered by numpy, even where integral.
+    records = [RoundRecord(i, *_KIND_A) for i in (4, 2.5, 3.0, 5, 1e20)]
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    assert buf.getvalue() == _reference_encode(records)
+    assert buf.getvalue().splitlines()[2].startswith('{"i":3.0,')
+
+
+class _WriteRecorder:
+    """A text sink that keeps the number of lines of each write."""
+
+    def __init__(self):
+        self.lines: list[int] = []
+
+    def write(self, text: str) -> None:
+        assert text.endswith("\n")
+        self.lines.append(text.count("\n"))
+
+
+def test_writer_streams_at_most_a_chunk_of_lines_per_write():
+    config = SimConfig(
+        alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=3 * protocol._CHUNK, seed=5
+    )
+    view = run_protocol(config).transcript
+    for transcript in (view, list(view)):
+        sink = _WriteRecorder()
+        write_transcript(transcript, sink)
+        assert sum(sink.lines) == 3 * protocol._CHUNK
+        assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._CHUNK
 
 
 def _chunk_boundary_records() -> list[RoundRecord]:
