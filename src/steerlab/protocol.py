@@ -43,7 +43,7 @@ beside the table of kinds, so a transcript costs one byte per round.
 ``Transcript`` builds ``RoundRecord``s from the codes only when a caller
 indexes or iterates.  The JSONL codec works on the same kinds.  The
 encoder renders one line tail per kind and builds the lines of up to
-``_CHUNK`` rounds as one numpy array of bytes, a row per line: the head
+``_LINES`` rounds as one numpy array of bytes, a row per line: the head
 broadcast, the index digits looked up three at a time in a table of
 "000" to "999", and the tails gathered by kind code.  Where lines differ
 in width, the rows are right-padded and then cut to each line's width.
@@ -93,11 +93,15 @@ __all__ = [
 _UNIFORMS_PER_ROUND = 4
 
 # Rounds drawn, mapped and sampled at once by run_protocol, converted to
-# Python ints by Transcript, encoded by write_transcript and read from a
-# text source by read_transcript; and bytes read at once from a file.  Each
-# bounds working memory, and no output depends on either.
+# Python ints by Transcript and read from a text source by read_transcript;
+# bytes read at once from a file; and lines encoded and written at once by
+# write_transcript.  Each bounds working memory, and no output depends on
+# any of them.  _LINES keeps a piece near 1 MB of text, which malloc serves
+# from memory it has already mapped: pieces of 2^16 lines wrote files more
+# slowly and raised the peak RSS of a write-then-read cycle by about 3 MB.
 _CHUNK = 1 << 16
 _BLOCK = 1 << 19
+_LINES = 1 << 14
 
 
 class Prep(Enum):
@@ -381,7 +385,7 @@ class _KindCodes:
 # The encoder renders indices in [0, 10**18) with numpy, three digits at a
 # time through the rows "000" to "999" of _TRIPLES; _POWERS gives their
 # digit counts.  It renders any other index with an f-string.
-_TRIPLES = np.array([list(f"{k:03d}".encode("ascii")) for k in range(1000)], np.uint8)
+_TRIPLES = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
 _POWERS = 10 ** np.arange(1, _MAX_RUN_DIGITS, dtype=np.int64)
 _INDEX_LIMIT = 10**_MAX_RUN_DIGITS
 _HEAD_BYTES = np.frombuffer(_HEAD.encode("ascii"), np.uint8)
@@ -405,7 +409,7 @@ def _index_array(indices: list) -> np.ndarray:
 
 
 def _pieces(transcript: Iterable[RoundRecord]) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
-    """(indices, kind codes, tail table) of at most ``_CHUNK`` rounds at a time.
+    """(indices, kind codes, tail table) of at most ``_LINES`` rounds at a time.
 
     A run's own indices 0, 1, ..., n - 1 are also cut at each power of ten,
     so that a piece's indices have one digit count.  Records are coded by
@@ -416,15 +420,15 @@ def _pieces(transcript: Iterable[RoundRecord]) -> Iterator[tuple[np.ndarray, np.
         rounds = len(codes)
         if index is None:
             powers = (10**k for k in range(1, _MAX_RUN_DIGITS) if 10**k < rounds)
-            cuts = sorted({*range(0, rounds, _CHUNK), *powers})
+            cuts = sorted({*range(0, rounds, _LINES), *powers})
             for start, stop in pairwise(cuts + [rounds]):
                 yield np.arange(start, stop), codes[start:stop], tails
         else:
-            for start in range(0, rounds, _CHUNK):
-                yield index[start:start + _CHUNK], codes[start:start + _CHUNK], tails
+            for start in range(0, rounds, _LINES):
+                yield index[start:start + _LINES], codes[start:start + _LINES], tails
         return
     records = iter(transcript)
-    while chunk := list(islice(records, _CHUNK)):
+    while chunk := list(islice(records, _LINES)):
         kinds = _KindCodes()
         codes = np.fromiter(map(kinds.code, map(itemgetter(1, 2, 3, 4), chunk)), np.intp, len(chunk))
         yield _index_array(list(map(itemgetter(0), chunk))), codes, _tail_table(kinds.kinds)
@@ -442,6 +446,14 @@ def _digit_counts(index: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(_POWERS, index, side="right")
 
 
+def _line_forms(table: np.ndarray, digits: int) -> np.ndarray:
+    """Each kind's line with ``digits`` digits left to fill, right-padded
+    as its tail is."""
+    kinds = len(table)
+    head = np.broadcast_to(_HEAD_BYTES, (kinds, len(_HEAD)))
+    return np.hstack([head, np.zeros((kinds, digits), np.uint8), table])
+
+
 def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
     """The lines of rounds with int64 indices in [0, 10**18), built as one
     array of bytes: one row per line, right-padded where lines differ in
@@ -449,13 +461,17 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
     _, table, widths = tails
     head = len(_HEAD)
     fewest, most = (len(str(int(i))) for i in (index.min(), index.max()))
-    digits = None if fewest == most else _digit_counts(index)
-    rows = np.empty((len(index), head + most + table.shape[1]), np.uint8)
-    rows[:, :head] = _HEAD_BYTES
-    for count in range(fewest, most + 1):
-        lines = slice(None) if digits is None else np.flatnonzero(digits == count)
+    if fewest == most:
+        digits, groups = None, [(slice(None), most)]
+        rows = np.take(_line_forms(table, most), codes, axis=0)
+    else:
+        digits = _digit_counts(index)
+        groups = [(np.flatnonzero(digits == count), count) for count in range(fewest, most + 1)]
+        rows = np.empty((len(index), head + most + table.shape[1]), np.uint8)
+        for lines, count in groups:
+            rows[lines, :head + count + table.shape[1]] = np.take(_line_forms(table, count), codes[lines], axis=0)
+    for lines, count in groups:
         stop, value = head + count, index[lines]
-        rows[lines, stop:stop + table.shape[1]] = np.take(table, codes[lines], axis=0)
         while stop > head:  # three digits at a time, from the right
             value, low = np.divmod(value, 1000)
             start = max(stop - 3, head)
@@ -501,9 +517,9 @@ def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     omitted, not null-encoded, when a round has no eavesdropper outcome.
     Each line is byte-identical to ``json.dumps`` of the record with
     compact separators.  Records are coded by kind, a view's codes are
-    used as they are, and the lines of at most ``_CHUNK`` rounds at a time
+    used as they are, and the lines of at most ``_LINES`` rounds at a time
     are built by numpy as one array of bytes and written at once, so that
-    about one chunk of text is held at a time.
+    about 1 MB of text is held at a time.
     """
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:

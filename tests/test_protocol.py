@@ -695,14 +695,14 @@ def _written_each_way(transcript, directory) -> list[str]:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    chunk=st.sampled_from([1, 3, 4096]),
+    lines=st.sampled_from([1, 3, 4096]),
     indices=st.lists(_ANY_INDEX, min_size=1, max_size=50),
     ascending=st.booleans(),
     kinds=st.lists(_MIXED_KINDS, min_size=50, max_size=50),
 )
-def test_decoded_views_encode_like_json_dumps(chunk, indices, ascending, kinds):
+def test_decoded_views_encode_like_json_dumps(lines, indices, ascending, kinds):
     # A file whose indices have gaps decodes to a view with an index array,
-    # of objects when an index is outside int64; written back, in chunks of
+    # of objects when an index is outside int64; written back, in pieces of
     # any size, it must be the file again.
     if ascending:
         indices = sorted(indices)
@@ -713,13 +713,13 @@ def test_decoded_views_encode_like_json_dumps(chunk, indices, ascending, kinds):
         source.write_bytes(text.encode("utf-8"))
         view = read_transcript(source)
         assert view._index is not None or indices == list(range(len(indices)))
-        with mock.patch.object(protocol, "_CHUNK", chunk):
+        with mock.patch.object(protocol, "_LINES", lines):
             assert _written_each_way(view, Path(tmp)) == [text] * 3
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    chunk=st.sampled_from([1, 3, 4096]),
+    lines=st.sampled_from([1, 3, 4096]),
     records=st.lists(
         st.builds(
             RoundRecord,
@@ -732,9 +732,9 @@ def test_decoded_views_encode_like_json_dumps(chunk, indices, ascending, kinds):
         max_size=50,
     ),
 )
-def test_records_encode_like_json_dumps(chunk, records):
+def test_records_encode_like_json_dumps(lines, records):
     text = _reference_encode(records)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(protocol, "_CHUNK", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(protocol, "_LINES", lines):
         assert _written_each_way(records, Path(tmp)) == [text] * 3
 
 
@@ -767,7 +767,7 @@ def test_writer_streams_at_most_a_chunk_of_lines_per_write():
         sink = _WriteRecorder()
         write_transcript(transcript, sink)
         assert sum(sink.lines) == 3 * protocol._CHUNK
-        assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._CHUNK
+        assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._LINES <= protocol._CHUNK
 
 
 def _chunk_boundary_records() -> list[RoundRecord]:
