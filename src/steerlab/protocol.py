@@ -173,15 +173,13 @@ class Transcript(Sequence[RoundRecord]):
         index = k if self._index is None else int(self._index[k])
         return tuple.__new__(RoundRecord, (index, *self._kinds[self._codes[k]]))
 
-    def _indices(self) -> Iterable[int]:
-        return range(len(self)) if self._index is None else _chunked_ints(self._index)
-
     def __iter__(self) -> Iterator[RoundRecord]:
         # Records are built as RoundRecord(index, *kind) would build them,
         # minus the NamedTuple's Python-level __new__: every kind holds the
         # four fields after the index.
         kinds, new = self._kinds, tuple.__new__
-        for index, code in zip(self._indices(), _chunked_ints(self._codes)):
+        indices = range(len(self)) if self._index is None else _chunked_ints(self._index)
+        for index, code in zip(indices, _chunked_ints(self._codes)):
             yield new(RoundRecord, (index, *kinds[code]))
 
     def __eq__(self, other):
@@ -491,15 +489,16 @@ def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
     ok = _renderable(index)
     if ok.all():
         return _render(index.astype(np.int64, copy=False), codes, tails)
+    tail_text, _, widths = tails
     lines, others = np.flatnonzero(ok), np.flatnonzero(~ok)
     fine = index[lines].astype(np.int64)
     text = _render(fine, codes[lines], tails) if len(lines) else ""
-    sizes = len(_HEAD) + _digit_counts(fine) + tails[2][codes[lines]]
+    sizes = len(_HEAD) + _digit_counts(fine) + widths[codes[lines]]
     # Other line k follows the rendered lines before it.
     cuts = np.concatenate(([0], np.cumsum(sizes)))[others - np.arange(len(others))].tolist()
     parts, done = [], 0
     for cut, i, code in zip(cuts, index[others].tolist(), codes[others].tolist()):
-        parts += (text[done:cut], f"{_HEAD}{i}{tails[0][code]}")
+        parts += (text[done:cut], f"{_HEAD}{i}{tail_text[code]}")
         done = cut
     parts.append(text[done:])
     return "".join(parts)
