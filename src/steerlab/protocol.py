@@ -411,7 +411,7 @@ def _pieces(transcript: Iterable[RoundRecord]) -> Iterator[tuple[np.ndarray, np.
 
     A run's own indices 0, 1, ..., n - 1 are also cut at each power of ten,
     so that a piece's indices have one digit count.  Records are coded by
-    kind a chunk at a time, each chunk with a table of its own kinds.
+    kind a piece at a time, each piece with a table of its own kinds.
     """
     if isinstance(transcript, Transcript):
         codes, index, tails = transcript._codes, transcript._index, _tail_table(transcript._kinds)
@@ -467,7 +467,8 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
         groups = [(np.flatnonzero(digits == count), count) for count in range(fewest, most + 1)]
         rows = np.empty((len(index), head + most + table.shape[1]), np.uint8)
         for lines, count in groups:
-            rows[lines, :head + count + table.shape[1]] = np.take(_line_forms(table, count), codes[lines], axis=0)
+            forms = _line_forms(table, count)
+            rows[lines, :forms.shape[1]] = np.take(forms, codes[lines], axis=0)
     for lines, count in groups:
         stop, value = head + count, index[lines]
         while stop > head:  # three digits at a time, from the right
