@@ -409,21 +409,18 @@ def _index_array(indices: list) -> np.ndarray:
 def _pieces(transcript: Iterable[RoundRecord]) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
     """(indices, kind codes, tail table) of at most ``_LINES`` rounds at a time.
 
-    A run's own indices 0, 1, ..., n - 1 are also cut at each power of ten,
-    so that a piece's indices have one digit count.  Records are coded by
-    kind a piece at a time, each piece with a table of its own kinds.
+    Records are coded by kind a piece at a time, each piece with a table
+    of its own kinds.
     """
     if isinstance(transcript, Transcript):
         codes, index, tails = transcript._codes, transcript._index, _tail_table(transcript._kinds)
         rounds = len(codes)
-        if index is None:
-            powers = (10**k for k in range(1, _MAX_RUN_DIGITS) if 10**k < rounds)
-            cuts = sorted({*range(0, rounds, _LINES), *powers})
-            for start, stop in pairwise(cuts + [rounds]):
-                yield np.arange(start, stop), codes[start:stop], tails
-        else:
-            for start in range(0, rounds, _LINES):
-                yield index[start:start + _LINES], codes[start:start + _LINES], tails
+        # A run's own indices 0, 1, ..., n - 1 are also cut at each power of
+        # ten, so that a piece's indices have one digit count.
+        powers = _POWERS[_POWERS < rounds].tolist() if index is None else []
+        for start, stop in pairwise(sorted({*range(0, rounds, _LINES), *powers, rounds})):
+            indices = np.arange(start, stop) if index is None else index[start:stop]
+            yield indices, codes[start:stop], tails
         return
     records = iter(transcript)
     while chunk := list(islice(records, _LINES)):
@@ -444,31 +441,30 @@ def _digit_counts(index: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(_POWERS, index, side="right")
 
 
-def _line_forms(table: np.ndarray, digits: int) -> np.ndarray:
-    """Each kind's line with ``digits`` digits left to fill, right-padded
-    as its tail is."""
-    kinds = len(table)
-    head = np.broadcast_to(_HEAD_BYTES, (kinds, len(_HEAD)))
-    return np.hstack([head, np.zeros((kinds, digits), np.uint8), table])
-
-
 def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
     """The lines of rounds with int64 indices in [0, 10**18), built as one
     array of bytes: one row per line, right-padded where lines differ in
     width, and then compressed to the lines' own widths."""
     _, table, widths = tails
-    head = len(_HEAD)
+    head, tail = len(_HEAD), table.shape[1]
     fewest, most = (len(str(int(i))) for i in (index.min(), index.max()))
-    if fewest == most:
+    if fewest == most and len(table) <= len(codes):
+        # Each line is gathered whole from its kind's line form, which is
+        # faster than filling head and tail apart while the forms, a row
+        # per kind, are no more than the lines.
+        kinds = len(table)
+        forms = np.hstack([
+            np.broadcast_to(_HEAD_BYTES, (kinds, head)), np.zeros((kinds, most), np.uint8), table
+        ])
         digits, groups = None, [(slice(None), most)]
-        rows = np.take(_line_forms(table, most), codes, axis=0)
+        rows = np.take(forms, codes, axis=0)
     else:
         digits = _digit_counts(index)
         groups = [(np.flatnonzero(digits == count), count) for count in range(fewest, most + 1)]
-        rows = np.empty((len(index), head + most + table.shape[1]), np.uint8)
+        rows = np.empty((len(index), head + most + tail), np.uint8)
+        rows[:, :head] = _HEAD_BYTES
         for lines, count in groups:
-            forms = _line_forms(table, count)
-            rows[lines, :forms.shape[1]] = np.take(forms, codes[lines], axis=0)
+            rows[lines, head + count:head + count + tail] = np.take(table, codes[lines], axis=0)
     for lines, count in groups:
         stop, value = head + count, index[lines]
         while stop > head:  # three digits at a time, from the right

@@ -378,7 +378,7 @@ def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, c
     config = SimConfig(alpha=1.0, beta=0.5, channel=channel, rounds=rounds, seed=seed)
     with mock.patch.object(protocol, "_CHUNK", rounds + whole_run_slack):
         whole = run_protocol(config)
-    with mock.patch.object(protocol, "_CHUNK", chunk):
+    with mock.patch.object(protocol, "_CHUNK", chunk), mock.patch.object(protocol, "_LINES", chunk):
         chunked = run_protocol(config)
         stats_only = run_protocol(config, keep_transcript=False)
         text = io.StringIO()
@@ -768,6 +768,38 @@ def test_writer_streams_at_most_a_chunk_of_lines_per_write():
         write_transcript(transcript, sink)
         assert sum(sink.lines) == 3 * protocol._CHUNK
         assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._LINES <= protocol._CHUNK
+
+
+def test_run_pieces_have_one_digit_count():
+    # A run's own indices are also cut at each power of ten, so that every
+    # piece takes the whole-line path; one of mixed digit counts would
+    # encode alike, only more slowly.
+    view = run_protocol(SimConfig(alpha=1.0, beta=0.5, rounds=1234, seed=3)).transcript
+    with mock.patch.object(protocol, "_LINES", 300):
+        pieces = [(int(index[0]), len(index)) for index, _, _ in protocol._pieces(view)]
+    assert pieces == [
+        (0, 10), (10, 90), (100, 200), (300, 300), (600, 300), (900, 100), (1000, 200), (1200, 34)
+    ]
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+def test_view_of_more_kinds_than_lines_per_piece_encodes_like_json_dumps(tmp_path, gaps):
+    # Every line of the file has a gamma of its own, so a decoded view holds
+    # far more kinds than a piece has lines; with gaps, it keeps an index array.
+    records = [
+        RoundRecord(3 * i if gaps else i, Prep.PLUS, complex(-i / 7, 0.0), Parity.ODD, Parity.EVEN)
+        for i in range(3000)
+    ]
+    text = _reference_encode(records)
+    source = tmp_path / "source.jsonl"
+    source.write_bytes(text.encode("utf-8"))
+    view = read_transcript(source)
+    assert len(view._kinds) == 3000 and (view._index is None) is not gaps
+    for lines in (7, 64):
+        with mock.patch.object(protocol, "_LINES", lines):
+            buf = io.StringIO()
+            write_transcript(view, buf)
+            assert buf.getvalue() == text
 
 
 def _chunk_boundary_records() -> list[RoundRecord]:
