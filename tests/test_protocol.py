@@ -249,6 +249,7 @@ def _stats_digest(stats: SimStats) -> str:
 )
 def test_multi_chunk_golden_hashes(channel, rounds, seed, stats_digest, transcript_digest):
     assert rounds > protocol._CHUNK and rounds % protocol._CHUNK
+    assert rounds > protocol._LINES and rounds % protocol._LINES
     config = SimConfig(
         alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS[channel], rounds=rounds, seed=seed
     )
@@ -365,20 +366,24 @@ _MAX_ROUNDS_PER_CHUNK = {1: 40, 3: 200, 4096: 13_000}
         )
     ),
     whole_run_slack=st.integers(min_value=0, max_value=3),
+    workers=st.sampled_from([1, 2, 3, 5]),
     channel=st.one_of(
         st.just(IdealChannel()),
         st.floats(min_value=0.0, max_value=math.pi / 2).map(lambda eta: GaussianCloneChannel(eta=eta)),
         st.just(GOLDEN_CHANNELS["mixture"]),
     ),
 )
-def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, channel):
-    # Philox is counter-based, so drawing the rounds chunk by chunk gives
-    # the stream of one draw of the whole run, and every count adds up.
+def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, workers, channel):
+    # Philox is counter-based, so drawing the rounds chunk by chunk, in
+    # ranges that each start their own generator at their first round,
+    # gives the stream of one draw of the whole run, and every count adds up.
     chunk, rounds = chunk_and_rounds
     config = SimConfig(alpha=1.0, beta=0.5, channel=channel, rounds=rounds, seed=seed)
-    with mock.patch.object(protocol, "_CHUNK", rounds + whole_run_slack):
+    with mock.patch.object(protocol, "_LINES", rounds + whole_run_slack), \
+            mock.patch.object(protocol, "_WORKERS", 1):
         whole = run_protocol(config)
-    with mock.patch.object(protocol, "_CHUNK", chunk), mock.patch.object(protocol, "_LINES", chunk):
+    with mock.patch.object(protocol, "_CHUNK", chunk), mock.patch.object(protocol, "_LINES", chunk), \
+            mock.patch.object(protocol, "_WORKERS", workers):
         chunked = run_protocol(config)
         stats_only = run_protocol(config, keep_transcript=False)
         text = io.StringIO()
@@ -389,6 +394,94 @@ def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, c
     assert chunked.transcript._kinds == whole.transcript._kinds
     assert text.getvalue() == _reference_encode(records)
     assert records == whole.transcript
+
+
+def _run_error(config: SimConfig, workers: int) -> str:
+    with mock.patch.object(protocol, "_WORKERS", workers), pytest.raises(ValueError) as error:
+        run_protocol(config, keep_transcript=False)
+    return str(error.value)
+
+
+# Six chunks of rounds: two workers take three chunks each, three take two.
+_SIX_CHUNKS = 6 * protocol._LINES
+
+
+@pytest.mark.parametrize(
+    "seed,minus_rounds",
+    [(0, [65_901]), (4, [3542])],
+    ids=["second-half-fails", "first-range-fails"],
+)
+def test_worker_count_raises_the_serial_error(seed, minus_rounds):
+    # Every PLUS round has means 0; a MINUS round's means need tables far
+    # above the limit, so the run fails at the chunk of its first MINUS round.
+    p_plus = 1 - 1.5e-5
+    config = SimConfig(
+        alpha=5e6, beta=-5e6, p_plus=p_plus, channel=GaussianCloneChannel(eta=0.7),
+        rounds=_SIX_CHUNKS, seed=seed,
+    )
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((_SIX_CHUNKS, 4))
+    assert np.flatnonzero(uniforms[:, 0] >= p_plus).tolist() == minus_rounds
+    serial = _run_error(config, 1)
+    assert serial.startswith("Poisson mean 5.52992e+12 needs a Poisson table")
+    assert _run_error(config, 2) == _run_error(config, 3) == serial
+
+
+def test_lowest_failing_range_raises():
+    # Components 1 and 2 have means 9e12 and 3.6e13, both beyond any table.
+    # The first of them is component 1's at round 24676, in the first range
+    # of two or three workers; every later range first meets component 2,
+    # at round 50231 or 66949, and may fail sooner, but its error is not
+    # the one a serial run raises.
+    channel = LhsMixtureChannel(states=(0.0, 3e6, 6e6), weights=(1 - 2e-5, 1e-5, 1e-5))
+    config = SimConfig(alpha=0.0, beta=0.0, channel=channel, rounds=_SIX_CHUNKS, seed=223)
+    serial = _run_error(config, 1)
+    assert serial.startswith("Poisson mean 9e+12 needs a Poisson table")
+    assert _run_error(config, 2) == _run_error(config, 3) == serial
+    # Started at round 49152, the second of two ranges alone fails otherwise.
+    with pytest.raises(ValueError, match="mean 3.6e"):
+        protocol._sample_range(
+            config, protocol._kind_samplers(config), 3 * protocol._LINES, _SIX_CHUNKS, None,
+            lambda: False,
+        )
+
+
+@pytest.mark.parametrize(
+    "rounds,threads", [(1, 0), (protocol._LINES, 0), (protocol._LINES + 1, 1), (_SIX_CHUNKS, 2)]
+)
+def test_threads_start_only_for_runs_of_several_chunks(rounds, threads):
+    # One range per chunk at most, up to _WORKERS; the first runs in the
+    # calling thread.
+    started = []
+    real = protocol.threading.Thread
+
+    def thread(*args, **kwargs):
+        started.append(kwargs["args"])
+        return real(*args, **kwargs)
+
+    config = SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=rounds, seed=2)
+    with mock.patch.object(protocol, "_WORKERS", 3), mock.patch.object(protocol.threading, "Thread", thread):
+        run_protocol(config)
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("channel", ["clone", "mixture"])
+def test_more_threads_than_cores_agree_with_one(channel):
+    # Tiny chunks, more workers than cores and a short switch interval, so
+    # that the threads interleave between nearly every numpy call while
+    # they fill one array of codes.
+    config = SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS[channel], rounds=20_000, seed=8)
+    with mock.patch.object(protocol, "_LINES", 101):
+        with mock.patch.object(protocol, "_WORKERS", 1):
+            serial = run_protocol(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(protocol, "_WORKERS", 9):
+                threaded = run_protocol(config)
+        finally:
+            sys.setswitchinterval(interval)
+    assert threaded.stats == serial.stats
+    assert np.array_equal(threaded.transcript._codes, serial.transcript._codes)
 
 
 def test_statistics_only_run_memory_stays_flat():
