@@ -13,7 +13,6 @@ from .coherent import (
     parity_probabilities,
     parity_by_truncation,
     default_cutoff,
-    sample_parity,
 )
 from .keyrate import (
     EveOptimum,

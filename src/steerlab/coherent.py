@@ -14,11 +14,11 @@ that single fact:
   inverting the Poisson CDF tabulated over a window of about 24 sqrt(lam)
   photon numbers around the mean, so a table costs O(sqrt(lam)).
 
-ParitySampler is the one CDF inversion: it draws for a fixed tuple of
-means, indexed per draw by a kind, and builds a mean's table when a draw
-first needs it.  A short table also gets a guide table that starts most
-draws on their answer; a long one is bisected.  batch_parity_is_odd
-samples an array of means through it, one kind per distinct mean.
+batch_parity_is_odd inverts double uniforms, one search per distinct mean.
+ParitySampler inverts the same tables for the raw 64-bit Philox words of
+the protocol, for a fixed tuple of means indexed per draw by a kind: a
+short table drawn often keeps one parity code per bin of the words' top
+ten bits, which settles most draws at once; the rest are searched.
 
 A brute-force truncated-sum evaluation of the parity probabilities is kept
 alongside the closed form as an independent oracle.  One numpy builder,
@@ -47,7 +47,6 @@ __all__ = [
     "parity_by_truncation",
     "default_cutoff",
     "minimal_admissible_cutoff",
-    "sample_parity",
     "batch_parity_is_odd",
     "ParitySampler",
 ]
@@ -317,18 +316,6 @@ def parity_by_truncation(mu: complex, cutoff: int) -> TruncatedParityDistributio
     return TruncatedParityDistribution(p_even=p_even, p_odd=p_odd, tail_bound=tail)
 
 
-def sample_parity(mu: complex, rng: np.random.Generator) -> Parity:
-    """Sample the photon-number parity of |mu>.
-
-    Draws one uniform from ``rng`` and maps it to a photon number exactly
-    as batch_parity_is_odd does; outcome frequencies converge to
-    parity_probabilities(mu).  Mutates only the supplied generator.
-    """
-    mu = _require_finite(mu, "mu")
-    odd = batch_parity_is_odd(np.array([_mean_photon_number(mu)]), np.array([rng.random()]))
-    return Parity.ODD if odd[0] else Parity.EVEN
-
-
 def _checked_window(lam: float) -> tuple[int, int]:
     # The sampler's window lo..hi, once its size is known to fit.
     lo, hi = _poisson_window(lam)
@@ -348,38 +335,50 @@ def _poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
     return cdf
 
 
-# Bins of a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4).
+# Bins of a guide row (Chen & Asau 1974; Devroye 1986, section III.2.4):
+# bin b holds the words w >> _BIN_SHIFT == b, uniforms in [b, b + 1) / 1024.
 _GUIDE_BINS = 1 << 10
+_BIN_SHIFT = 64 - 10
 
-# Longest table that gets a guide.  A longer table would leave many entries
-# per bin, so its draws go straight to a bisection of the table.
+# Longest table that is kept.  A longer table would leave many entries per
+# bin, so its draws go straight to a bisection of the table.
 _GUIDED_ENTRIES = 1 << 11
+_BISECT = 2  # a bin's code when a CDF entry falls inside it; 0 and 1 are parities
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    # The doubles Generator.random() makes of raw 64-bit words.
+    return (words >> 11) * 2.0**-53
+
+
+def _parity_bins(cdf: np.ndarray, lo: int) -> np.ndarray:
+    # Per bin, the parity of both its first and last word's entry, or _BISECT.
+    first = np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
+    last = np.searchsorted(cdf, np.arange(1, _GUIDE_BINS + 1) / _GUIDE_BINS - 2.0**-53)
+    return np.where(first == last, (lo + first) & 1, _BISECT).astype(np.uint8)
 
 
 class ParitySampler:
     """Photon-number parities of Poisson draws, one mean per draw kind.
 
-    Draw i takes the mean ``lams[kinds[i]]`` and maps ``uniforms[i]`` to
-    the smallest photon number n in that mean's window with
-    ``uniforms[i] <= CDF(n)``, or to hi + 1 when no entry reaches it (a
-    uniform of nan included).  A kind is set up the first time a call
-    draws from it, kinds in ascending mean: the call first checks that the
-    means of its new kinds are finite and nonnegative, and a window that
-    would exceed MAX_TABLE_ENTRIES raises ValueError before anything is
+    Draw i takes the mean ``lams[kinds[i]]`` and the raw 64-bit Philox
+    word ``words[i]``, whose uniform is u = (words[i] >> 11) * 2**-53 as
+    ``Generator.random()`` makes it, and maps u to the smallest photon
+    number n in that mean's window with u <= CDF(n), or to hi + 1 when no
+    entry reaches it.  A kind is set up the first time a call draws from
+    it, kinds in ascending mean: the call first checks that the means of
+    its new kinds are finite and nonnegative, and a window that would
+    exceed MAX_TABLE_ENTRIES raises ValueError before anything is
     allocated.  So a kind that is never drawn can hold any mean.
 
     A table of at most _GUIDED_ENTRIES entries whose kind has at least
-    _GUIDE_BINS draws in that first call (so the guide's searches and
-    memory are no more than the draws') is built then, once per distinct
-    mean, and gets a guide: bin b of _GUIDE_BINS holds the first entry
-    whose CDF reaches b / _GUIDE_BINS.  A draw starts at the entry its bin
-    names and takes at most one step up.  Since b / _GUIDE_BINS <= u
-    exactly, the start is never past the answer; a draw whose entry is
-    still below u after the step is searched on its own table by
-    bisection.  Any other table is not kept: each call builds it, bisects
-    it for every draw of its kind and drops it before the next, as a
-    chunk-by-chunk run always did.  So every draw lands where a bisection
-    of its table lands.
+    _GUIDE_BINS draws in that first call (so its row is no larger than the
+    draws) is kept, once per distinct mean, with a row of one-byte codes:
+    per bin, the parity every word in it maps to, or _BISECT where a CDF
+    entry falls inside the bin.  Draws in such bins, and every draw on a
+    table not kept, are bisected as doubles; a table not kept is built for
+    each call that draws from it.  So every draw lands where a bisection of
+    its table lands.
     """
 
     def __init__(self, lams):
@@ -388,17 +387,11 @@ class ParitySampler:
         # Per kind, once set up: (lo, hi, cdf), cdf None if not kept.
         self._tables: list[tuple | None] = [None] * kinds
         self._pending = kinds
-        self._guided: dict[float, tuple] = {}  # mean -> (cdf, start of its guide)
-        # The guided tables' CDFs end to end, each followed by +inf so that
-        # a step never leaves its table; entry 0 is a nan that no uniform
-        # reaches.
-        self._cdf = np.array([np.nan])
-        self._odd = np.zeros(1, bool)  # parity of each entry's photon number
-        # The guides end to end, after one that sends every bin to the nan
-        # entry; each kind's start, which is that first guide's for a kind
-        # without one.
-        self._guide = np.zeros(_GUIDE_BINS, np.intp)
-        self._start = np.zeros(kinds, np.intp)
+        self._guided: dict[float, tuple] = {}  # mean -> (cdf, offset of its row)
+        # The kept rows end to end after one that bisects every bin, and the
+        # offset of each kind's row (0 for a kind without one).
+        self._bins = np.full(_GUIDE_BINS, _BISECT, np.uint8)
+        self._offset = np.zeros(kinds, np.int64)
 
     def _set_up(self, kinds: np.ndarray) -> None:
         counts = np.bincount(kinds, minlength=len(self._lams))
@@ -414,20 +407,12 @@ class ParitySampler:
             cdf = None
             if hi - lo < _GUIDED_ENTRIES and (lam in self._guided or counts[k] >= _GUIDE_BINS):
                 if lam not in self._guided:
-                    self._guided[lam] = self._add_guide(_poisson_cdf(lam, lo, hi), lo)
-                cdf, self._start[k] = self._guided[lam]
+                    cdf = _poisson_cdf(lam, lo, hi)
+                    self._guided[lam] = (cdf, len(self._bins))
+                    self._bins = np.concatenate((self._bins, _parity_bins(cdf, lo)))
+                cdf, self._offset[k] = self._guided[lam]
             self._tables[k] = (lo, hi, cdf)
             self._pending -= 1
-
-    def _add_guide(self, cdf: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
-        first = len(self._cdf)
-        self._cdf = np.concatenate((self._cdf, cdf, [np.inf]))
-        photons = np.arange(lo, lo + len(cdf) + 1)
-        self._odd = np.concatenate((self._odd, (photons & 1).astype(bool)))
-        guide = first + np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
-        start = len(self._guide)
-        self._guide = np.concatenate((self._guide, guide))
-        return cdf, start
 
     def _bisect(self, odd: np.ndarray, kinds: np.ndarray, uniforms: np.ndarray) -> None:
         # Fill odd by a bisection of each draw's own table.
@@ -439,27 +424,23 @@ class ParitySampler:
                 cdf = _poisson_cdf(self._lams.item(k), lo, hi)
             odd[draws] = (lo + np.searchsorted(cdf, uniforms[draws], side="left")) & 1
 
-    def __call__(self, kinds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def __call__(self, kinds: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each draw's photon number is odd; ``kinds`` index the means."""
         if self._pending:
             self._set_up(kinds)
         if not self._guided:
             odd = np.empty(len(kinds), bool)
-            self._bisect(odd, kinds, uniforms)
+            self._bisect(odd, kinds, _uniforms(words))
             return odd
-        # Bins clamped to the guide, so uniforms outside [0, 1) read a
-        # start that is still never past their answer; nan reads bin 0.
-        bins = uniforms * _GUIDE_BINS
-        np.fmax(bins, 0.0, out=bins)
-        np.fmin(bins, _GUIDE_BINS - 1, out=bins)
-        entry = self._guide[self._start.take(kinds) + bins.astype(np.intp)]
-        entry += self._cdf[entry] < uniforms
-        odd = self._odd[entry]
-        short = np.flatnonzero(~(self._cdf[entry] >= uniforms))
-        if short.size:
-            found = np.empty(short.size, bool)
-            self._bisect(found, kinds[short], uniforms[short])
-            odd[short] = found
+        bins = (words >> _BIN_SHIFT).view(np.int64)
+        bins += self._offset.take(kinds)
+        codes = self._bins.take(bins)
+        odd = codes == 1
+        rest = np.flatnonzero(codes == _BISECT)
+        if rest.size:
+            found = np.empty(rest.size, bool)
+            self._bisect(found, kinds[rest], _uniforms(words[rest]))
+            odd[rest] = found
         return odd
 
 
@@ -467,8 +448,9 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Vectorized parity sampling by single-uniform CDF inversion.
 
     Element i draws a photon number as the smallest n with
-    uniforms[i] <= CDF_{lams[i]}(n), then reports whether n is odd.  Each
-    distinct mean lam gets one table over the window
+    uniforms[i] <= CDF_{lams[i]}(n), or hi + 1 if none (nan included),
+    then reports whether n is odd.  Each distinct mean lam gets one table,
+    searched once, over the window
     lo = max(0, floor(lam - 12 sqrt(lam + 1) - 20)) to hi = default cutoff,
     about 24 sqrt(lam) entries.  By the Chernoff bounds the mass above hi
     is below POISSON_TAIL_BOUND and the mass below lo below exp(-72).
@@ -476,13 +458,21 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     starting at 0 (every mean up to about 184) hold the CDF from the
     recursion p_0 = exp(-lam), p_n = p_{n-1} lam / n; higher windows are
     built by ratios about the mode and normalised to end at exactly 1.
-    The distinct means become the kinds of one ParitySampler.  Raises
-    ValueError when a mean's window would exceed MAX_TABLE_ENTRIES,
-    before it is allocated.
+    Raises ValueError when a mean is not finite and nonnegative, or when
+    its window would exceed MAX_TABLE_ENTRIES, before any is allocated.
     """
     lams = np.asarray(lams, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
     if lams.shape != uniforms.shape:
         raise ValueError("lams and uniforms must have matching shapes")
-    means, kinds = np.unique(lams.ravel(), return_inverse=True)
-    return ParitySampler(means)(kinds.ravel(), uniforms.ravel()).reshape(lams.shape)
+    means, counts = np.unique(lams, return_counts=True)
+    if not np.all(np.isfinite(means)) or np.any(means < 0.0):
+        raise ValueError("Poisson means must be finite and nonnegative")
+    windows = [_checked_window(lam) for lam in means.tolist()]
+    order = np.argsort(lams, axis=None, kind="stable")  # the draws of each mean in turn
+    u = uniforms.ravel()[order]
+    odd = np.empty(lams.size, bool)
+    stops = np.cumsum(counts).tolist()
+    for lam, (lo, hi), start, stop in zip(means.tolist(), windows, [0, *stops], stops):
+        odd[order[start:stop]] = (lo + np.searchsorted(_poisson_cdf(lam, lo, hi), u[start:stop])) & 1
+    return odd.reshape(lams.shape)

@@ -12,19 +12,22 @@ hears the announcement before measuring, which is the stronger adversary
 Random-stream discipline
 ------------------------
 All randomness comes from a counter-based Philox generator keyed by the
-master seed.  Round i owns the block of four uniforms at stream offsets
-4 i .. 4 i + 3 (in order: preparation choice, mixture-component choice,
-Bob's parity draw, Eve's parity draw), so any round's randomness is a pure
-function of (seed, round index): rounds could be evaluated in any order or
-in parallel without changing the transcript.  A round's kind is its
-preparation and, for a mixture channel, its component; the kind fixes
+master seed.  Round i owns the block of four raw 64-bit words at stream
+offsets 4 i .. 4 i + 3 (in order: preparation choice, mixture-component
+choice, Bob's parity draw, Eve's parity draw), each standing for the
+uniform (w >> 11) * 2**-53 that ``Generator.random()`` makes of it, so
+any round's randomness is a pure function of (seed, round index): rounds
+could be evaluated in any order or in parallel without changing the
+transcript.  A round is PLUS when its first uniform is below p_plus,
+compared as words.  A round's kind is its preparation and, for a mixture
+channel, its component, chosen by its second uniform; the kind fixes
 Bob's and Eve's Poisson means, which a run computes once per kind.  Each
-parity draw maps its single uniform through the Poisson CDF of its kind's
+parity draw maps its single word through the Poisson CDF of its kind's
 mean, tabulated over about 24 sqrt(mean) photon numbers, by one
 coherent.ParitySampler per party and run: no table is built before a
 round of its kind is drawn, and a short table drawn often enough is kept
-for the rest of the run.  Identical configs produce bit-identical
-transcripts.
+for the rest of the run, with a parity code per bin of the words' top
+bits.  Identical configs produce bit-identical transcripts.
 
 Chunked generation
 ------------------
@@ -34,7 +37,7 @@ as the run grows.  The run is split into contiguous ranges of whole
 chunks, one per worker: up to one thread per usable CPU (``_WORKERS``),
 never more than the run has chunks.  Each range starts its own Philox
 generator by counter offset, ``Philox.advance(first round)``, and keeps
-its own samplers, so its draws are exactly the uniforms a whole-run draw
+its own samplers, so its draws are exactly the words a whole-run draw
 gives its rounds: neither the chunk size nor the worker count changes any
 statistic, transcript byte or error.  A range that fails stops every
 later range at its next chunk, and the run raises the error of the first
@@ -77,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherent import Parity, ParitySampler
+from .coherent import Parity, ParitySampler, _uniforms
 # Unused here: perfbench/selftest.py checks that the benchmark's tracer
 # wraps this name in this module.
 from .coherent import batch_parity_is_odd  # noqa: F401
@@ -258,34 +261,46 @@ def _kind_samplers(config: SimConfig):
     return np.cumsum(weights), ParitySampler(means(bobs)), eve
 
 
-def _sample_chunk(samplers, p_plus: float, u: np.ndarray):
-    """(plus, bob_odd, eve_odd or None) for the rounds whose uniforms are ``u``."""
+def _plus_below(p_plus: float) -> int | None:
+    """The raw words below which a round is PLUS, or None when every round is.
+
+    A word w is PLUS when its uniform (w >> 11) * 2**-53 is below p_plus,
+    that is when w >> 11 < ceil(p_plus * 2**53), an exact product.
+    """
+    below = math.ceil(p_plus * 2**53) << 11
+    return below if below < 2**64 else None
+
+
+def _sample_chunk(samplers, plus_below: int | None, w: np.ndarray):
+    """(plus, bob_odd, eve_odd or None) for the rounds whose raw words are ``w``."""
     cumulative, bob, eve = samplers
-    plus = u[:, 0] < p_plus
+    plus = np.ones(len(w), bool) if plus_below is None else w[:, 0] < plus_below
     kind = plus.astype(np.intp)
     if len(cumulative) > 1:
         # A preparation-independent mixture: one component per round, drawn
         # by the round's component uniform.
-        component = np.searchsorted(cumulative, u[:, 1], side="right")
+        component = np.searchsorted(cumulative, _uniforms(w[:, 1]), side="right")
         kind *= len(cumulative)
         kind += np.minimum(component, len(cumulative) - 1)
-    bob_odd = bob(kind, u[:, 2])
-    eve_odd = None if eve is None else eve(kind, u[:, 3])
+    bob_odd = bob(kind, w[:, 2])
+    eve_odd = None if eve is None else eve(kind, w[:, 3])
     return plus, bob_odd, eve_odd
 
 
 def _sample_range(config: SimConfig, samplers, start: int, stop: int, codes, stopped) -> list[int]:
     """[PLUS rounds, Bob's odd parities, Eve's odd parities] of rounds
-    start to stop, drawn ``_LINES`` at a time; their kind codes go into
-    ``codes`` unless it is None.  Returns early once ``stopped()``."""
-    rng = np.random.Generator(np.random.Philox(key=config.seed).advance(start))
+    start to stop, drawn ``_LINES`` at a time as raw Philox words; their
+    kind codes go into ``codes`` unless it is None.  Returns early once
+    ``stopped()``."""
+    bits = np.random.Philox(key=config.seed).advance(start)
+    plus_below = _plus_below(config.p_plus)
     counts = [0, 0, 0]
     for first in range(start, stop, _LINES):
         if stopped():
             break
         last = min(first + _LINES, stop)
         plus, bob_odd, eve_odd = _sample_chunk(
-            samplers, config.p_plus, rng.random((last - first, _UNIFORMS_PER_ROUND))
+            samplers, plus_below, bits.random_raw((last - first, _UNIFORMS_PER_ROUND))
         )
         counts[0] += int(np.count_nonzero(plus))
         counts[1] += int(np.count_nonzero(bob_odd))

@@ -11,7 +11,6 @@ from steerlab import coherent
 from steerlab.coherent import (
     CutoffTooSmallError,
     MAX_TABLE_ENTRIES,
-    Parity,
     ParityDistribution,
     batch_parity_is_odd,
     default_cutoff,
@@ -20,7 +19,6 @@ from steerlab.coherent import (
     minimal_admissible_cutoff,
     parity_by_truncation,
     parity_probabilities,
-    sample_parity,
     ParitySampler,
     _poisson_cutoff,
     _poisson_half_width,
@@ -411,8 +409,8 @@ class TestWindowedSampler:
 
 
 def _edge_uniforms(lam: float) -> np.ndarray:
-    # 0, 1 - 2^-53, every CDF entry of the mean's table and every guide bin
-    # edge b / 1024, each with both of its floating-point neighbours.
+    # 0, 1 - 2^-53, every CDF entry of the mean's table and every bin edge
+    # b / 1024, each with both of its floating-point neighbours.
     lo, hi = coherent._checked_window(lam)
     cdf = coherent._poisson_cdf(lam, lo, hi)
     points = np.concatenate([cdf, np.arange(coherent._GUIDE_BINS + 1) / coherent._GUIDE_BINS])
@@ -420,41 +418,82 @@ def _edge_uniforms(lam: float) -> np.ndarray:
     return np.concatenate([[0.0, 1.0 - 2.0**-53], *neighbours])
 
 
+_LAST_WORD = 2**64 - 1
+
+
+def _edge_words(lam: float) -> np.ndarray:
+    # 0, 2^64 - 1, and for every CDF entry c of the mean's table the last
+    # word whose uniform is at most c, ((floor(c 2^53) + 1) << 11) - 1, with
+    # the words on either side; and the first and last word of every bin.
+    lo, hi = coherent._checked_window(lam)
+    cdf = coherent._poisson_cdf(lam, lo, hi)
+    last = [((math.floor(c * 2**53) + 1) << 11) - 1 for c in cdf.tolist()]
+    words = {0, _LAST_WORD, *(w + d for w in last for d in (-1, 0, 1))}
+    shift = coherent._BIN_SHIFT
+    words |= {b << shift for b in range(coherent._GUIDE_BINS)}
+    words |= {((b + 1) << shift) - 1 for b in range(coherent._GUIDE_BINS)}
+    return np.array(sorted(w for w in words if 0 <= w <= _LAST_WORD), np.uint64)
+
+
+def _drawn_like_doubles(lams, kinds: np.ndarray, words: np.ndarray) -> np.ndarray:
+    # batch_parity_is_odd on the uniforms Generator.random() makes of the words.
+    return batch_parity_is_odd(np.asarray(lams, float)[kinds], (words >> 11) * 2.0**-53)
+
+
 class TestParitySampler:
     # The vacuum, a mean whose CDF is 1 from its first entry, means on
     # either side of the window's lo = 0 edge (about 184), and a mean whose
-    # table is too long for a guide.
+    # table is too long to be kept.
     MEANS = [0.0, 1e-300, 1.0, 183.0, 185.0, 1e6]
-    OUT_OF_RANGE = np.array([1.0, 2.0, -0.5, math.inf, -math.inf, math.nan, 1e300, -1e300])
 
     def test_guides_go_to_short_tables_only(self):
         # Tables of 367, 1739, 2443 and 24043 entries, each drawn often
-        # enough for a guide.
+        # enough to be kept.
         lams = [183.0, 5e3, 1e4, 1e6]
         sampler = ParitySampler(lams)
         kinds = np.repeat(np.arange(len(lams)), coherent._GUIDE_BINS)
-        sampler(kinds, np.random.default_rng(3).random(len(kinds)))
-        assert [start > 0 for start in sampler._start.tolist()] == [True, True, False, False]
+        sampler(kinds, np.random.Philox(3).random_raw(len(kinds)))
+        assert [offset > 0 for offset in sampler._offset.tolist()] == [True, True, False, False]
+        assert len(sampler._bins) == 3 * coherent._GUIDE_BINS
 
     @pytest.mark.parametrize("lam", MEANS)
     def test_every_cdf_entry_and_its_neighbours(self, lam):
-        u = np.concatenate([_edge_uniforms(lam), self.OUT_OF_RANGE])
-        odd = ParitySampler([lam])(np.zeros(len(u), np.intp), u)
-        assert np.array_equal(odd, _poisson_quantile(lam, u) & 1)
+        words = _edge_words(lam)
+        kinds = np.zeros(len(words), np.intp)
+        sampler = ParitySampler([lam])
+        assert np.array_equal(sampler(kinds, words), _drawn_like_doubles([lam], kinds, words))
+        # Once kept, the second call reads the bins of the first.
+        assert np.array_equal(sampler(kinds, words), _drawn_like_doubles([lam], kinds, words))
+
+    def test_bisect_marks_exactly_the_bins_that_hold_an_entry(self):
+        # Bin b's words have the uniforms b / 1024 to (b + 1) / 1024 - 2^-53.
+        # Entries at those ends and next to them; the others are the
+        # vacuum's and mean 183's tables.
+        bins = coherent._GUIDE_BINS
+        ends = np.concatenate([np.arange(bins) / bins, np.arange(1, bins + 1) / bins - 2.0**-53])
+        edges = np.unique(np.concatenate([ends[::7], np.nextafter(ends[3::7], 0), np.nextafter(ends[5::7], 1)]))
+        for cdf, lo in [(np.append(edges[edges < 1.0], 1.0), 3), (np.ones(33), 0),
+                        (coherent._poisson_cdf(183.0, 0, 367), 0)]:
+            codes = coherent._parity_bins(cdf, lo)
+            inside = np.array([np.any((cdf >= a) & (cdf < b)) for a, b in zip(ends[:bins], ends[bins:])])
+            assert np.array_equal(codes == coherent._BISECT, inside)
+            # Elsewhere, the parity of the entry of every word in the bin.
+            below = np.array([np.count_nonzero(cdf < a) for a in ends[:bins]])
+            assert np.array_equal(codes[~inside], ((lo + below) & 1)[~inside])
 
     def test_mixed_kinds_in_one_call(self):
-        # Repeated means share a table; each kind reads its own guide row.
+        # Repeated means share a table; each kind reads its own row of bins.
         means = [*self.MEANS, 183.0, 0.0]
-        edges = [_edge_uniforms(lam) for lam in means]
-        kinds = np.concatenate([np.full(len(u), k) for k, u in enumerate(edges)])
-        u = np.concatenate(edges)
+        edges = [_edge_words(lam) for lam in means]
+        kinds = np.concatenate([np.full(len(w), k) for k, w in enumerate(edges)])
+        words = np.concatenate(edges)
         rng = np.random.default_rng(17)
-        order = rng.permutation(len(u))
-        kinds, u = kinds[order], u[order]
-        u[::97] = rng.random(len(u[::97]))
-        odd = ParitySampler(means)(kinds, u)
-        for k, lam in enumerate(means):
-            assert np.array_equal(odd[kinds == k], _poisson_quantile(lam, u[kinds == k]) & 1)
+        order = rng.permutation(len(words))
+        kinds, words = kinds[order], words[order]
+        words[::97] = rng.integers(0, _LAST_WORD, len(words[::97]), np.uint64, endpoint=True)
+        sampler = ParitySampler(means)
+        assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(means, kinds, words))
+        assert len(sampler._guided) == 5
 
     def test_kinds_are_set_up_when_first_drawn(self, monkeypatch):
         built = []
@@ -464,14 +503,14 @@ class TestParitySampler:
 
         def draw(kinds, each=coherent._GUIDE_BINS):
             kinds = np.repeat(kinds, each)
-            return sampler(kinds, np.full(len(kinds), 0.5))
+            return sampler(kinds, np.full(len(kinds), 1 << 63, np.uint64))
 
         draw([4, 0, 2])
         assert built == [2.0, 5.0]  # ascending, once per mean
         draw([2, 0, 4])
         assert built == [2.0, 5.0]
-        # A table too long for a guide, or first drawn fewer times than a
-        # guide has bins, is built for each call that draws from it.
+        # A table too long to be kept, or first drawn fewer times than a
+        # row has bins, is built for each call that draws from it.
         draw([5, 0])
         draw([5])
         draw([6], each=2)
@@ -483,42 +522,89 @@ class TestParitySampler:
             draw([0, 3, 3, 0])
 
     def test_guides_stay_within_the_draws(self):
-        # Many distinct means with a few draws each: no kind gets a guide,
-        # so the sampler holds no more than its tables while it bisects.
+        # Many distinct means with a few draws each: no table is kept, so
+        # the sampler holds no more than its tables while it bisects.
         lams = np.linspace(0.0, 50.0, 5000)
-        u = np.random.default_rng(4).random(len(lams))
+        words = np.random.Philox(4).random_raw(len(lams))
+        kinds = np.arange(len(lams))
         sampler = ParitySampler(lams)
-        odd = sampler(np.arange(len(lams)), u)
-        assert len(sampler._guide) == coherent._GUIDE_BINS
-        for k in range(0, len(lams), 250):
-            assert odd[k] == _poisson_quantile(lams[k], u[k:k + 1])[0] & 1
+        odd = sampler(kinds, words)
+        assert len(sampler._bins) == coherent._GUIDE_BINS and not sampler._guided
+        assert np.array_equal(odd, _drawn_like_doubles(lams, kinds, words))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lams=st.lists(
+            st.one_of(st.floats(0.0, 300.0), st.floats(7.5e3, 1e6), st.sampled_from([0.0, 1e-300])),
+            min_size=1,
+            max_size=4,
+        ),
+        draws=st.lists(st.sampled_from([1, 1023, 1024, 3000]), min_size=4, max_size=4),
+        seed=st.integers(0, 2**64 - 1),
+        extra=st.lists(st.integers(0, _LAST_WORD), max_size=20),
+    )
+    def test_draws_match_the_double_inversion(self, lams, draws, seed, extra):
+        # Means with short tables kept or not (by their first call's draws)
+        # and long ones that are always bisected, over random words and
+        # words drawn anywhere in [0, 2^64); two calls, so that the second
+        # reads the rows the first kept.
+        kinds = np.repeat(np.arange(len(lams)), draws[:len(lams)])
+        bits = np.random.Philox(key=seed)
+        sampler = ParitySampler(lams)
+        for _ in range(2):
+            words = np.concatenate([bits.random_raw(len(kinds)), np.array(extra, np.uint64)])
+            drawn = np.concatenate([kinds, np.arange(len(extra)) % len(lams)])
+            order = np.random.default_rng(seed).permutation(len(words))
+            words, drawn = words[order], drawn[order]
+            assert np.array_equal(sampler(drawn, words), _drawn_like_doubles(lams, drawn, words))
 
 
 class TestSampling:
+    # Uniforms outside [0, 1), which only batch_parity_is_odd takes.
+    OUT_OF_RANGE = np.array([1.0, 2.0, -0.5, math.inf, -math.inf, math.nan, 1e300, -1e300])
+
+    @pytest.mark.parametrize("lam", TestParitySampler.MEANS)
+    def test_every_cdf_entry_and_its_neighbours(self, lam):
+        u = np.concatenate([_edge_uniforms(lam), self.OUT_OF_RANGE])
+        odd = batch_parity_is_odd(np.full(len(u), lam), u)
+        assert np.array_equal(odd, _poisson_quantile(lam, u) & 1)
+
+    def test_mixed_means_in_one_call(self):
+        # Each mean's draws keep their places among the others'.
+        means = TestParitySampler.MEANS
+        edges = [np.concatenate([_edge_uniforms(lam), self.OUT_OF_RANGE]) for lam in means]
+        lams = np.concatenate([np.full(len(u), lam) for lam, u in zip(means, edges)])
+        u = np.concatenate(edges)
+        order = np.random.default_rng(17).permutation(len(u) - len(u) % 7)  # rows of 7
+        lams, u = lams[order].reshape(-1, 7), u[order].reshape(-1, 7)
+        odd = batch_parity_is_odd(lams, u)
+        assert odd.shape == lams.shape
+        for lam in means:
+            assert np.array_equal(odd[lams == lam], _poisson_quantile(lam, u[lams == lam]) & 1)
+
     def test_vacuum_always_even(self):
         rng = np.random.default_rng(0)
-        assert all(sample_parity(0, rng) is Parity.EVEN for _ in range(100))
+        assert not batch_parity_is_odd(np.zeros(100), rng.random(100)).any()
 
     def test_same_seed_same_sequence(self):
-        seq1 = [sample_parity(1.0, np.random.default_rng(123)) for _ in range(1)]
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        seq_a = [sample_parity(1 + 0.5j, rng_a) for _ in range(500)]
-        seq_b = [sample_parity(1 + 0.5j, rng_b) for _ in range(500)]
-        assert seq_a == seq_b
-        assert seq1  # smoke: single-draw path works
+        lam = abs(1 + 0.5j) ** 2
+        seq_a = batch_parity_is_odd(np.full(500, lam), np.random.default_rng(99).random(500))
+        seq_b = batch_parity_is_odd(np.full(500, lam), np.random.default_rng(99).random(500))
+        assert np.array_equal(seq_a, seq_b)
+        # A single draw, as an array of one and as a 0-d array.
+        u = np.random.default_rng(123).random()
+        assert batch_parity_is_odd(np.array([1.0]), np.array([u])).shape == (1,)
+        assert batch_parity_is_odd(np.float64(1.0), np.float64(u)).shape == ()
 
     def test_scalar_inversion_matches_batch_mapping(self):
-        # sample_parity consumes one uniform per draw and lands on the same
-        # photon-number parity as the table inversion fed the same uniforms.
-        mu = 1.2 + 0.7j
-        lam = abs(mu) ** 2
+        # A call per draw lands on the same photon-number parity as one call
+        # over every draw, the means mixed.
         n = 2000
-        scalar_rng = np.random.default_rng(2024)
-        scalar = np.array([sample_parity(mu, scalar_rng) is Parity.ODD for _ in range(n)])
-        batch_rng = np.random.default_rng(2024)
-        batch = batch_parity_is_odd(np.full(n, lam), batch_rng.random(n))
-        assert np.array_equal(scalar, batch)
+        rng = np.random.default_rng(2024)
+        lams = rng.choice([abs(1.2 + 0.7j) ** 2, 0.0, 250.0], n)
+        u = rng.random(n)
+        single = [batch_parity_is_odd(lams[i:i + 1], u[i:i + 1])[0] for i in range(n)]
+        assert np.array_equal(single, batch_parity_is_odd(lams, u))
 
     def test_empirical_parity_converges(self):
         lam = 1.0
@@ -530,9 +616,8 @@ class TestSampling:
         assert abs(odd.mean() - p_odd) < 4 * sigma
 
     def test_scalar_sampler_statistics(self):
-        # The draws of 1e5 sample_parity(1.0, rng) calls, made in one batch
-        # call; test_scalar_inversion_matches_batch_mapping covers the
-        # per-draw equality of the two.
+        # 1e5 draws at mean 1 in one call; test_scalar_inversion_matches_batch_mapping
+        # covers the per-draw equality of single and batch calls.
         n = 10**5
         rng = np.random.default_rng(31)
         odd = np.count_nonzero(batch_parity_is_odd(np.full(n, 1.0), rng.random(n)))
@@ -576,5 +661,3 @@ class TestSampling:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 batch_parity_is_odd(np.array([bad]), np.array([0.5]))
-        with pytest.raises(ValueError):
-            sample_parity(complex(float("nan"), 0.0), np.random.default_rng(0))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerlab import protocol
-from steerlab.coherent import Parity
+from steerlab.coherent import Parity, batch_parity_is_odd
 from steerlab.keyrate import binary_entropy, bob_error, eve_error
 from steerlab.output import open_atomic
 from steerlab.protocol import (
@@ -350,6 +350,117 @@ def test_encoder_golden_hashes(channel, alpha, beta, rounds, seed, digest):
     sink = _Sha256Sink()
     write_transcript(run_protocol(config).transcript, sink)
     assert sink.hash.hexdigest() == digest
+
+
+# Stats and transcript digests of runs over two chunks and 321 rounds at
+# the edges of the preparation choice, recorded while every round still
+# compared a double uniform with p_plus: the smallest positive double,
+# the largest double below 1, and 1, where no round is MINUS.
+P_PLUS_GOLDENS = {
+    0.0: (0, {
+        "ideal": ("1dfcf970e02ded051dc8e6aa8bb874c97432cdeae2b6957c110da7fa16fa8817",
+                  "6baa8b286c80ef255d4553741ebf8e52714436e5a3e8f3817358f91d0cc4bec0"),
+        "clone": ("ce9074f4ed2fb9e44c929cd345454b5ab85c6291ab2851ef69b41facd51e9454",
+                  "5682f23e3626042ff90769fc2e9ae84eb57de40750c8d01495f970aac3254018"),
+        "mixture": ("7749f3c3d0760d766abd31ad9f0d33b43679e96f84d2f4c678d8c40f3fb85cba",
+                    "067dfdfd9c7dd987125627e89aa181874a3c5c54995437df27bd46758c7d0e87"),
+    }),
+    0.3: (9764, {
+        "ideal": ("56c5c771b72eac2d467b362516b6cea115ae8db4a8763b63080440661619758a",
+                  "396cdf13286fd38da20e92cd9ef6a59836bbdc7eebbc6a32d8f4f88c21eb43b7"),
+        "clone": ("b1bc985465fcf012ab7fb5982764d88488047107d4e388610061eb41be9d1f9f",
+                  "7c7bd613dd993969f38abb7a01b01a5eb4dcdf883dddd733461e8d16116eb3da"),
+        "mixture": ("891d07280e47bfacf73bf02733d7eeaddf91f6daf3a3f80b2a49a2f72420a919",
+                    "3400b926fd9b36138db0a928e03f167965923f26d065dac761d5d1f476245aa6"),
+    }),
+    0.5: (16285, {
+        "ideal": ("ed33f0919adcb4af86d4f40762811cd275a867728a71b42766502f0dc729bf68",
+                  "d2c41c6f93324228705abbee9c355a84bfc4dac1a2380fecdfa5b2c89d40c3f1"),
+        "clone": ("361756bf5f49c8ad106295d4f6d1ab21f5a3f4aeb194de336f12c14f6796a14a",
+                  "5b9f3038b8e8f5c4bf3f4903748cd75d310125e5afaca87f4277d70fcd5e9f01"),
+        "mixture": ("7dbf0c945a5ba876727ecaf7cbc29b81e7860250c5294755a0e9a74a256456fa",
+                    "454ac675d435d4e704c819fef4f90f13a693697fb787403d6e1acac272393852"),
+    }),
+    1.0: (33089, {
+        "ideal": ("cc74885635fffe57f65fc6c2ff2d590e66088c2bef69b3444580004560dec81f",
+                  "269f82373af7cc732cd8ea2d5c3a4d7d29440aee596d0fb29cd07737e4f7e382"),
+        "clone": ("3ce5be7d540350a59fe42e29eb819bf7398b0205c7f642102a518659ffb07dd8",
+                  "f5fcb0f5c07f34dfe47c541a0c54c16698fe18891ebfc01df4a6ab18d0e146c7"),
+        "mixture": ("1315cda1327fe5e1258727c9d9af21de576eba44b6ad4175019701c932041722",
+                    "de0a4cbebee5e8cb24794dd9f00633a4067d7c6388f2750b1bb0017078aaa710"),
+    }),
+}
+# No round's uniform is 0 or 1 - 2**-53, so these edges give the runs above.
+P_PLUS_GOLDENS[2.0**-1074] = P_PLUS_GOLDENS[0.0]
+P_PLUS_GOLDENS[1.0 - 2.0**-53] = P_PLUS_GOLDENS[1.0]
+
+
+@pytest.mark.parametrize("channel", ["ideal", "clone", "mixture"])
+@pytest.mark.parametrize("p_plus", sorted(P_PLUS_GOLDENS))
+def test_p_plus_edge_golden_hashes(p_plus, channel):
+    rounds = 2 * 16_384 + 321
+    assert rounds > 2 * protocol._LINES and rounds % protocol._LINES
+    config = SimConfig(
+        alpha=1.0, beta=0.5, p_plus=p_plus, channel=GOLDEN_CHANNELS[channel], rounds=rounds, seed=67
+    )
+    n_plus, digests = P_PLUS_GOLDENS[p_plus]
+    result = run_protocol(config)
+    sink = _Sha256Sink()
+    write_transcript(result.transcript, sink)
+    assert result.stats.n_plus == n_plus
+    assert (_stats_digest(result.stats), sink.hash.hexdigest()) == digests[channel]
+
+
+@pytest.mark.parametrize("p_plus", [*P_PLUS_GOLDENS, 2.0**-1022, 2.0**-53, 1 / 3, math.nextafter(0.5, 0)])
+def test_plus_words_are_those_of_uniforms_below_p_plus(p_plus):
+    # The words on either side of the threshold, and of every uniform within
+    # a few steps of p_plus, compare as their uniforms do.
+    below = protocol._plus_below(p_plus)
+    steps = [math.floor(p_plus * 2**53) + d for d in range(-2, 3)]
+    words = {0, 2**64 - 1, *((m << 11) + d for m in steps for d in (-1, 0, 2047, 2048))}
+    words = np.array(sorted(w for w in words if 0 <= w < 2**64), np.uint64)
+    plus = np.ones(len(words), bool) if below is None else words < below
+    assert np.array_equal(plus, (words >> 11) * 2.0**-53 < p_plus)
+    assert (below is None) == (p_plus == 1.0)
+
+
+def _sample_like_uniforms(config: SimConfig, u: np.ndarray):
+    # A chunk drawn from double uniforms, as every round was before runs
+    # drew raw words: preparation, component and both parities.
+    cumulative, bob, eve = protocol._kind_samplers(config)
+    plus = u[:, 0] < config.p_plus
+    kind = plus.astype(np.intp)
+    if len(cumulative) > 1:
+        component = np.searchsorted(cumulative, u[:, 1], side="right")
+        kind = kind * len(cumulative) + np.minimum(component, len(cumulative) - 1)
+    bob_odd = batch_parity_is_odd(bob._lams[kind], u[:, 2])
+    return plus, bob_odd, None if eve is None else batch_parity_is_odd(eve._lams[kind], u[:, 3])
+
+
+@pytest.mark.parametrize("channel", ["ideal", "clone", "mixture"])
+@pytest.mark.parametrize("p_plus", [0.25, 0.3])
+def test_words_sample_like_their_uniforms(channel, p_plus):
+    # Random words, and words on either side of p_plus and of each mixture
+    # weight's cumulative sum in the preparation and component columns.
+    config = SimConfig(alpha=1.0, beta=0.5, p_plus=p_plus, channel=GOLDEN_CHANNELS[channel])
+    w = np.random.Philox(key=5).random_raw((4096, 4))
+    edges = [(math.floor(t * 2**53) + d << 11) + e for t in (p_plus, 0.25, 0.75)
+             for d in (-1, 0, 1) for e in (0, 2047)]
+    w[:len(edges), :2] = np.array(edges, np.uint64)[:, None]
+    drawn = protocol._sample_chunk(protocol._kind_samplers(config), protocol._plus_below(p_plus), w)
+    expected = _sample_like_uniforms(config, (w >> 11) * 2.0**-53)
+    for a, b in zip(drawn, expected):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key,offset,count",[(0, 0, 9), (67, 5, 1000), (2**64 - 1, 2**40 + 3, 333)])
+def test_raw_philox_words_are_the_generators_uniforms(key, offset, count):
+    # Generator.random() of a Philox stream is (word >> 11) * 2**-53 of its
+    # raw words, word for word, also after a counter offset.
+    words = np.random.Philox(key=key).advance(offset).random_raw(count)
+    uniforms = np.random.Generator(np.random.Philox(key=key).advance(offset)).random(count)
+    assert words.dtype == np.uint64
+    assert np.array_equal((words >> 11) * 2.0**-53, uniforms)
 
 
 # Largest round count drawn per chunk size, so that the example takes a few
