@@ -429,6 +429,26 @@ class TestSteerRegionCommand:
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
+    # SHA-256 of the largest admitted clone sweep, recorded while the sweep
+    # still took its branch probabilities one beta at a time and the SVG
+    # formatted each cell on its own.
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("csv", "c79c547b7ac1ff33a8563695b8c061222a52a4e00c41871457240956b5ac2ba8"),
+            ("svg", "96b750be500783b46b9a955bdfc73b7ff85d2f096681e68f54b576d9479fb94b"),
+        ],
+    )
+    def test_largest_clone_sweep_bytes(self, tmp_path, capsys, fmt, digest):
+        out_path = tmp_path / f"region.{fmt}"
+        code, _, _ = run_cli(
+            ["steer-region", "--steps", "500", "--channel", "clone", "--format", fmt,
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     def test_invalid_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["steer-region", "--beta-min", "2", "--beta-max", "1"])
@@ -492,6 +512,15 @@ class TestKeyrateCommand:
             main(["keyrate", "--steps", "100001"])
         assert exc.value.code == 2
         assert "--steps must be at most 100000" in capsys.readouterr().err
+
+    def test_largest_curve_bytes(self, tmp_path, capsys):
+        # SHA-256 recorded while the curve was still a list of scalar points.
+        out_path = tmp_path / "rate.csv"
+        code, _, _ = run_cli(["keyrate", "--steps", "100000", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "2c70e72a2f90f8b9b418294c371593231a52e7b99c8cd9d21a1b8e97defdc859"
+        )
 
     @pytest.mark.parametrize(
         "argv, digest",
