@@ -10,12 +10,14 @@ from .coherent import (
     CutoffTooSmallError,
     displace,
     fock_probability,
+    parity_closed_form,
     parity_probabilities,
     parity_by_truncation,
     default_cutoff,
 )
 from .keyrate import (
     EveOptimum,
+    KeyRateCurve,
     KeyRatePoint,
     binary_entropy,
     bob_error,

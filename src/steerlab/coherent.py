@@ -43,6 +43,7 @@ __all__ = [
     "in_excluded_region",
     "displace",
     "fock_probability",
+    "parity_closed_form",
     "parity_probabilities",
     "parity_by_truncation",
     "default_cutoff",
@@ -108,7 +109,8 @@ def _require_finite(value: complex, name: str = "amplitude") -> complex:
     return z
 
 
-def _mean_photon_number(mu: complex) -> float:
+def _mean_photon_number(mu):
+    # |mu|^2 of a complex, a float or a numpy array of either, elementwise.
     return mu.real * mu.real + mu.imag * mu.imag
 
 
@@ -177,16 +179,49 @@ def fock_probability(n: int, mu: complex) -> float:
     return math.exp(-lam) * lam**n / math.factorial(n)
 
 
-def parity_probabilities(mu: complex) -> ParityDistribution:
-    """Closed-form parity distribution of |mu>.
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    # A math function of each element of an array, in an array of its shape.
+    # A memoryview yields the elements as floats one at a time, where
+    # tolist() would hold them all.
+    flat = np.fromiter(map(function, memoryview(values.ravel())), float, values.size)
+    return flat.reshape(values.shape)
+
+
+def parity_closed_form(lams):
+    """Even and odd parity probabilities of mean photon numbers lam.
 
     Summing the Poisson weights over even and odd photon numbers gives
-    p_even = (1 + exp(-2|mu|^2)) / 2 and p_odd = (1 - exp(-2|mu|^2)) / 2;
-    the result depends on mu only through its modulus.
+    p_even = (1 + exp(-2 lam)) / 2 and p_odd = (1 - exp(-2 lam)) / 2.
+    ``lams`` is a float, giving two floats, or a numpy array, giving two
+    float64 arrays of its shape.  Over an array math.exp is mapped, so
+    each element is bitwise a float's value (np.exp can differ from it in
+    the last bit).  Raises ValueError unless every mean is nonnegative (nan
+    included); an infinite mean gives 1/2 and 1/2.
+    """
+    if isinstance(lams, np.ndarray):
+        if not (lams >= 0.0).all():
+            raise ValueError(_NEGATIVE_MEANS)
+        with np.errstate(over="ignore"):  # -inf beyond -DBL_MAX, as for a float
+            exponents = -2.0 * lams
+        t = _mapped(math.exp, exponents)
+    elif lams >= 0.0:
+        t = math.exp(-2.0 * lams)
+    else:
+        raise ValueError(_NEGATIVE_MEANS)
+    return (1.0 + t) / 2.0, (1.0 - t) / 2.0
+
+
+_NEGATIVE_MEANS = "mean photon numbers must be nonnegative"
+
+
+def parity_probabilities(mu: complex) -> ParityDistribution:
+    """Closed-form parity distribution of |mu>: parity_closed_form of |mu|^2.
+
+    The result depends on mu only through its modulus.
     """
     mu = _require_finite(mu, "mu")
-    t = math.exp(-2.0 * _mean_photon_number(mu))
-    return ParityDistribution(p_even=(1.0 + t) / 2.0, p_odd=(1.0 - t) / 2.0)
+    p_even, p_odd = parity_closed_form(_mean_photon_number(mu))
+    return ParityDistribution(p_even=p_even, p_odd=p_odd)
 
 
 def _poisson_half_width(lam: float) -> float:

@@ -24,6 +24,11 @@ with H2 the binary entropy in bits (equiprobable preparation makes
 H(A) = 1 bit), and the rate is their difference.  At eta = pi/4 the two
 amplitude factors coincide, the error probabilities are equal, and the
 rate vanishes.
+
+key_rate_curve computes all of these over an eta grid as arrays, with
+math.cos, math.exp and math.log2 mapped over them, so each element is
+bitwise the scalar functions' value; key_rate_point is its one-element
+case.
 """
 
 from __future__ import annotations
@@ -33,16 +38,21 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coherent import (
+    _mapped,
     default_cutoff,
     in_excluded_region,
     parity_by_truncation,
+    parity_closed_form,
     parity_probabilities,
 )
 
 __all__ = [
     "HALF_PI",
     "KeyRatePoint",
+    "KeyRateCurve",
     "EveOptimum",
     "bob_amplitude_factor",
     "eve_amplitude_factor",
@@ -92,7 +102,11 @@ def odd_parity_sinh_form(delta: complex) -> float:
     it is inf where that overflows too (x above about 1420).
     """
     delta = complex(delta)
-    m2 = delta.real * delta.real + delta.imag * delta.imag
+    return _sinh_form(delta.real * delta.real + delta.imag * delta.imag)
+
+
+def _sinh_form(m2: float) -> float:
+    # odd_parity_sinh_form of a state with mean photon number m2.
     try:
         return math.sinh(m2) * math.exp(-m2 / 2.0)
     except OverflowError:
@@ -186,12 +200,14 @@ class KeyRatePoint:
 
 def key_rate_point(alpha: float, beta: float, eta: float) -> KeyRatePoint:
     """Error probabilities, mutual informations, and rate at one eta."""
-    p01 = bob_error(alpha, beta, eta)
-    q01 = eve_error(alpha, beta, eta)
-    i_ab = 1.0 - binary_entropy(p01)
-    i_ae = 1.0 - binary_entropy(q01)
+    curve = key_rate_curve(alpha, beta, [eta])
     return KeyRatePoint(
-        eta=eta, p01=p01, q01=q01, i_ab=i_ab, i_ae=i_ae, rate=i_ab - i_ae
+        eta=eta,
+        p01=curve.p01.item(),
+        q01=curve.q01.item(),
+        i_ab=curve.i_ab.item(),
+        i_ae=curve.i_ae.item(),
+        rate=curve.rate.item(),
     )
 
 
@@ -227,11 +243,76 @@ def optimize_eve(
     return EveOptimum(eta_star=eta_hi, i_ae_star=point.i_ae, rate_at_star=point.rate)
 
 
-def key_rate_curve(alpha: float, beta: float, eta_grid: list[float]) -> list[KeyRatePoint]:
-    """key_rate_point evaluated over a sorted eta grid, in grid order."""
-    eta_grid = [float(e) for e in eta_grid]
-    if not eta_grid:
+@dataclass(frozen=True)
+class KeyRateCurve:
+    """KeyRatePoint's fields over an eta grid, one float64 array each.
+
+    ``p01_sinh_form`` and ``q01_sinh_form`` are bob_error_sinh_form and
+    eve_error_sinh_form at each eta; they may hold inf or nan.
+    """
+
+    eta: np.ndarray
+    p01: np.ndarray
+    q01: np.ndarray
+    i_ab: np.ndarray
+    i_ae: np.ndarray
+    rate: np.ndarray
+    p01_sinh_form: np.ndarray
+    q01_sinh_form: np.ndarray
+
+
+def _sinh_forms(m2: np.ndarray) -> np.ndarray:
+    # _sinh_form of each mean: math.sinh mapped straight unless one overflows.
+    try:
+        sinh = _mapped(math.sinh, m2)
+    except OverflowError:
+        return _mapped(_sinh_form, m2)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic
+        return sinh * _mapped(math.exp, -m2 / 2.0)
+
+
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    # binary_entropy of each error probability, all of which lie in [0, 1/2].
+    h = np.zeros_like(p)
+    inner = p > 0.0
+    x = p[inner]
+    h[inner] = -x * _mapped(math.log2, x) - (1.0 - x) * _mapped(math.log2, 1.0 - x)
+    return h
+
+
+def key_rate_curve(alpha: float, beta: float, eta_grid: list[float]) -> KeyRateCurve:
+    """key_rate_point's values over a sorted eta grid, in grid order.
+
+    Element k of each array is bitwise what the scalar functions give at
+    eta_grid[k]: key_rate_point for the first six fields, the sinh-form
+    errors for the last two.
+    """
+    etas = np.array(eta_grid, dtype=float)
+    if not etas.size:
         raise ValueError("eta_grid must be nonempty")
-    if any(later < earlier for earlier, later in zip(eta_grid, eta_grid[1:])):
+    if (etas[1:] < etas[:-1]).any():
         raise ValueError("eta_grid must be sorted ascending")
-    return [key_rate_point(alpha, beta, eta) for eta in eta_grid]
+    _check_not_excluded(alpha, beta)
+    # Rows: Bob's amplitude factor cos|eta| and Eve's cos(pi/2 - eta), as
+    # bob_amplitude_factor and eve_amplitude_factor.
+    shift = _mapped(math.cos, np.array((np.abs(etas), HALF_PI - etas))) - 1.0
+    # delta_+- = (alpha +- beta)(factor - 1), as _average_over_preparations,
+    # indexed (preparation, Bob or Eve, eta); overflow and inf * 0 give inf
+    # and nan silently, as for floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.multiply.outer((alpha + beta, alpha - beta), shift)
+        means = offsets * offsets
+    finite = np.isfinite(offsets).all(axis=(0, 1))
+    if not finite.all():
+        raise ValueError(
+            "an offset (alpha +- beta)(amplitude factor - 1) is not finite "
+            f"at eta {etas.item(np.argmin(finite))!r}"
+        )
+    closed, sinh = parity_closed_form(means)[1], _sinh_forms(means)
+    errors = 0.5 * (closed[0] + closed[1])  # rows: p01, q01
+    sinh_errors = 0.5 * (sinh[0] + sinh[1])
+    info = 1.0 - _binary_entropies(errors)  # rows: i_ab, i_ae
+    return KeyRateCurve(
+        eta=etas, p01=errors[0], q01=errors[1], i_ab=info[0], i_ae=info[1],
+        rate=info[0] - info[1], p01_sinh_form=sinh_errors[0], q01_sinh_form=sinh_errors[1],
+    )

@@ -119,10 +119,22 @@ def _as_list(values) -> list:
     return values.tolist() if hasattr(values, "tolist") else list(values)
 
 
+# "%.17g" % x is format(x, _FLOAT_FORMAT) for every float, but cheaper to call.
+_CSV_FLOAT = "%" + _FLOAT_FORMAT
+_format_float = _CSV_FLOAT.__mod__
+
+
 def _csv_cells(values: list) -> list[str]:
     """format_number of each value; an all-float list skips the type tests."""
-    if all(isinstance(v, float) for v in values):
-        return [format(v, _FLOAT_FORMAT) for v in values]
+    if set(map(type, values)) == {float}:
+        return list(map(_format_float, values))
+    return list(map(format_number, values))
+
+
+def _csv_values(values: list) -> list:
+    """An all-float list as it is, for write_csv's row template; else _csv_cells."""
+    if set(map(type, values)) == {float}:
+        return values
     return list(map(format_number, values))
 
 
@@ -145,7 +157,7 @@ _JSON_SCALARS = {
 
 def _json_cells(values: list) -> list[str]:
     """``json.dumps`` of each value; an all-float list goes through repr."""
-    if all(isinstance(v, float) for v in values):
+    if set(map(type, values)) == {float}:
         return [_JSON_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
     return [_JSON_SCALARS.get(type(v), json.dumps)(v) for v in values]
 
@@ -157,15 +169,38 @@ def _json_key(name) -> str:
     return json.dumps({name: None})[1:-len(": null}")]
 
 
-def _column_slices(column: Column, cells):
-    """The formatted cells of ``column``, one list per slice of rows."""
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``indent``.
+
+    Dicts and lists are laid out here; every other value is a cell.
+    """
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, indent + '  ')}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_json_text(v, indent + "  ") for v in value]
+    else:
+        return _json_cells([value])[0]
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _column_slices(column: Column, cells, entry_cells):
+    """The formatted cells of ``column``, one list per slice of rows.
+
+    A default column's slices go through ``cells``; the entries of any
+    other column through ``entry_cells``, once each.
+    """
     rows = len(column)
     starts = range(0, rows, _SLICE_ROWS)
     if column.codes is None and column.repeat == column.tile == 1:
         for start in starts:
             yield cells(_as_list(column.values[start:start + _SLICE_ROWS]))
         return
-    entries = cells(_as_list(column.values))
+    entries = entry_cells(_as_list(column.values))
     if column.codes is not None:
         for start in starts:
             codes = _as_list(column.codes[start:start + _SLICE_ROWS])
@@ -181,8 +216,12 @@ def _column_slices(column: Column, cells):
         yield part
 
 
-def _row_slices(columns: list[Column], cells):
-    """Per slice of rows, one list of formatted cells per column."""
+def _row_slices(columns: list[Column], cells, entry_cells=None):
+    """Per slice of rows, one list of formatted cells per column.
+
+    ``entry_cells`` formats the entries of columns not in the default form
+    (``cells`` if not given).
+    """
     rows = len(columns[0]) if columns else 0
     if 0 < rows <= _SLICE_ROWS and all(
         column.codes is None and column.repeat == column.tile == 1 for column in columns
@@ -191,14 +230,27 @@ def _row_slices(columns: list[Column], cells):
         values = zip(*(_as_list(column.values) for column in columns))
         flat = cells(list(itertools.chain.from_iterable(values)))
         return [[flat[k::len(columns)] for k in range(len(columns))]]
-    return zip(*(_column_slices(column, cells) for column in columns))
+    entry_cells = entry_cells or cells
+    return zip(*(_column_slices(column, cells, entry_cells) for column in columns))
 
 
 def write_csv(fh, header: list[str], columns: list[Column]) -> None:
-    """The header line, then one line per row: cells through format_number."""
+    """The header line, then one line per row: cells through format_number.
+
+    A slice whose cells are all floats, such as the key-rate curve's, is
+    formatted by one "%" call on a repeated row template.  Any other slice
+    is joined from its cells' texts: for a table with text columns, such
+    as a region sweep's, that takes no longer, and the template's large
+    buffers would only raise the peak memory.
+    """
     fh.write(",".join(header) + "\n")
-    for parts in _row_slices(columns, _csv_cells):
-        fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+    for parts in _row_slices(columns, _csv_values, _csv_cells):
+        if all(type(part[0]) is float for part in parts):
+            row = ",".join([_CSV_FLOAT] * len(parts)) + "\n"
+            fh.write(row * len(parts[0]) % tuple(itertools.chain.from_iterable(zip(*parts))))
+        else:
+            parts = [part if type(part[0]) is str else _csv_cells(part) for part in parts]
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None:
@@ -208,9 +260,9 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     into one template of the indented layout, so cell bytes are those of
     ``json.dumps`` for the cell alone.
     """
-    empty = json.dumps({"meta": meta, "rows": []}, indent=2)
+    head = '{\n  "meta": ' + _json_text(meta, "  ") + ',\n  "rows": ['
     if not columns or not len(columns[0]):
-        fh.write(empty + "\n")
+        fh.write(head + "]\n}\n")
         return
     # Like dict(zip(header, row)): each name at its first position, with
     # the cell of its last column.
@@ -219,7 +271,7 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
         last[name] = k
     keys = (_json_key(name).replace("%", "%%") for name in last)
     row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    fh.write(empty[:-len("]\n}")])
+    fh.write(head)
     lead = 1  # no comma before the first row
     for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
         text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))
@@ -312,19 +364,24 @@ def write_region_svg(
     cell_h = (p_range[1] - p_range[0]) / max(len(set(p_grid)), 1) or 1.0
     frame = _Frame(beta_range[0], beta_range[1], p_range[0], p_range[1])
     fh.write("\n".join(_svg_open()) + "\n")
-    # A cell's y and height depend on p alone, its x and width on beta alone.
-    y_cells = []
-    for p in p_grid:
+    # A cell's y and height depend on p alone, its x and width on beta
+    # alone.  So a row is x.join over its cells' texts that follow x, each
+    # of them width.join over the pair (from y to width, from height to the
+    # next cell's x), chosen per p by the cell's tone.
+    head = '<rect x="'
+    cells = []
+    for k, p in enumerate(p_grid):
         y = frame.y(p + cell_h / 2)
-        y_cells.append((_coord(y), _coord(frame.y(p - cell_h / 2) - y)))
-    fills = (_COLOR_VIOLATING, _COLOR_WITHIN)
-    for beta, row in zip(beta_grid, within.tolist()):
+        h = frame.y(p - cell_h / 2) - y
+        tail = "" if k == len(p_grid) - 1 else head
+        cells.append(tuple(
+            (f'" y="{_coord(y)}" width="', f'" height="{_coord(h)}" fill="{fill}"/>\n{tail}')
+            for fill in (_COLOR_VIOLATING, _COLOR_WITHIN)
+        ))
+    for beta, row in zip(beta_grid, within.tolist() if cells else ()):
         x = frame.x(beta - cell_w / 2)
-        rect = (
-            f'<rect x="{_coord(x)}" y="%s" width="{_coord(frame.x(beta + cell_w / 2) - x)}" '
-            f'height="%s" fill="%s"/>\n'
-        )
-        fh.write("".join([rect % (y, h, fills[tone]) for (y, h), tone in zip(y_cells, row)]))
+        x_text, w_text = _coord(x), _coord(frame.x(beta + cell_w / 2) - x)
+        fh.write(head + x_text + x_text.join(map(w_text.join, map(tuple.__getitem__, cells, row))))
     parts = []
     for branch in (1, 2):
         coords = []

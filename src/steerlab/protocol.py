@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coherent import Parity, ParitySampler, _uniforms
+from .coherent import Parity, ParitySampler, _mean_photon_number, _uniforms
 # Unused here: perfbench/selftest.py checks that the benchmark's tracer
 # wraps this name in this module.
 from .coherent import batch_parity_is_odd  # noqa: F401
@@ -225,12 +225,6 @@ class ProtocolResult:
     transcript: Transcript
 
 
-def _squared_modulus(values: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(values):
-        return values.real**2 + values.imag**2
-    return values**2
-
-
 def _parity(odd: bool) -> Parity:
     return Parity.ODD if odd else Parity.EVEN
 
@@ -255,7 +249,7 @@ def _kind_samplers(config: SimConfig):
         # scalar ones of a mixture, which broadcast over prep.
         received = np.array(amplitudes).T
         with np.errstate(over="ignore", invalid="ignore"):
-            return _squared_modulus(received + gamma).ravel()
+            return _mean_photon_number(received + gamma).ravel()
 
     eve = None if eves[0] is None else ParitySampler(means(eves))
     return np.cumsum(weights), ParitySampler(means(bobs)), eve

@@ -24,7 +24,8 @@ the density operator), so no density-matrix machinery is needed.
 ``branch_probabilities`` gives the two terms b1, b2 of S before the p_plus
 weighting.  With the canonical displacements gamma1 = -(alpha + beta) and
 gamma2 = -(alpha - beta) they depend on beta alone, so a region sweep
-evaluates them once per beta and forms p b1 + (1 - p) b2 over the p grid,
+evaluates them for all betas at once, as arrays from
+coherent.parity_closed_form, and forms p b1 + (1 - p) b2 over the p grid,
 bitwise what steering_sum gives; it returns the sums as one (beta, p)
 array and leaves verdicts to the caller (``verdict_codes`` over the array).
 By the same linearity in the density operator, the branch probabilities
@@ -46,7 +47,13 @@ from enum import Enum
 
 import numpy as np
 
-from .coherent import Parity, in_excluded_region, parity_probabilities
+from .coherent import (
+    Parity,
+    _mean_photon_number,
+    in_excluded_region,
+    parity_closed_form,
+    parity_probabilities,
+)
 from .keyrate import bob_amplitude_factor, eve_amplitude_factor
 
 __all__ = [
@@ -171,21 +178,21 @@ class LhsMixtureChannel:
 Channel = IdealChannel | GaussianCloneChannel | LhsMixtureChannel
 
 
-def _conditional_probability(
-    channel: Channel, prepared: complex, gamma: complex, outcome: Parity
-) -> float:
-    total = 0.0
-    for weight, bob, _ in channel.components(prepared):
-        total += weight * parity_probabilities(bob + gamma).prob(outcome)
-    return total
-
-
 def branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
-    """P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta); p_plus does not enter."""
+    """P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta); p_plus does not enter.
+
+    Each is the channel components' parity probabilities, weighted and
+    summed in component order.
+    """
     ens, outcome = scenario.ensemble, scenario.outcome
-    plus = _conditional_probability(channel, complex(ens.alpha + ens.beta), scenario.gamma1, outcome)
-    minus = _conditional_probability(channel, complex(ens.alpha - ens.beta), scenario.gamma2, outcome)
-    return plus, minus
+    branches = ((ens.alpha + ens.beta, scenario.gamma1), (ens.alpha - ens.beta, scenario.gamma2))
+    totals = []
+    for prepared, gamma in branches:
+        total = 0.0
+        for weight, bob, _ in channel.components(complex(prepared)):
+            total += weight * parity_probabilities(bob + gamma).prob(outcome)
+        totals.append(total)
+    return totals[0], totals[1]
 
 
 def verdict_codes(totals) -> np.ndarray:
@@ -295,7 +302,9 @@ def region_sweep(
     outcome at every grid point.  Returns a float64 array of shape
     (len(beta_grid), len(p_grid)); entry [i, j] is bitwise steering_sum's
     value at (beta_grid[i], p_grid[j]), from two branch probabilities per
-    beta (see the module docstring).
+    beta (see the module docstring).  Raises ValueError for a non-finite
+    alpha or beta, or where alpha + beta, alpha - beta or a displaced
+    channel output overflows.
     """
     beta_grid = [float(b) for b in beta_grid]
     p_grid = [float(p) for p in p_grid]
@@ -303,16 +312,28 @@ def region_sweep(
     _validate_grid(p_grid, "p_grid")
     if not all(0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("p_grid must lie in [0, 1]")
+    betas = np.array(beta_grid)
+    if not (math.isfinite(alpha) and np.all(np.isfinite(betas))):
+        raise ValueError("alpha and beta must be finite")
+
+    def require_finite(values: np.ndarray, name: str) -> None:
+        if not np.all(np.isfinite(values)):
+            beta = beta_grid[np.argmin(np.isfinite(values))]
+            raise ValueError(f"{name} overflows at alpha {alpha!r} and beta {beta!r}")
+
+    branches = []
+    # Overflow gives inf silently, as in float arithmetic, and is then refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, prepared in (("+", alpha + betas), ("-", alpha - betas)):
+            require_finite(prepared, f"displacement alpha {sign} beta")
+            # P(even | -prepared, prepared), component by component.
+            total = 0.0
+            for weight, bob, _ in channel.components(prepared):
+                delta = bob + -prepared
+                require_finite(delta, f"displaced output of alpha {sign} beta")
+                total = total + weight * parity_closed_form(_mean_photon_number(delta))[0]
+            branches.append(total)
     ps = np.array(p_grid)
-    sums = np.empty((len(beta_grid), len(p_grid)))
-    for row, beta in zip(sums, beta_grid):
-        # p_plus does not enter the branch probabilities.
-        scenario = SteeringScenario(
-            ensemble=PreparationEnsemble(alpha=alpha, beta=beta, p_plus=0.5),
-            gamma1=-(alpha + beta),
-            gamma2=-(alpha - beta),
-            outcome=Parity.EVEN,
-        )
-        p_branch1, p_branch2 = branch_probabilities(scenario, channel)
-        row[:] = ps * p_branch1 + (1.0 - ps) * p_branch2
+    sums = ps * branches[0][:, None]
+    sums += (1.0 - ps) * branches[1][:, None]
     return sums

@@ -465,6 +465,29 @@ class TestSteerRegionCommand:
         assert exc.value.code == 2
         assert "ranges must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Finite bounds whose third grid point, 0.05 + (1e308 - 0.05) * 2 / 49,
+            # overflows.
+            (["--alpha=1e308", "--beta-max=1e308"],
+             "displacement beta overflows: grid point 2 from 0.05 to 1e+308 is inf"),
+            (["--alpha=1e308", "--beta-min=1e308", "--beta-max=1.5e308", "--steps", "2"],
+             "displacement alpha + beta overflows at alpha 1e+308 and beta 1e+308"),
+            (["--alpha=-1e308", "--beta-min=1e308", "--beta-max=1.5e308", "--steps", "2"],
+             "displacement alpha - beta overflows at alpha -1e+308 and beta 1e+308"),
+            # Bob's clone at eta = pi is -(alpha + beta), displaced by as much again.
+            (["--alpha=8e307", "--beta-min=0", "--beta-max=1e307", "--steps", "2",
+              "--channel", "clone", f"--eta={math.pi!r}"],
+             "displaced output of alpha + beta overflows at alpha 8e+307 and beta 1e+307"),
+        ],
+    )
+    def test_overflowing_displacement_exits_1_naming_it(self, capsys, argv, message):
+        code, out, err = run_cli(["steer-region", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"steerlab: error: {message}\n"
+
     def test_too_many_steps_exits_2(self, capsys):
         # Rejected before any grid is built: the sweep's memory grows with steps^2.
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -235,17 +236,51 @@ class TestOptimizeEve:
 
 class TestKeyRateCurve:
     def test_three_point_grid_matches_endpoint_identities(self):
-        pts = key_rate_curve(1.0, 0.5, [0.0, math.pi / 4, HALF_PI])
-        assert pts[0].rate == 1.0 - pts[0].i_ae
-        assert abs(pts[1].rate) < 1e-12
-        assert pts[2].rate == pts[2].i_ab - 1.0
+        curve = key_rate_curve(1.0, 0.5, [0.0, math.pi / 4, HALF_PI])
+        assert curve.rate[0] == 1.0 - curve.i_ae[0]
+        assert abs(curve.rate[1]) < 1e-12
+        assert curve.rate[2] == curve.i_ab[2] - 1.0
 
     def test_singleton_grid(self):
-        pts = key_rate_curve(1.0, 0.5, [0.3])
-        assert len(pts) == 1 and pts[0].eta == 0.3
+        curve = key_rate_curve(1.0, 0.5, [0.3])
+        assert curve.eta.tolist() == [0.3] and curve.rate.shape == (1,)
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             key_rate_curve(1.0, 0.5, [HALF_PI, 0.0])
         with pytest.raises(ValueError):
             key_rate_curve(1.0, 0.5, [])
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (-1.3, 0.4), (2.5, 1.7)])
+    def test_arrays_match_the_scalar_functions_bit_for_bit(self, alpha, beta):
+        # 257 points from 0 to pi/2, so pi/4 is one of them.
+        etas = [HALF_PI * k / 256 for k in range(257)]
+        assert etas[0] == 0.0 and etas[128] == math.pi / 4 and etas[-1] == HALF_PI
+        curve = key_rate_curve(alpha, beta, etas)
+        fields = ["eta", "p01", "q01", "i_ab", "i_ae", "rate"]
+        for k, eta in enumerate(etas):
+            point = key_rate_point(alpha, beta, eta)
+            for name in fields:
+                assert getattr(curve, name)[k].hex() == getattr(point, name).hex(), (name, eta)
+            # The scalar chain key_rate_point was built from before the arrays.
+            p01, q01 = bob_error(alpha, beta, eta), eve_error(alpha, beta, eta)
+            i_ab, i_ae = 1.0 - binary_entropy(p01), 1.0 - binary_entropy(q01)
+            expected = {
+                "p01": p01, "q01": q01, "i_ab": i_ab, "i_ae": i_ae, "rate": i_ab - i_ae,
+                "p01_sinh_form": bob_error_sinh_form(alpha, beta, eta),
+                "q01_sinh_form": eve_error_sinh_form(alpha, beta, eta),
+            }
+            for name, value in expected.items():
+                assert getattr(curve, name)[k].hex() == value.hex(), (name, eta)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (math.inf, 0.5, "alpha and beta must be finite"),
+            (0.0, 0.0, "excluded region"),
+            (1e308, 1e308, "offset (alpha +- beta)"),
+        ],
+    )
+    def test_invalid_amplitudes_rejected(self, alpha, beta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            key_rate_curve(alpha, beta, [0.0, 0.5])

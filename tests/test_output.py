@@ -76,10 +76,28 @@ def plain_tables(draw):
     return header, columns, cells
 
 
+# Metas of scalars, lists and dicts nested in each other, with keys of
+# every type json.dumps accepts.
+_METAS = st.dictionaries(
+    _TEXT,
+    st.recursive(
+        _SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.tuples(inner),
+            st.dictionaries(st.one_of(_TEXT, _FLOATS, st.integers(), st.booleans(), st.none()),
+                            inner, max_size=3),
+        ),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     table=st.one_of(tables(), plain_tables()),
-    meta=st.dictionaries(_TEXT, _SCALARS, max_size=3),
+    meta=_METAS,
     slice_rows=st.one_of(st.integers(1, 5), st.just(output._SLICE_ROWS)),
 )
 def test_writers_match_the_reference_bytes(table, meta, slice_rows):
