@@ -211,12 +211,6 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
         parser.error("p range must lie inside [0, 1]")
     channel = _make_channel(args)
     beta_grid = _linspace(args.beta_min, args.beta_max, args.steps)
-    if not all(map(math.isfinite, beta_grid)):
-        k = [math.isfinite(beta) for beta in beta_grid].index(False)
-        raise ValueError(
-            f"displacement beta overflows: grid point {k} from {args.beta_min!r} "
-            f"to {args.beta_max!r} is {beta_grid[k]!r}"
-        )
     p_grid = _linspace(args.p_min, args.p_max, args.steps)
     sums = steering.region_sweep(beta_grid, p_grid, args.alpha, channel)
     verdicts = steering.verdict_codes(sums)

@@ -27,8 +27,7 @@ rate vanishes.
 
 key_rate_curve computes all of these over an eta grid as arrays, with
 math.cos, math.exp and math.log2 mapped over them, so each element is
-bitwise the scalar functions' value; key_rate_point is its one-element
-case.
+bitwise the scalar functions' value, key_rate_point's among them.
 """
 
 from __future__ import annotations
@@ -200,14 +199,12 @@ class KeyRatePoint:
 
 def key_rate_point(alpha: float, beta: float, eta: float) -> KeyRatePoint:
     """Error probabilities, mutual informations, and rate at one eta."""
-    curve = key_rate_curve(alpha, beta, [eta])
+    p01 = bob_error(alpha, beta, eta)
+    q01 = eve_error(alpha, beta, eta)
+    i_ab = 1.0 - binary_entropy(p01)
+    i_ae = 1.0 - binary_entropy(q01)
     return KeyRatePoint(
-        eta=eta,
-        p01=curve.p01.item(),
-        q01=curve.q01.item(),
-        i_ab=curve.i_ab.item(),
-        i_ae=curve.i_ae.item(),
-        rate=curve.rate.item(),
+        eta=eta, p01=p01, q01=q01, i_ab=i_ab, i_ae=i_ae, rate=i_ab - i_ae
     )
 
 

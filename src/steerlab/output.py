@@ -169,25 +169,6 @@ def _json_key(name) -> str:
     return json.dumps({name: None})[1:-len(": null}")]
 
 
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value nested at ``indent``.
-
-    Dicts and lists are laid out here; every other value is a cell.
-    """
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{_json_key(k)}: {_json_text(v, indent + '  ')}" for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        items = [_json_text(v, indent + "  ") for v in value]
-    else:
-        return _json_cells([value])[0]
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
-
-
 def _column_slices(column: Column, cells, entry_cells):
     """The formatted cells of ``column``, one list per slice of rows.
 
@@ -260,9 +241,9 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     into one template of the indented layout, so cell bytes are those of
     ``json.dumps`` for the cell alone.
     """
-    head = '{\n  "meta": ' + _json_text(meta, "  ") + ',\n  "rows": ['
+    empty = json.dumps({"meta": meta, "rows": []}, indent=2)
     if not columns or not len(columns[0]):
-        fh.write(head + "]\n}\n")
+        fh.write(empty + "\n")
         return
     # Like dict(zip(header, row)): each name at its first position, with
     # the cell of its last column.
@@ -271,7 +252,7 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
         last[name] = k
     keys = (_json_key(name).replace("%", "%%") for name in last)
     row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    fh.write(head)
+    fh.write(empty[:-len("]\n}")])
     lead = 1  # no comma before the first row
     for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
         text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))

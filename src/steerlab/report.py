@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import keyrate, steering
-from .coherent import Parity, parity_closed_form
+from .coherent import Parity
 from .output import format_number
 
 __all__ = ["build_report"]
@@ -95,11 +95,16 @@ def _averaged_mixture_sums(alpha: float, beta: float) -> list[float]:
     # Bitwise steering_sum with LhsMixtureChannel(states=(alpha+beta,
     # alpha-beta), weights=(p, 1-p)) at p = k / _SWEEP_P_STEPS: each pure
     # state's branch probabilities, mixed over p in steering_sum's order.
-    # Row i holds state i's even-parity probabilities after the branch
-    # displacements -(alpha + beta) and -(alpha - beta).
-    states = np.array([alpha + beta, alpha - beta])
-    deltas = states[:, None] - states
-    (a11, a21), (a12, a22) = parity_closed_form(deltas * deltas)[0].tolist()
+    scenario = steering.SteeringScenario(
+        ensemble=steering.PreparationEnsemble(alpha=alpha, beta=beta, p_plus=0.5),
+        gamma1=-(alpha + beta),
+        gamma2=-(alpha - beta),
+        outcome=Parity.EVEN,
+    )
+    (a11, a21), (a12, a22) = (
+        steering.branch_probabilities(scenario, steering.LhsMixtureChannel((state,), (1.0,)))
+        for state in (alpha + beta, alpha - beta)
+    )
     p = np.arange(_SWEEP_P_STEPS + 1) / _SWEEP_P_STEPS
     b1 = p * a11 + (1.0 - p) * a12
     b2 = p * a21 + (1.0 - p) * a22

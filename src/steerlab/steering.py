@@ -52,7 +52,6 @@ from .coherent import (
     _mean_photon_number,
     in_excluded_region,
     parity_closed_form,
-    parity_probabilities,
 )
 from .keyrate import bob_amplitude_factor, eve_amplitude_factor
 
@@ -178,21 +177,35 @@ class LhsMixtureChannel:
 Channel = IdealChannel | GaussianCloneChannel | LhsMixtureChannel
 
 
-def branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
-    """P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta); p_plus does not enter.
+def _conditional_probability(channel: Channel, prepared, gamma, outcome: Parity):
+    """P(outcome | gamma, prepared): the channel components' parity
+    probabilities, weighted and summed in component order.
 
-    Each is the channel components' parity probabilities, weighted and
-    summed in component order.
+    ``prepared`` and ``gamma`` are complex numbers or numpy arrays; over
+    arrays, element k is bitwise the value at their elements k.  Raises
+    ValueError where a displaced output, Bob's amplitude plus gamma, is not
+    finite.
     """
+    index = 0 if outcome is Parity.EVEN else 1
+    total = 0.0
+    # Overflow gives inf silently, as in float arithmetic, and is then refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, bob, _ in channel.components(prepared):
+            delta = bob + gamma
+            finite = np.isfinite(delta)
+            if not finite.all():
+                value = np.ravel(delta)[np.argmin(finite)].item()
+                raise ValueError(f"a displaced channel output is not finite: {value!r}")
+            total = total + weight * parity_closed_form(_mean_photon_number(delta))[index]
+    return total
+
+
+def branch_probabilities(scenario: SteeringScenario, channel: Channel) -> tuple[float, float]:
+    """P(b | gamma1, alpha + beta) and P(b | gamma2, alpha - beta); p_plus does not enter."""
     ens, outcome = scenario.ensemble, scenario.outcome
-    branches = ((ens.alpha + ens.beta, scenario.gamma1), (ens.alpha - ens.beta, scenario.gamma2))
-    totals = []
-    for prepared, gamma in branches:
-        total = 0.0
-        for weight, bob, _ in channel.components(complex(prepared)):
-            total += weight * parity_probabilities(bob + gamma).prob(outcome)
-        totals.append(total)
-    return totals[0], totals[1]
+    plus = _conditional_probability(channel, complex(ens.alpha + ens.beta), scenario.gamma1, outcome)
+    minus = _conditional_probability(channel, complex(ens.alpha - ens.beta), scenario.gamma2, outcome)
+    return plus, minus
 
 
 def verdict_codes(totals) -> np.ndarray:
@@ -304,7 +317,7 @@ def region_sweep(
     value at (beta_grid[i], p_grid[j]), from two branch probabilities per
     beta (see the module docstring).  Raises ValueError for a non-finite
     alpha or beta, or where alpha + beta, alpha - beta or a displaced
-    channel output overflows.
+    channel output is not finite.
     """
     beta_grid = [float(b) for b in beta_grid]
     p_grid = [float(p) for p in p_grid]
@@ -312,27 +325,24 @@ def region_sweep(
     _validate_grid(p_grid, "p_grid")
     if not all(0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("p_grid must lie in [0, 1]")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     betas = np.array(beta_grid)
-    if not (math.isfinite(alpha) and np.all(np.isfinite(betas))):
-        raise ValueError("alpha and beta must be finite")
-
-    def require_finite(values: np.ndarray, name: str) -> None:
-        if not np.all(np.isfinite(values)):
-            beta = beta_grid[np.argmin(np.isfinite(values))]
-            raise ValueError(f"{name} overflows at alpha {alpha!r} and beta {beta!r}")
-
+    finite = np.isfinite(betas)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"displacement beta is not finite: beta_grid[{k}] is {beta_grid[k]!r}")
+    with np.errstate(over="ignore"):  # inf where it overflows, refused below
+        displacements = (("+", alpha + betas), ("-", alpha - betas))
     branches = []
-    # Overflow gives inf silently, as in float arithmetic, and is then refused.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sign, prepared in (("+", alpha + betas), ("-", alpha - betas)):
-            require_finite(prepared, f"displacement alpha {sign} beta")
-            # P(even | -prepared, prepared), component by component.
-            total = 0.0
-            for weight, bob, _ in channel.components(prepared):
-                delta = bob + -prepared
-                require_finite(delta, f"displaced output of alpha {sign} beta")
-                total = total + weight * parity_closed_form(_mean_photon_number(delta))[0]
-            branches.append(total)
+    for sign, prepared in displacements:
+        finite = np.isfinite(prepared)
+        if not finite.all():
+            beta = beta_grid[np.argmin(finite)]
+            raise ValueError(
+                f"displacement alpha {sign} beta overflows at alpha {alpha!r} and beta {beta!r}"
+            )
+        branches.append(_conditional_probability(channel, prepared, -prepared, Parity.EVEN))
     ps = np.array(p_grid)
     sums = ps * branches[0][:, None]
     sums += (1.0 - ps) * branches[1][:, None]

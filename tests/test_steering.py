@@ -129,6 +129,12 @@ class TestSteeringSum:
         ev = steering_sum(canonical_scenario(1.2, 0.6, 0.3), channel)
         assert ev.sum == 0.3 * b1 + (1.0 - 0.3) * b2
 
+    def test_overflowing_displaced_output_rejected(self):
+        # Bob's clone at eta = pi is -(alpha + beta), displaced by as much again.
+        scenario = canonical_scenario(8e307, 1e307, 0.5)
+        with pytest.raises(ValueError, match="^a displaced channel output is not finite: "):
+            steering_sum(scenario, GaussianCloneChannel(eta=math.pi))
+
 
 class TestVerdict:
     def test_midpoint_within(self):
