@@ -9,7 +9,6 @@ from .coherent import (
     TruncatedParityDistribution,
     CutoffTooSmallError,
     displace,
-    fock_probability,
     parity_closed_form,
     parity_probabilities,
     parity_by_truncation,

@@ -42,7 +42,6 @@ __all__ = [
     "CutoffTooSmallError",
     "in_excluded_region",
     "displace",
-    "fock_probability",
     "parity_closed_form",
     "parity_probabilities",
     "parity_by_truncation",
@@ -158,25 +157,6 @@ def displace(state: complex, gamma: complex) -> complex:
     state = _require_finite(state, "state")
     gamma = _require_finite(gamma, "gamma")
     return state + gamma
-
-
-def fock_probability(n: int, mu: complex) -> float:
-    """Probability of finding n photons in the coherent state |mu>.
-
-    Evaluates exp(-lam) lam^n / n! with lam = |mu|^2, switching to
-    log-space above n = 30 (or when exp(-lam) would underflow) so large
-    arguments neither overflow the factorial nor underflow the exponential.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"photon number must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    mu = _require_finite(mu, "mu")
-    lam = _mean_photon_number(mu)
-    if lam == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n > 30 or lam > _DIRECT_EXP_LIMIT:
-        return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
-    return math.exp(-lam) * lam**n / math.factorial(n)
 
 
 def _mapped(function, values: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ amplitude factors coincide, the error probabilities are equal, and the
 rate vanishes.
 
 key_rate_curve computes all of these over an eta grid as arrays, with
-math.cos, math.exp and math.log2 mapped over them, so each element is
-bitwise the scalar functions' value, key_rate_point's among them.
+the two amplitude factors, math.exp and math.log2 mapped over them, so
+each element is bitwise the scalar functions' value, key_rate_point's
+among them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from .coherent import (
     _mapped,
+    _mean_photon_number,
     default_cutoff,
     in_excluded_region,
     parity_by_truncation,
@@ -100,8 +102,7 @@ def odd_parity_sinh_form(delta: complex) -> float:
     same value is taken as (exp(x/2) - exp(-3x/2)) / 2 with x = |delta|^2;
     it is inf where that overflows too (x above about 1420).
     """
-    delta = complex(delta)
-    return _sinh_form(delta.real * delta.real + delta.imag * delta.imag)
+    return _sinh_form(_mean_photon_number(complex(delta)))
 
 
 def _sinh_form(m2: float) -> float:
@@ -290,9 +291,9 @@ def key_rate_curve(alpha: float, beta: float, eta_grid: list[float]) -> KeyRateC
     if (etas[1:] < etas[:-1]).any():
         raise ValueError("eta_grid must be sorted ascending")
     _check_not_excluded(alpha, beta)
-    # Rows: Bob's amplitude factor cos|eta| and Eve's cos(pi/2 - eta), as
-    # bob_amplitude_factor and eve_amplitude_factor.
-    shift = _mapped(math.cos, np.array((np.abs(etas), HALF_PI - etas))) - 1.0
+    # Rows: Bob's and Eve's amplitude factor at each eta, minus 1.
+    factors = (bob_amplitude_factor, eve_amplitude_factor)
+    shift = np.array([_mapped(factor, etas) for factor in factors]) - 1.0
     # delta_+- = (alpha +- beta)(factor - 1), as _average_over_preparations,
     # indexed (preparation, Bob or Eve, eta); overflow and inf * 0 give inf
     # and nan silently, as for floats.

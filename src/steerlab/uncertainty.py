@@ -4,8 +4,7 @@ Four statements are evaluated, all in the dimensionless variables
 X = sqrt(2) x / sigma and P = sigma p / (sqrt(2) lambdabar):
 
 * variance product:      (dX^2)(dP^2) >= 1/4, saturated by the
-  minimum-uncertainty Gaussian family (multiplying by lambdabar^2 recovers
-  the dimensional bound lambdabar^2 / 4),
+  minimum-uncertainty Gaussian family, the only profiles modelled here,
 * entropic relation:     H(X) + H(P) >= ln(pi e) in nats, with H the
   differential Shannon entropy of |Psi|^2 in position and wave-vector
   space, saturated by the same family,
@@ -52,10 +51,8 @@ __all__ = [
     "EntropicSumResult",
     "MinEntropyResult",
     "variance_product",
-    "dimensional_variance_product",
     "gaussian_wavefunction",
     "profile_wavefunction",
-    "superposed_gaussians",
     "fourier_to_wavevector",
     "differential_entropy",
     "entropic_sum_check",
@@ -85,50 +82,23 @@ _DENSITY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class GaussianBeamProfile:
-    """Gaussian beam in the dimensionless phase-space variables.
-
-    ``sigma_p`` of None selects the minimum-uncertainty partner
-    1 / (2 sigma_x); an explicit value describes a broadened profile.
-    """
+    """Minimum-uncertainty Gaussian beam in the dimensionless phase-space
+    variables: its momentum width is 1 / (2 sigma_x)."""
 
     x0: float = 0.0
     k0: float = 0.0
     sigma_x: float = 1.0
-    sigma_p: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.x0) and math.isfinite(self.k0)):
             raise ValueError("profile means must be finite")
         if not (math.isfinite(self.sigma_x) and self.sigma_x > 0.0):
             raise ValueError(f"sigma_x must be positive, got {self.sigma_x!r}")
-        if self.sigma_p is not None and not (
-            math.isfinite(self.sigma_p) and self.sigma_p > 0.0
-        ):
-            raise ValueError(f"sigma_p must be positive, got {self.sigma_p!r}")
-
-    @property
-    def is_minimum_uncertainty(self) -> bool:
-        return self.sigma_p is None
-
-    @property
-    def effective_sigma_p(self) -> float:
-        if self.sigma_p is None:
-            return 1.0 / (2.0 * self.sigma_x)
-        return self.sigma_p
 
 
 def variance_product(profile: GaussianBeamProfile) -> float:
-    """(dX^2)(dP^2) for the profile; exactly 1/4 on the minimum family."""
-    if profile.is_minimum_uncertainty:
-        return 0.25
-    return (profile.sigma_x * profile.effective_sigma_p) ** 2
-
-
-def dimensional_variance_product(profile: GaussianBeamProfile, lambdabar: float) -> float:
-    """Variance product in dimensional units: bounded below by lambdabar^2/4."""
-    if not (math.isfinite(lambdabar) and lambdabar > 0.0):
-        raise ValueError(f"lambdabar must be positive, got {lambdabar!r}")
-    return variance_product(profile) * lambdabar * lambdabar
+    """(dX^2)(dP^2) for the profile: 1/4, since every profile saturates it."""
+    return 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,9 +189,7 @@ def gaussian_wavefunction(
 
 
 def profile_wavefunction(profile: GaussianBeamProfile) -> GriddedWavefunction:
-    """Standard-grid wavefunction realizing a minimum-uncertainty profile."""
-    if not profile.is_minimum_uncertainty:
-        raise ValueError("only minimum-uncertainty profiles have a pure wavefunction")
+    """Standard-grid wavefunction realizing the profile."""
     lo, hi = STANDARD_GRID_SIGMA_X_RANGE
     if not lo <= profile.sigma_x <= hi:
         raise ValueError(
@@ -230,35 +198,6 @@ def profile_wavefunction(profile: GaussianBeamProfile) -> GriddedWavefunction:
     return gaussian_wavefunction(
         x0=profile.x0, k0=profile.k0, sigma_x=profile.sigma_x
     )
-
-
-def superposed_gaussians(
-    centers: tuple[float, ...],
-    weights: tuple[float, ...],
-    sigma_x: float = 1.0,
-    n: int = STANDARD_GRID_POINTS,
-) -> GriddedWavefunction:
-    """Normalized superposition of equal-width Gaussian packets.
-
-    Grid span is derived from the mixture's own spread so the coverage
-    invariant holds for well-separated centers.
-    """
-    if len(centers) != len(weights) or not centers:
-        raise ValueError("centers and weights must be equal-length and nonempty")
-    w = np.asarray(weights, dtype=float)
-    c = np.asarray(centers, dtype=float)
-    mean = float(np.sum(w * c) / np.sum(w))
-    spread = math.sqrt(
-        float(np.sum(w * (sigma_x**2 + (c - mean) ** 2)) / np.sum(w))
-    )
-    half = STANDARD_GRID_SPAN_SIGMAS * spread
-    dx = 2.0 * half / n
-    x = (mean - half) + dx * np.arange(n)
-    samples = np.zeros(n, dtype=complex)
-    for wi, ci in zip(w, c):
-        samples += wi * np.exp(-((x - ci) ** 2) / (4.0 * sigma_x**2))
-    samples = samples / math.sqrt(float(np.sum(np.abs(samples) ** 2) * dx))
-    return GriddedWavefunction(samples=samples, x_min=float(x[0]), dx=dx)
 
 
 def fourier_to_wavevector(psi: GriddedWavefunction) -> GriddedWavefunction:

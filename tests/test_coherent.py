@@ -15,7 +15,6 @@ from steerlab.coherent import (
     batch_parity_is_odd,
     default_cutoff,
     displace,
-    fock_probability,
     minimal_admissible_cutoff,
     parity_by_truncation,
     parity_probabilities,
@@ -93,42 +92,39 @@ class TestDisplace:
             displace(0, bad)
 
 
+def _fock_table(mu: complex, cutoff: int) -> np.ndarray:
+    # p_n for n = 0..cutoff, from the builder the oracle and the sampler use.
+    lam = coherent._mean_photon_number(complex(mu))
+    weights, factor = coherent._poisson_weights(lam, 0, cutoff)
+    return weights * factor
+
+
 class TestFockProbability:
     def test_vacuum_on_vacuum(self):
-        assert fock_probability(0, 0) == 1.0
+        p = _fock_table(0, 4)
+        assert p[0] == 1.0 and not p[1:].any()
 
     def test_single_photon_unit_amplitude(self):
         # Rational-arithmetic oracle: lam^n / n! exactly, times exp(-lam).
         lam = Fraction(1)
         oracle = math.exp(-float(lam)) * float(lam**1 / math.factorial(1))
-        assert fock_probability(1, 1.0) == pytest.approx(oracle, abs=1e-15)
-        assert fock_probability(1, 1.0) == pytest.approx(0.36787944117144233, abs=1e-15)
+        p1 = _fock_table(1.0, 1)[1]
+        assert p1 == pytest.approx(oracle, abs=1e-15)
+        assert p1 == pytest.approx(0.36787944117144233, abs=1e-15)
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 2.5, 1 + 2j, 3.9j])
     def test_normalization(self, mu):
-        total = sum(fock_probability(n, mu) for n in range(default_cutoff(mu) + 1))
+        total = float(_fock_table(mu, default_cutoff(mu)).sum())
         assert abs(total - 1.0) < 1e-12
 
     def test_rational_oracle_small_n(self):
         # lam = 9/4 is exactly representable; check the Poisson terms
         # against exact rational lam^n / n!.
-        mu = 1.5
+        p = _fock_table(1.5, 24)
         lam = Fraction(9, 4)
         for n in range(25):
             oracle = math.exp(-float(lam)) * float(lam**n / math.factorial(n))
-            assert fock_probability(n, mu) == pytest.approx(oracle, rel=1e-12)
-
-    def test_log_space_consistency_across_switch(self):
-        # n = 30 -> direct, n = 31 -> log space; the ratio must follow the
-        # Poisson recursion p_{n+1} = p_n lam / (n+1).
-        mu = 5.0
-        p30 = fock_probability(30, mu)
-        p31 = fock_probability(31, mu)
-        assert p31 == pytest.approx(p30 * 25.0 / 31.0, rel=1e-12)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            fock_probability(-1, 1.0)
+            assert p[n] == pytest.approx(oracle, rel=1e-12)
 
 
 class TestParityProbabilities:
