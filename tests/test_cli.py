@@ -650,6 +650,34 @@ class TestProtocolCommand:
             "7977587a4e031ae9a7f80febf60716df444e830dafdb4efd39b35c9296a298a6"
         )
 
+    _BOTH_ON_STDOUT = [
+        "protocol", "--channel", "ideal", "--p-plus", "0.3", "--rounds", "40000", "--seed", "13",
+        "--transcript", "-", "--out", "-",
+    ]
+
+    @pytest.mark.parametrize("how", ["subprocess", "in-process"])
+    def test_transcript_then_stats_on_stdout_bytes(self, capsys, how):
+        # Both outputs on stdout: the transcript of a run without an
+        # eavesdropper, in several pieces, then its CSV statistics, from the
+        # installed script's stdout and from pytest's captured one alike.
+        if how == "subprocess":
+            src = os.path.dirname(os.path.dirname(protocol.__file__))
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run(
+                [sys.executable, "-m", "steerlab.cli", *self._BOTH_ON_STDOUT],
+                env=env, check=True, capture_output=True, timeout=120,
+            ).stdout
+        else:
+            print("before", end="\n")  # text written before stays before
+            code, text, _ = run_cli(self._BOTH_ON_STDOUT, capsys)
+            assert code == 0 and text.startswith("before\n")
+            out = text[len("before\n"):].encode("utf-8")
+        assert out.endswith(b"\nn_plus,n_minus,empirical_p01,empirical_q01,stderr_p01,empirical_rate\n"
+                            b"12052,27948,0,None,0,None\n")
+        assert hashlib.sha256(out).hexdigest() == (
+            "b757586143273741b8d244e1ee9587b9e0b7f636b6a90211f88648def159ddf3"
+        )
+
     def test_too_many_rounds_exits_2_before_any_draw(self, capsys, monkeypatch):
         # The cap bounds a run's time and transcript size; the patched run
         # fails if the cap lets the request through.
