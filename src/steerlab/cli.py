@@ -72,10 +72,11 @@ _MAX_REGION_STEPS = 500
 _MAX_KEYRATE_STEPS = 100_000
 # Largest accepted --rounds.  Memory does not set it, since rounds are
 # generated in fixed chunks; time and disk do.  Per 1e6 clone rounds,
-# statistics take about 0.010 s, and statistics with a transcript written
-# to a file about 0.060 s (in-process, 5e6-round runs on a 2-core Xeon).
-# The largest run thus ends in about 1 s, or about 6 s with a transcript,
-# which would take 6.7 GB (ideal channel) to 7.7 GB (clone channel) of disk.
+# statistics take about 0.025 s, and statistics with a transcript written
+# to a file about 0.08 s (in-process, medians of nine 5e6-round runs on a
+# 2-core Xeon whose speed varies by up to 2.75x).  The largest run thus
+# ends in about 2.5 s, or about 8 s with a transcript, which would take
+# 6.7 GB (ideal channel) to 7.7 GB (clone channel) of disk.
 _MAX_ROUNDS = 100_000_000
 
 

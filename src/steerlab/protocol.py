@@ -56,16 +56,23 @@ encoder renders one line tail per kind and builds the lines of up to
 broadcast, the index digits looked up three at a time in a table of
 "000" to "999", and the tails gathered by kind code.  Where lines differ
 in width, the rows are right-padded and then cut to each line's width.
-Only an index outside [0, 10**18) is rendered per line.  The decoder
-learns each kind's tail from a line parsed by ``json.loads``, and checks
-and decodes the lines of learned tails in one numpy pass per block of
-bytes, so that only other lines become ``str``.  It builds a
-``Transcript`` of its own, which also keeps the indices when they are
-not 0, 1, ..., n - 1, and as many kinds as the file holds.
+Only an index outside [0, 10**18) is rendered per line.  The bytes go to
+a file, or to the buffer under a UTF-8 text file, as they are; only a
+sink with no such buffer gets ``str``.  The decoder learns each kind's
+tail from a line parsed by ``json.loads``, and checks and decodes the
+lines of learned tails in one numpy pass per block of bytes, so that
+only other lines become ``str``.  Lines of one width and digit count are
+checked together: their bytes less each byte's least value, against how
+far each may exceed it, with the bad lines looked for only in a group
+that has one.  It builds a ``Transcript`` of its own, which also keeps
+the indices when they are not 0, 1, ..., n - 1, and as many kinds as
+the file holds.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
 import os
@@ -102,19 +109,17 @@ __all__ = [
 
 _UNIFORMS_PER_ROUND = 4
 
-# Entries converted to Python ints by Transcript and lines read from a
-# text source by read_transcript at once; bytes read at once from a file;
-# and rounds drawn, mapped and sampled at once by run_protocol and lines
-# encoded and written at once by write_transcript.  Each bounds working
-# memory, and no output depends on any of them.  _LINES keeps a piece near
-# 1 MB of text, which malloc serves from memory it has already mapped:
-# pieces of 2^16 lines wrote files more slowly and raised the peak RSS of
-# a write-then-read cycle by about 3 MB.  It keeps a chunk of rounds, its
-# 512 kB of uniforms and their temporaries, within a core's L2 cache (2 MB
-# on the Xeon it was measured on): in one thread, a 1e6-round clone run
-# took about as long with chunks of 2^13 to 2^15 rounds, and 1.5 times as
-# long with 2^16 and 2.2 times with 2^11.
-_CHUNK = 1 << 16
+# Bytes read at once from a file; and rounds drawn, mapped and sampled,
+# lines encoded and written, lines read from a text source, and entries
+# converted to Python ints, at once.  Each bounds working memory, and no
+# output depends on either.  _LINES keeps a piece near 1 MB of text, which
+# malloc serves from memory it has already mapped: 2^16 lines wrote files
+# more slowly, raised the peak RSS of a write-then-read cycle by about
+# 3 MB, and read a 1e6-line text source in 490-540 ms against 360-380 ms.
+# It keeps a chunk of rounds, its 512 kB of uniforms and their temporaries,
+# within a core's L2 cache (2 MB on the Xeon it was measured on): in one
+# thread, a 1e6-round clone run took about as long with chunks of 2^13 to
+# 2^15 rounds, and 1.5 times as long with 2^16 and 2.2 times with 2^11.
 _BLOCK = 1 << 19
 _LINES = 1 << 14
 
@@ -158,9 +163,9 @@ class RoundRecord(NamedTuple):
 
 
 def _chunked_ints(values: np.ndarray) -> Iterator[int]:
-    """The entries of ``values`` as Python ints, converted ``_CHUNK`` at a time."""
+    """The entries of ``values`` as Python ints, converted ``_LINES`` at a time."""
     return chain.from_iterable(
-        values[start:start + _CHUNK].tolist() for start in range(0, len(values), _CHUNK)
+        values[start:start + _LINES].tolist() for start in range(0, len(values), _LINES)
     )
 
 
@@ -514,10 +519,10 @@ def _digit_counts(index: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(_POWERS, index, side="right")
 
 
-def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
-    """The lines of rounds with int64 indices in [0, 10**18), built as one
-    array of bytes: one row per line, right-padded where lines differ in
-    width, and then compressed to the lines' own widths."""
+def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> np.ndarray:
+    """The lines of rounds with int64 indices in [0, 10**18) as one flat
+    array of bytes, built a row per line, right-padded where lines differ
+    in width, and then compressed to the lines' own widths."""
     _, table, widths = tails
     head, tail = len(_HEAD), table.shape[1]
     fewest, most = (len(str(int(i))) for i in (index.min(), index.max()))
@@ -541,42 +546,39 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
     for lines, count in groups:
         stop, value = head + count, index[lines]
         while stop > head:  # three digits at a time, from the right
-            value, low = np.divmod(value, 1000)
+            high = value // 1000  # faster than np.divmod, which does not divide by a constant
+            value, low = high, value - 1000 * high
             start = max(stop - 3, head)
             rows[lines, start:stop] = np.take(_TRIPLES[:, start - stop:], low, axis=0)
             stop = start
     if digits is None and widths.min() == widths.max():
-        return str(rows, "ascii")
+        return rows.reshape(-1)
     sizes = head + (most if digits is None else digits) + widths[codes]
     width = rows.shape[1]
     keep = np.arange(width) < np.arange(width + 1)[:, None]  # row s: the first s columns
-    return str(rows[keep[sizes]], "ascii")
+    return rows[keep[sizes]]
 
 
-def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple) -> str:
-    """The JSONL lines of one piece.  An index numpy cannot render, one
-    outside [0, 10**18) or not an int, goes through an f-string."""
+def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple, errors: str) -> np.ndarray | bytes:
+    """The JSONL lines of one piece as bytes.  An index numpy cannot
+    render, one outside [0, 10**18) or not an int, goes through an f-string,
+    encoded as UTF-8 with the error handler ``errors``."""
     ok = _renderable(index)
     if ok.all():
         return _render(index.astype(np.int64, copy=False), codes, tails)
     tail_text, _, widths = tails
     lines, others = np.flatnonzero(ok), np.flatnonzero(~ok)
     fine = index[lines].astype(np.int64)
-    text = _render(fine, codes[lines], tails) if len(lines) else ""
+    data = memoryview(_render(fine, codes[lines], tails) if len(lines) else b"")
     sizes = len(_HEAD) + _digit_counts(fine) + widths[codes[lines]]
     # Other line k follows the rendered lines before it.
     cuts = np.concatenate(([0], np.cumsum(sizes)))[others - np.arange(len(others))].tolist()
     parts, done = [], 0
     for cut, i, code in zip(cuts, index[others].tolist(), codes[others].tolist()):
-        parts += (text[done:cut], f"{_HEAD}{i}{tail_text[code]}")
+        parts += (data[done:cut], f"{_HEAD}{i}{tail_text[code]}".encode("utf-8", errors))
         done = cut
-    parts.append(text[done:])
-    return "".join(parts)
-
-
-def _write_lines(transcript: Iterable[RoundRecord], fh) -> None:
-    for index, codes, tails in _pieces(transcript):
-        fh.write(_encode(index, codes, tails))
+    parts.append(data[done:])
+    return b"".join(parts)
 
 
 def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
@@ -588,13 +590,23 @@ def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     compact separators.  Records are coded by kind, a view's codes are
     used as they are, and the lines of at most ``_LINES`` rounds at a time
     are built by numpy as one array of bytes and written at once, so that
-    about 1 MB of text is held at a time.
+    about 1 MB of text is held at a time.  A path is opened in binary mode.
+    A UTF-8 text file (``sys.stdout``, a file from ``open``) is flushed
+    once and then gets the bytes through its ``buffer``, past its own
+    newline translation; any other sink (``io.StringIO``) gets ``str``.
     """
+    pieces = _pieces(transcript)
     if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            _write_lines(transcript, fh)
+        with open(sink, "wb") as fh:
+            for piece in pieces:
+                fh.write(_encode(*piece, "strict"))
+    elif isinstance(sink, io.TextIOWrapper) and codecs.lookup(sink.encoding).name == "utf-8":
+        sink.flush()  # text written before the transcript stays before it
+        for piece in pieces:
+            sink.buffer.write(_encode(*piece, sink.errors))
     else:
-        _write_lines(transcript, sink)
+        for piece in pieces:
+            sink.write(str(_encode(*piece, "surrogatepass"), "utf-8", "surrogatepass"))
 
 
 def _decode_record(obj) -> RoundRecord:
@@ -623,6 +635,7 @@ class _LineDecoder(_KindCodes):
         # Per tail width, newline included, widest first: those tails' lines
         # less digits, in class order, their kind codes and their probes.
         self._forms: dict[int, tuple[np.ndarray, np.ndarray, list]] = {}
+        self._checks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _learn(self, tail: str, code: int) -> None:
         self._tails[tail] = code
@@ -641,6 +654,21 @@ class _LineDecoder(_KindCodes):
         codes = np.array([self._tails[t] for t in same], np.intp)
         self._forms[len(tail) + 1] = (rows[order], codes[order], probes)
         self._forms = dict(sorted(self._forms.items(), reverse=True))
+        self._checks = {}
+
+    def _bounds(self, width: int, digits: int) -> tuple[np.ndarray, np.ndarray]:
+        """The least value of each byte of the learned lines of ``digits``
+        digits and tails of ``width`` bytes, a row per class, and by how much
+        a byte may exceed it: 9 in a digit, 8 in a leading digit that may not
+        be 0, and 0 elsewhere."""
+        if (width, digits) not in self._checks:
+            at, leading = [len(_HEAD)] * digits, digits > 1
+            low = np.insert(self._forms[width][0], at, ord("0"), axis=1)
+            span = np.insert(np.zeros(low.shape[1] - digits, np.uint8), at, 9)
+            low[:, len(_HEAD)] += leading
+            span[len(_HEAD)] -= leading
+            self._checks[width, digits] = low, span
+        return self._checks[width, digits]
 
     def decode_fast(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
         """(positions, indices, kind codes) of the learned lines data[starts:stops]."""
@@ -655,7 +683,7 @@ class _LineDecoder(_KindCodes):
         forms = list(self._forms.items())
         found = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.intp))]
         for key in (np.flatnonzero(np.bincount(group)[1:]) + 1).tolist():
-            width, (form, codes, probes) = forms[key // 32 - 1]
+            width, (_, codes, probes) = forms[key // 32 - 1]
             digits, size = key % 32, len(_HEAD) + key % 32 + width
             lines = np.flatnonzero(group == key)
             at = starts[lines]
@@ -664,14 +692,20 @@ class _LineDecoder(_KindCodes):
             classes = np.zeros(len(lines), np.intp)
             for col, table in probes:
                 classes = table[classes * 256 + rows[:, digits + col]]
-            # A byte may exceed its least value by 9 in a digit, 0 elsewhere.
-            low = np.insert(form, [len(_HEAD)] * digits, ord("0"), axis=1)[classes]
-            span = np.insert(np.zeros(form.shape[1], np.uint8), [len(_HEAD)] * digits, 9)
-            ok = ((rows - low) <= span).all(axis=1)
-            ok = np.flatnonzero(ok & ((digits == 1) | (rows[:, len(_HEAD)] != ord("0"))))
-            powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-            number = rows[:, len(_HEAD):-width].astype(np.int64) @ powers - ord("0") * powers.sum()
-            found.append((lines[ok], number[ok], codes[classes[ok]]))
+            low, span = self._bounds(width, digits)
+            excess = np.take(low, classes, axis=0)
+            np.subtract(rows, excess, out=excess)  # wraps round where a byte is below its least value
+            bad = np.greater(excess, span)
+            if bad.any():  # rows with a bad byte are left to decode_line
+                ok = np.flatnonzero(~bad.any(axis=1))
+                lines, classes, excess = lines[ok], classes[ok], excess[ok]
+            number = excess[:, len(_HEAD)].astype(np.int64)
+            if digits > 1:
+                number += 1  # the leading digit's least value
+            for col in range(len(_HEAD) + 1, len(_HEAD) + digits):
+                number *= 10
+                number += excess[:, col]
+            found.append((lines, number, codes[classes]))
         return tuple(map(np.concatenate, zip(*found)))
 
     def decode_line(self, line: str) -> tuple[int, int] | None:
@@ -692,7 +726,7 @@ class _LineDecoder(_KindCodes):
         return record.index, code
 
 
-def _decode_block(decoder: _LineDecoder, block: bytes, stops: np.ndarray) -> tuple:
+def _decode_block(decoder: _LineDecoder, block: bytes | memoryview, stops: np.ndarray) -> tuple:
     """(indices, kind codes) of the records on the lines of ``block`` that
     end at ``stops``: the learned ones decoded in bulk, the others one by one."""
     data, starts, n = np.frombuffer(block, np.uint8), np.append(0, stops[:-1]), len(stops)
@@ -710,7 +744,7 @@ def _decode_block(decoder: _LineDecoder, block: bytes, stops: np.ndarray) -> tup
         k, tails = pending[pos], len(decoder._tails)
         pos += 1
         # Lone surrogates of a text source pass; a file was checked strictly.
-        decoded = decoder.decode_line(block[starts[k]:stops[k]].decode("utf-8", "surrogatepass"))
+        decoded = decoder.decode_line(str(block[starts[k]:stops[k]], "utf-8", "surrogatepass"))
         value, codes[k] = (0, -1) if decoded is None else decoded  # code -1: a blank line
         if index.dtype != object and not -(2**63) <= value < 2**63:
             index = index.astype(object)
@@ -719,32 +753,39 @@ def _decode_block(decoder: _LineDecoder, block: bytes, stops: np.ndarray) -> tup
     return index[codes >= 0], codes[codes >= 0]
 
 
-def _byte_blocks(fh) -> Iterator[tuple[bytes, np.ndarray]]:
+def _byte_blocks(fh) -> Iterator[tuple[memoryview, np.ndarray]]:
     """Blocks of whole lines of the binary file ``fh`` with the end of each
     line, read as text mode reads them: "\\r\\n" and a lone "\\r" end a line,
     and bytes that are not UTF-8 raise ``UnicodeDecodeError``.  A "\\r\\n"
-    split between two reads leaves a blank line, which the decoder skips."""
-    rest = b""
+    split between two reads leaves a blank line, which the decoder skips.
+    Every block is a view of one buffer, which the next block overwrites."""
+    buffer, kept = bytearray(), 0  # kept: the bytes after the last newline so far
     while True:
-        chunk = fh.read(max(_BLOCK, len(rest)))  # reads grow with a longer line
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        data = rest + chunk
-        cut = data.rfind(b"\n") + 1 if chunk else len(data)
-        block, rest = data[:cut], data[cut:]
-        if not block.isascii():
-            block.decode("utf-8")
-        newlines = np.flatnonzero(np.frombuffer(block, np.uint8)[:-1] == ord("\n"))
-        yield block, np.append(newlines + 1, len(block))  # b"" is one blank line
-        if not chunk:
+        size = max(_BLOCK, kept)  # reads grow with a longer line
+        if len(buffer) < kept + size:
+            buffer = buffer[:kept] + bytearray(2 * size)
+        got = fh.readinto(memoryview(buffer)[kept:kept + size])
+        if buffer.find(b"\r", kept, kept + got) >= 0:
+            read = bytes(buffer[kept:kept + got]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            buffer[kept:kept + len(read)], got = read, len(read)
+        end = kept + got
+        cut = buffer.rfind(b"\n", 0, end) + 1 if got else end
+        block = memoryview(buffer)[:cut]
+        data = np.frombuffer(block, np.uint8)
+        if data.max(initial=0) >= 0x80:
+            str(block, "utf-8")
+        newlines = np.flatnonzero(data[:-1] == ord("\n"))
+        yield block, np.append(newlines + 1, cut)  # an empty block is one blank line
+        if not got:
             return
+        buffer[:end - cut], kept = buffer[cut:end], end - cut
 
 
 def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
-    """The lines of a text source ``_CHUNK`` at a time, as UTF-8 bytes with
+    """The lines of a text source ``_LINES`` at a time, as UTF-8 bytes with
     the end of each line: the source's own lines, wherever its newlines are."""
     lines = iter(lines)
-    while chunk := list(islice(lines, _CHUNK)):
+    while chunk := list(islice(lines, _LINES)):
         text = "".join(chunk)
         if not text.isascii():  # lines of more bytes than characters
             chunk = [line.encode("utf-8", "surrogatepass") for line in chunk]
@@ -776,11 +817,11 @@ def _decode_blocks(blocks: Iterable[tuple[bytes, np.ndarray]]) -> Transcript:
 def read_transcript(source) -> Transcript:
     """Parse a JSONL transcript back into a read-only ``Transcript`` view.
 
-    ``source`` may be a path, read in blocks of ``_BLOCK`` bytes with
-    universal newlines, or a text file object, read ``_CHUNK`` lines at a
-    time.  Blank lines and whitespace around a line are ignored.  The view
-    compares equal to the list of the records and builds each
-    ``RoundRecord`` when indexed or iterated.
+    ``source`` may be a path, read as bytes in blocks of ``_BLOCK`` with
+    universal newlines, or a text file object, whose ``str`` lines are
+    read ``_LINES`` at a time.  Blank lines and whitespace around a line
+    are ignored.  The view compares equal to the list of the records and
+    builds each ``RoundRecord`` when indexed or iterated.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:

@@ -248,7 +248,6 @@ def _stats_digest(stats: SimStats) -> str:
     ids=[golden[0] for golden in MULTI_CHUNK_GOLDENS],
 )
 def test_multi_chunk_golden_hashes(channel, rounds, seed, stats_digest, transcript_digest):
-    assert rounds > protocol._CHUNK and rounds % protocol._CHUNK
     assert rounds > protocol._LINES and rounds % protocol._LINES
     config = SimConfig(
         alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS[channel], rounds=rounds, seed=seed
@@ -288,7 +287,7 @@ WINDOWED_GOLDENS = [
 @pytest.mark.parametrize("alpha,stats_digest,transcript_digest", WINDOWED_GOLDENS)
 def test_windowed_golden_hashes(alpha, stats_digest, transcript_digest):
     channel = GaussianCloneChannel(eta=math.pi / 4)
-    config = SimConfig(alpha=alpha, beta=0.5, channel=channel, rounds=protocol._CHUNK + 17, seed=41)
+    config = SimConfig(alpha=alpha, beta=0.5, channel=channel, rounds=4 * protocol._LINES + 17, seed=41)
     result = run_protocol(config)
     buf = io.StringIO()
     write_transcript(result.transcript, buf)
@@ -493,8 +492,7 @@ def test_chunk_size_changes_no_output(seed, chunk_and_rounds, whole_run_slack, w
     with mock.patch.object(protocol, "_LINES", rounds + whole_run_slack), \
             mock.patch.object(protocol, "_WORKERS", 1):
         whole = run_protocol(config)
-    with mock.patch.object(protocol, "_CHUNK", chunk), mock.patch.object(protocol, "_LINES", chunk), \
-            mock.patch.object(protocol, "_WORKERS", workers):
+    with mock.patch.object(protocol, "_LINES", chunk), mock.patch.object(protocol, "_WORKERS", workers):
         chunked = run_protocol(config)
         stats_only = run_protocol(config, keep_transcript=False)
         text = io.StringIO()
@@ -942,6 +940,33 @@ def test_records_encode_like_json_dumps(lines, records):
         assert _written_each_way(records, Path(tmp)) == [text] * 3
 
 
+def test_every_sink_gets_the_same_bytes(tmp_path):
+    # A path and open_atomic's temp file are written as bytes, as are the
+    # text files below, through their buffer after a flush; a StringIO
+    # gets str.  Text written around the transcript keeps its place.
+    view = run_protocol(
+        SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=2 * protocol._LINES + 77, seed=19)
+    ).transcript
+    expected = _reference_encode(list(view)).encode("ascii")
+    path, atomic, text_file = tmp_path / "path.jsonl", tmp_path / "atomic.jsonl", tmp_path / "text.jsonl"
+    write_transcript(view, path)
+    with open_atomic(str(atomic)) as fh:
+        write_transcript(view, fh)
+    with open(text_file, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("before\n")
+        write_transcript(view, fh)
+        fh.write("after\n")
+    wrapper = io.TextIOWrapper(io.BytesIO(), "utf-8", newline="\n")
+    wrapper.write("before\n")
+    write_transcript(view, wrapper)
+    wrapper.write("after\n")
+    wrapper.flush()
+    buf = io.StringIO()
+    write_transcript(view, buf)
+    assert path.read_bytes() == atomic.read_bytes() == buf.getvalue().encode("utf-8") == expected
+    assert text_file.read_bytes() == wrapper.buffer.getvalue() == b"before\n" + expected + b"after\n"
+
+
 def test_float_indices_render_as_python_does():
     # Not ints, so not rendered by numpy, even where integral.
     records = [RoundRecord(i, *_KIND_A) for i in (4, 2.5, 3.0, 5, 1e20)]
@@ -964,14 +989,14 @@ class _WriteRecorder:
 
 def test_writer_streams_at_most_a_chunk_of_lines_per_write():
     config = SimConfig(
-        alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=3 * protocol._CHUNK, seed=5
+        alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=3 * protocol._LINES, seed=5
     )
     view = run_protocol(config).transcript
     for transcript in (view, list(view)):
         sink = _WriteRecorder()
         write_transcript(transcript, sink)
-        assert sum(sink.lines) == 3 * protocol._CHUNK
-        assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._LINES <= protocol._CHUNK
+        assert sum(sink.lines) == 3 * protocol._LINES
+        assert len(sink.lines) >= 3 and max(sink.lines) <= protocol._LINES
 
 
 def test_run_pieces_have_one_digit_count():
@@ -1009,14 +1034,14 @@ def test_view_of_more_kinds_than_lines_per_piece_encodes_like_json_dumps(tmp_pat
 def _chunk_boundary_records() -> list[RoundRecord]:
     """More than two chunks of rounds, with the decoder's edge cases placed
     at and around the chunk boundaries."""
-    chunk = protocol._CHUNK
+    chunk = protocol._LINES
     rounds = 2 * chunk + 1000
     records = [RoundRecord(i, *(_KIND_A if i % 3 else _KIND_B)) for i in range(rounds)]
     records[chunk] = RoundRecord(chunk, *_KIND_C)  # first seen: first line of chunk 2
     records[100] = records[100]._replace(index=10**20)
     records[chunk + 7] = records[chunk + 7]._replace(index=-1)
-    for k in range(chunk + 20_000, chunk + 20_500):  # a descending run
-        records[k] = records[k]._replace(index=3 * (chunk + 21_000 - k))
+    for k in range(chunk + 5_000, chunk + 5_500):  # a descending run
+        records[k] = records[k]._replace(index=3 * (chunk + 6_000 - k))
     records[-1] = records[-1]._replace(index=rounds - 2)  # a repeated index
     return records
 
@@ -1027,8 +1052,8 @@ def test_chunk_boundaries_decode_like_json_loads(tmp_path):
     write_transcript(records, buf)
     lines = buf.getvalue().splitlines(keepends=True)
     # Non-canonical lines last in chunks 1 and 2: json.loads reads both.
-    lines[protocol._CHUNK - 1] = lines[protocol._CHUNK - 1][:-1] + "   \n"
-    lines[2 * protocol._CHUNK - 1] = (
+    lines[protocol._LINES - 1] = lines[protocol._LINES - 1][:-1] + "   \n"
+    lines[2 * protocol._LINES - 1] = (
         '{"prep":"-","i":7,"gamma_re":-0.5,"gamma_im":0.0,"bob":"O","eve":"E"}\n'
     )
     text = "".join(lines)
@@ -1046,7 +1071,7 @@ def test_chunk_boundaries_round_trip_bytes():
     view = read_transcript(io.StringIO(buf.getvalue()))
     assert isinstance(view, Transcript)
     assert view[100].index == 10**20 and type(view[100].index) is int
-    assert view[protocol._CHUNK + 7].index == -1
+    assert view[protocol._LINES + 7].index == -1
     assert _exact(view) == _exact(records)
     rewritten = io.StringIO()
     write_transcript(view, rewritten)
@@ -1143,6 +1168,32 @@ def test_tails_of_two_widths_decode_in_bulk(tmp_path):
     with _spy("decode_line") as one_by_one:
         _assert_decodes_like_reference(_reference_encode(records), tmp_path)
         assert one_by_one.call_count < 2 * 200
+
+
+_RUN_LINES = _reference_encode(
+    run_protocol(SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=3000, seed=29)).transcript
+).splitlines(keepends=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    line=st.integers(min_value=1100, max_value=2900),
+    column=st.data(),
+    byte=st.sampled_from(b"0179EOeipz:"),
+)
+def test_one_bad_byte_deep_in_a_group_decodes_like_json_loads(line, column, byte):
+    # Lines 1000 to 2999 of a run file, in one block, are one group of
+    # 4-digit lines with tails of one width.  One byte of a line deep inside
+    # it, in a digit, a letter, a comma or a quote, is replaced: the bulk
+    # check must leave that line to json.loads and decode the others.
+    text = _RUN_LINES[line]
+    columns = [k for k, c in enumerate(text) if c.isalnum() or c in ',"']
+    k = column.draw(st.sampled_from(columns))
+    lines = list(_RUN_LINES)
+    lines[line] = text[:k] + chr(byte) + text[k + 1:]
+    assert len("".join(lines)) < protocol._BLOCK
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_decodes_like_reference("".join(lines), Path(tmp))
 
 
 def test_a_text_source_keeps_its_own_lines(tmp_path):
