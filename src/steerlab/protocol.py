@@ -763,10 +763,10 @@ def _byte_blocks(fh) -> Iterator[tuple[memoryview, np.ndarray]]:
     while True:
         size = max(_BLOCK, kept)  # reads grow with a longer line
         if len(buffer) < kept + size:
-            buffer = buffer[:kept] + bytearray(2 * size)
+            buffer = buffer[:kept] + bytearray(2 * size)  # room for later kept bytes too
         got = fh.readinto(memoryview(buffer)[kept:kept + size])
         if buffer.find(b"\r", kept, kept + got) >= 0:
-            read = bytes(buffer[kept:kept + got]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            read = buffer[kept:kept + got].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             buffer[kept:kept + len(read)], got = read, len(read)
         end = kept + got
         cut = buffer.rfind(b"\n", 0, end) + 1 if got else end

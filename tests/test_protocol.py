@@ -884,15 +884,26 @@ _MIXED_KINDS = st.sampled_from([_KIND_A, _KIND_B, _KIND_C, _KIND_D])
 
 
 def _written_each_way(transcript, directory) -> list[str]:
-    """What write_transcript writes into a StringIO, to a path and into an
-    open_atomic handle."""
+    """What write_transcript writes into a StringIO, to a path, into an
+    open_atomic handle, and into a text file and a TextIOWrapper over a
+    BytesIO, in both of which text written around it keeps its place."""
     buf = io.StringIO()
     write_transcript(transcript, buf)
-    path, atomic = directory / "path.jsonl", directory / "atomic.jsonl"
+    path, atomic, text = directory / "path.jsonl", directory / "atomic.jsonl", directory / "text.jsonl"
     write_transcript(transcript, path)
     with open_atomic(str(atomic)) as fh:
         write_transcript(transcript, fh)
-    return [buf.getvalue(), path.read_bytes().decode("utf-8"), atomic.read_bytes().decode("utf-8")]
+    wrapper = io.TextIOWrapper(io.BytesIO(), "utf-8", newline="\n")
+    with open(text, "w", encoding="utf-8", newline="\n") as fh:
+        for sink in (fh, wrapper):
+            sink.write("before\n")
+            write_transcript(transcript, sink)
+            sink.write("after\n")
+    wrapper.flush()
+    around = [text.read_bytes(), wrapper.buffer.getvalue()]
+    assert all(b.startswith(b"before\n") and b.endswith(b"after\n") for b in around)
+    written = [path.read_bytes(), atomic.read_bytes(), *(b[len("before\n"):-len("after\n")] for b in around)]
+    return [buf.getvalue(), *(b.decode("utf-8") for b in written)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -916,7 +927,7 @@ def test_decoded_views_encode_like_json_dumps(lines, indices, ascending, kinds):
         view = read_transcript(source)
         assert view._index is not None or indices == list(range(len(indices)))
         with mock.patch.object(protocol, "_LINES", lines):
-            assert _written_each_way(view, Path(tmp)) == [text] * 3
+            assert _written_each_way(view, Path(tmp)) == [text] * 5
 
 
 @settings(max_examples=80, deadline=None)
@@ -937,34 +948,16 @@ def test_decoded_views_encode_like_json_dumps(lines, indices, ascending, kinds):
 def test_records_encode_like_json_dumps(lines, records):
     text = _reference_encode(records)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(protocol, "_LINES", lines):
-        assert _written_each_way(records, Path(tmp)) == [text] * 3
+        assert _written_each_way(records, Path(tmp)) == [text] * 5
 
 
 def test_every_sink_gets_the_same_bytes(tmp_path):
     # A path and open_atomic's temp file are written as bytes, as are the
-    # text files below, through their buffer after a flush; a StringIO
-    # gets str.  Text written around the transcript keeps its place.
+    # text files, through their buffer after a flush; a StringIO gets str.
     view = run_protocol(
         SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS["clone"], rounds=2 * protocol._LINES + 77, seed=19)
     ).transcript
-    expected = _reference_encode(list(view)).encode("ascii")
-    path, atomic, text_file = tmp_path / "path.jsonl", tmp_path / "atomic.jsonl", tmp_path / "text.jsonl"
-    write_transcript(view, path)
-    with open_atomic(str(atomic)) as fh:
-        write_transcript(view, fh)
-    with open(text_file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("before\n")
-        write_transcript(view, fh)
-        fh.write("after\n")
-    wrapper = io.TextIOWrapper(io.BytesIO(), "utf-8", newline="\n")
-    wrapper.write("before\n")
-    write_transcript(view, wrapper)
-    wrapper.write("after\n")
-    wrapper.flush()
-    buf = io.StringIO()
-    write_transcript(view, buf)
-    assert path.read_bytes() == atomic.read_bytes() == buf.getvalue().encode("utf-8") == expected
-    assert text_file.read_bytes() == wrapper.buffer.getvalue() == b"before\n" + expected + b"after\n"
+    assert _written_each_way(view, tmp_path) == [_reference_encode(list(view))] * 5
 
 
 def test_float_indices_render_as_python_does():
