@@ -109,17 +109,18 @@ __all__ = [
 
 _UNIFORMS_PER_ROUND = 4
 
-# Bytes read at once from a file; and rounds drawn, mapped and sampled,
-# lines encoded and written, lines read from a text source, and entries
-# converted to Python ints, at once.  Each bounds working memory, and no
-# output depends on either.  _LINES keeps a piece near 1 MB of text, which
-# malloc serves from memory it has already mapped: 2^16 lines wrote files
-# more slowly, raised the peak RSS of a write-then-read cycle by about
-# 3 MB, and read a 1e6-line text source in 490-540 ms against 360-380 ms.
-# It keeps a chunk of rounds, its 512 kB of uniforms and their temporaries,
-# within a core's L2 cache (2 MB on the Xeon it was measured on): in one
-# thread, a 1e6-round clone run took about as long with chunks of 2^13 to
-# 2^15 rounds, and 1.5 times as long with 2^16 and 2.2 times with 2^11.
+# _BLOCK: bytes read at once from a file.  _LINES: rounds drawn, mapped
+# and sampled, lines encoded and written, lines read from a text source
+# and entries converted to Python ints, at once.  Each bounds working
+# memory, and no output depends on either.  _LINES keeps a piece near
+# 1 MB of text, which malloc serves from memory it has already mapped:
+# 2^16 lines wrote files more slowly, raised the peak RSS of a
+# write-then-read cycle by about 3 MB, and read a 1e6-line text source in
+# 490-540 ms against 360-380 ms.  It keeps a chunk of rounds, its 512 kB
+# of uniforms and their temporaries, within a core's L2 cache (2 MB on
+# the Xeon it was measured on): in one thread, a 1e6-round clone run took
+# about as long with chunks of 2^13 to 2^15 rounds, and 1.5 times as long
+# with 2^16 and 2.2 times with 2^11.
 _BLOCK = 1 << 19
 _LINES = 1 << 14
 
@@ -546,7 +547,7 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> np.ndarray:
     for lines, count in groups:
         stop, value = head + count, index[lines]
         while stop > head:  # three digits at a time, from the right
-            high = value // 1000  # faster than np.divmod, which does not divide by a constant
+            high = value // 1000  # numpy's // by a scalar is faster than np.divmod
             value, low = high, value - 1000 * high
             start = max(stop - 3, head)
             rows[lines, start:stop] = np.take(_TRIPLES[:, start - stop:], low, axis=0)
