@@ -668,7 +668,7 @@ class TestProtocolCommand:
                 env=env, check=True, capture_output=True, timeout=120,
             ).stdout
         else:
-            print("before", end="\n")  # text written before stays before
+            print("before")  # text written before stays before
             code, text, _ = run_cli(self._BOTH_ON_STDOUT, capsys)
             assert code == 0 and text.startswith("before\n")
             out = text[len("before\n"):].encode("utf-8")
