@@ -71,12 +71,16 @@ _VERDICT_NAMES = [verdict.value for verdict in steering.Verdict]
 _MAX_REGION_STEPS = 500
 _MAX_KEYRATE_STEPS = 100_000
 # Largest accepted --rounds.  Memory does not set it, since rounds are
-# generated in fixed chunks; time and disk do.  Per 1e6 clone rounds,
-# statistics take about 0.025 s, and statistics with a transcript written
-# to a file about 0.08 s (in-process, medians of nine 5e6-round runs on a
-# 2-core Xeon whose speed varies by up to 2.75x).  The largest run thus
-# ends in about 2.5 s, or about 8 s with a transcript, which would take
-# 6.7 GB (ideal channel) to 7.7 GB (clone channel) of disk.
+# generated in fixed chunks; time and disk do.  Per 1e6 clone rounds at
+# small means, statistics take about 0.025 s, and statistics with a
+# transcript written to a file about 0.08 s (in-process, medians of nine
+# 5e6-round runs on a 2-core Xeon whose speed varies by up to 2.75x).  At
+# the largest means, statistics take about 0.35-0.43 s per 1e6 rounds
+# (alpha 3e5, eta 0.785: four Poisson tables of 2.1e6 entries, each built
+# once per run; in-process, min of 3 runs of 1e6 and of 5e6 rounds).  The
+# largest run thus ends in about 2.5 s at small means and about 40 s at
+# the largest, or about 8 s with a transcript, which would take 6.7 GB
+# (ideal channel) to 7.7 GB (clone channel) of disk.
 _MAX_ROUNDS = 100_000_000
 
 

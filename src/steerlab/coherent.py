@@ -16,9 +16,10 @@ that single fact:
 
 batch_parity_is_odd inverts double uniforms, one search per distinct mean.
 ParitySampler inverts the same tables for the raw 64-bit Philox words of
-the protocol, for a fixed tuple of means indexed per draw by a kind: a
-short table drawn often keeps one parity code per bin of the words' top
-ten bits, which settles most draws at once; the rest are searched.
+the protocol, for a fixed tuple of means indexed per draw by a kind: one
+table per distinct mean, and for a table drawn often enough one parity
+code per bin of the words' top bits, which settles most draws at once;
+the rest are searched.
 
 A brute-force truncated-sum evaluation of the parity probabilities is kept
 alongside the closed form as an independent oracle.  One numpy builder,
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +73,10 @@ MAX_TABLE_ENTRIES = 2**22
 
 # exp(-lam) stays a normal double below this; term recursions start there.
 _DIRECT_EXP_LIMIT = 700.0
+
+# Photon numbers counted, or guide bins coded, at once while a table or its
+# guide row is built.
+_COUNT_BLOCK = 1 << 16
 
 # Natural log of the smallest positive double, 2^-1074.
 _LOG_SMALLEST_DOUBLE = math.log(5e-324)
@@ -264,6 +270,15 @@ def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND
         n += 1
 
 
+def _counted(out: np.ndarray, first: int, step: int) -> np.ndarray:
+    # first, first + step, ... in ``out`` as doubles, as np.arange would give
+    # them, with at most _COUNT_BLOCK integers held at a time.
+    for start in range(0, len(out), _COUNT_BLOCK):
+        stop = min(start + _COUNT_BLOCK, len(out))
+        out[start:stop] = np.arange(first + start * step, first + stop * step, step)
+    return out
+
+
 def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     """Poisson weights over the photon numbers lo..hi, and their scale.
 
@@ -276,16 +291,18 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     tells whether the range reaches that far, and a bisection on lgamma
     finds where it starts.  The product recursion would stall at 5e-324
     instead, since 5e-324 * n / lam rounds back to it while n / lam
-    exceeds 1/2.
+    exceeds 1/2.  The photon numbers are counted in the weights' own array,
+    so a long table allocates little beside it (the array of a parallel
+    build would stay in its thread's malloc arena).
     """
     weights = np.empty(hi - lo + 1)
     if lo == 0 and lam <= _DIRECT_EXP_LIMIT:
         weights[0] = math.exp(-lam)
-        np.divide(lam, np.arange(1, hi + 1), out=weights[1:])
+        np.divide(lam, _counted(weights[1:], 1, 1), out=weights[1:])
         return np.cumprod(weights, out=weights), 1.0
     m = math.floor(lam)
     above = weights[m - lo + 1:]  # p_n / p_m, n = m+1..hi
-    np.cumprod(np.divide(lam, np.arange(m + 1, hi + 1), out=above), out=above)
+    np.cumprod(np.divide(lam, _counted(above, m + 1, 1), out=above), out=above)
     log_lam, log_m_factorial = math.log(lam), math.lgamma(m + 1.0)
 
     def log_ratio(n: int) -> float:  # log(p_n / p_m)
@@ -295,7 +312,7 @@ def _poisson_weights(lam: float, lo: int, hi: int) -> tuple[np.ndarray, float]:
     if log_ratio(lo) < _LOG_SMALLEST_DOUBLE:
         start += bisect.bisect_left(range(lo, m), _LOG_SMALLEST_DOUBLE, key=log_ratio)
     below = weights[start - lo:m - lo][::-1]  # p_n / p_m, n = m-1..start
-    np.cumprod(np.divide(np.arange(m, start, -1), lam, out=below), out=below)
+    np.cumprod(np.divide(_counted(below, m, -1), lam, out=below), out=below)
     weights[:start - lo] = 0.0
     weights[m - lo] = 1.0
     return weights, math.exp(m * log_lam - lam - log_m_factorial)
@@ -350,15 +367,16 @@ def _poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
     return cdf
 
 
-# Bins of a guide row (Chen & Asau 1974; Devroye 1986, section III.2.4):
-# bin b holds the words w >> _BIN_SHIFT == b, uniforms in [b, b + 1) / 1024.
+# Bins of the narrowest guide row (Chen & Asau 1974; Devroye 1986, section
+# III.2.4).  A row of 2^k bins reads a word's top k bits: bin b holds the
+# words w >> (64 - k) == b, uniforms in [b, b + 1) / 2^k.
 _GUIDE_BINS = 1 << 10
 _BIN_SHIFT = 64 - 10
-
-# Longest table that is kept.  A longer table would leave many entries per
-# bin, so its draws go straight to a bisection of the table.
-_GUIDED_ENTRIES = 1 << 11
 _BISECT = 2  # a bin's code when a CDF entry falls inside it; 0 and 1 are parities
+
+# Most entries a sampler's kept tables hold together: the four means of a
+# clone run, each with as long a window as a table may have.
+_KEPT_ENTRIES = 4 * MAX_TABLE_ENTRIES
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -366,11 +384,22 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _parity_bins(cdf: np.ndarray, lo: int) -> np.ndarray:
-    # Per bin, the parity of both its first and last word's entry, or _BISECT.
-    first = np.searchsorted(cdf, np.arange(_GUIDE_BINS) / _GUIDE_BINS)
-    last = np.searchsorted(cdf, np.arange(1, _GUIDE_BINS + 1) / _GUIDE_BINS - 2.0**-53)
-    return np.where(first == last, (lo + first) & 1, _BISECT).astype(np.uint8)
+def _guide_bins(entries: int) -> int:
+    # A table's row width: the least power of two at least its entries and
+    # at least _GUIDE_BINS.
+    return max(_GUIDE_BINS, 1 << (entries - 1).bit_length())
+
+
+def _parity_bins(cdf: np.ndarray, lo: int, bins: int) -> np.ndarray:
+    # Per bin of a row of ``bins``, the parity of both its first and last
+    # word's entry, or _BISECT; _COUNT_BLOCK bins at a time.
+    codes = np.empty(bins, np.uint8)
+    for start in range(0, bins, _COUNT_BLOCK):
+        b = np.arange(start, min(start + _COUNT_BLOCK, bins))
+        first = np.searchsorted(cdf, b / bins)
+        last = np.searchsorted(cdf, (b + 1) / bins - 2.0**-53)
+        codes[start:start + len(b)] = np.where(first == last, (lo + first) & 1, _BISECT)
+    return codes
 
 
 class ParitySampler:
@@ -384,77 +413,113 @@ class ParitySampler:
     it, kinds in ascending mean: the call first checks that the means of
     its new kinds are finite and nonnegative, and a window that would
     exceed MAX_TABLE_ENTRIES raises ValueError before anything is
-    allocated.  So a kind that is never drawn can hold any mean.
+    allocated.  So a kind that is never drawn can hold any mean, and one
+    whose set-up fails raises again in every call that draws it.
 
-    A table of at most _GUIDED_ENTRIES entries whose kind has at least
-    _GUIDE_BINS draws in that first call (so its row is no larger than the
-    draws) is kept, once per distinct mean, with a row of one-byte codes:
-    per bin, the parity every word in it maps to, or _BISECT where a CDF
-    entry falls inside the bin.  Draws in such bins, and every draw on a
-    table not kept, are bisected as doubles; a table not kept is built for
-    each call that draws from it.  So every draw lands where a bisection of
-    its table lands.
+    Each distinct mean gets one table, kept for the sampler's life while
+    the kept tables hold at most _KEPT_ENTRIES entries; a table past that
+    is built for each call that draws it.  A kept table of n entries gets
+    a guide row of 2^k one-byte codes, 2^k the least power of two at
+    least n and _GUIDE_BINS, if ``draws`` (the most draws of one kind the
+    caller will make: a run's rounds) is at least 2^k.  Per bin of a
+    word's top k bits, the row holds the parity every word in it maps to,
+    or _BISECT where a CDF entry falls inside the bin.  Draws in such
+    bins, and on tables without a row, are bisected as doubles, so every
+    draw lands where a bisection of its table lands.
+
+    Threads may share a sampler: kinds are set up under one lock, and
+    draws read an immutable snapshot of the set-up state without one.
     """
 
-    def __init__(self, lams):
+    def __init__(self, lams, draws: int):
         self._lams = np.asarray(lams, dtype=float)
+        self._draws = draws
+        self._lock = threading.Lock()
+        self._kept: dict[float, tuple] = {}  # mean -> (cdf, row offset, shift)
+        self._kept_entries = 0
+        # The snapshot: per kind (lo, hi, cdf or None, row offset, shift), or
+        # None before set-up; the rows end to end after one that bisects
+        # every bin; the kinds' row offsets; and their shift, an int when
+        # all are equal, else an array.
         kinds = len(self._lams)
-        # Per kind, once set up: (lo, hi, cdf), cdf None if not kept.
-        self._tables: list[tuple | None] = [None] * kinds
-        self._pending = kinds
-        self._guided: dict[float, tuple] = {}  # mean -> (cdf, offset of its row)
-        # The kept rows end to end after one that bisects every bin, and the
-        # offset of each kind's row (0 for a kind without one).
-        self._bins = np.full(_GUIDE_BINS, _BISECT, np.uint8)
-        self._offset = np.zeros(kinds, np.int64)
+        self._state = ((None,) * kinds, np.full(_GUIDE_BINS, _BISECT, np.uint8),
+                       np.zeros(kinds, np.int64), _BIN_SHIFT)
+        self._pending = kinds  # kinds not set up yet
 
-    def _set_up(self, kinds: np.ndarray) -> None:
-        counts = np.bincount(kinds, minlength=len(self._lams))
-        new = [k for k in np.flatnonzero(counts).tolist() if self._tables[k] is None]
-        if not new:
-            return
-        lams = self._lams[new]
-        if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
-            raise ValueError("Poisson means must be finite and nonnegative")
-        for k in sorted(new, key=self._lams.item):
-            lam = self._lams.item(k)
-            lo, hi = _checked_window(lam)
-            cdf = None
-            if hi - lo < _GUIDED_ENTRIES and (lam in self._guided or counts[k] >= _GUIDE_BINS):
-                if lam not in self._guided:
-                    cdf = _poisson_cdf(lam, lo, hi)
-                    self._guided[lam] = (cdf, len(self._bins))
-                    self._bins = np.concatenate((self._bins, _parity_bins(cdf, lo)))
-                cdf, self._offset[k] = self._guided[lam]
-            self._tables[k] = (lo, hi, cdf)
-            self._pending -= 1
+    def _keep(self, lam: float, lo: int, hi: int, rows: list) -> tuple:
+        # (cdf, row offset, shift) of a mean's kept table, built on first use
+        # with any row appended to ``rows``, or (None, 0, _BIN_SHIFT) when it
+        # would take the kept entries past _KEPT_ENTRIES.
+        if lam in self._kept:
+            return self._kept[lam]
+        entries = hi - lo + 1
+        if self._kept_entries + entries > _KEPT_ENTRIES:
+            return None, 0, _BIN_SHIFT
+        cdf, bins = _poisson_cdf(lam, lo, hi), _guide_bins(entries)
+        kept = cdf, 0, _BIN_SHIFT
+        if bins <= self._draws:
+            kept = cdf, sum(map(len, rows)), 64 - (bins.bit_length() - 1)
+            rows.append(_parity_bins(cdf, lo, bins))
+        self._kept[lam] = kept
+        self._kept_entries += entries
+        return kept
 
-    def _bisect(self, odd: np.ndarray, kinds: np.ndarray, uniforms: np.ndarray) -> None:
+    def _set_up(self, drawn: list[int]) -> tuple:
+        # Sets up the kinds of ``drawn`` not set up yet; the new snapshot.
+        with self._lock:
+            windows, rows = list(self._state[0]), [self._state[1]]
+            new = [k for k in drawn if windows[k] is None]
+            if not new:
+                return self._state
+            lams = self._lams[new]
+            if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
+                raise ValueError("Poisson means must be finite and nonnegative")
+            try:
+                for k in sorted(new, key=self._lams.item):
+                    lam = self._lams.item(k)
+                    lo, hi = _checked_window(lam)
+                    windows[k] = (lo, hi, *self._keep(lam, lo, hi, rows))
+            finally:  # the kinds before a failing one stay set up
+                shifts = [_BIN_SHIFT if w is None else w[4] for w in windows]
+                self._state = (
+                    tuple(windows),
+                    np.concatenate(rows),
+                    np.array([0 if w is None else w[3] for w in windows], np.int64),
+                    shifts[0] if len(set(shifts)) == 1 else np.array(shifts, np.uint64),
+                )
+                self._pending = windows.count(None)
+            return self._state
+
+    def _bisect(self, odd: np.ndarray, windows: tuple, kinds: np.ndarray, uniforms: np.ndarray) -> None:
         # Fill odd by a bisection of each draw's own table.
-        present = np.flatnonzero(np.bincount(kinds, minlength=len(self._tables))).tolist()
+        present = np.flatnonzero(np.bincount(kinds, minlength=len(windows))).tolist()
         for k in present:
             draws = kinds == k if len(present) > 1 else slice(None)
-            lo, hi, cdf = self._tables[k]
+            lo, hi, cdf = windows[k][:3]
             if cdf is None:
                 cdf = _poisson_cdf(self._lams.item(k), lo, hi)
             odd[draws] = (lo + np.searchsorted(cdf, uniforms[draws], side="left")) & 1
 
     def __call__(self, kinds: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each draw's photon number is odd; ``kinds`` index the means."""
+        state = self._state
         if self._pending:
-            self._set_up(kinds)
-        if not self._guided:
+            drawn = np.flatnonzero(np.bincount(kinds, minlength=len(self._lams))).tolist()
+            if any(state[0][k] is None for k in drawn):
+                state = self._set_up(drawn)
+        windows, rows, offsets, shift = state
+        if len(rows) == _GUIDE_BINS:  # no kept row
             odd = np.empty(len(kinds), bool)
-            self._bisect(odd, kinds, _uniforms(words))
+            self._bisect(odd, windows, kinds, _uniforms(words))
             return odd
-        bins = (words >> _BIN_SHIFT).view(np.int64)
-        bins += self._offset.take(kinds)
-        codes = self._bins.take(bins)
+        bins = (words >> (shift if isinstance(shift, int) else shift.take(kinds))).view(np.int64)
+        bins += offsets.take(kinds)
+        codes = rows.take(bins)
         odd = codes == 1
         rest = np.flatnonzero(codes == _BISECT)
         if rest.size:
             found = np.empty(rest.size, bool)
-            self._bisect(found, kinds[rest], _uniforms(words[rest]))
+            self._bisect(found, windows, kinds[rest], _uniforms(words[rest]))
             odd[rest] = found
         return odd
 

@@ -24,10 +24,12 @@ channel, its component, chosen by its second uniform; the kind fixes
 Bob's and Eve's Poisson means, which a run computes once per kind.  Each
 parity draw maps its single word through the Poisson CDF of its kind's
 mean, tabulated over about 24 sqrt(mean) photon numbers, by one
-coherent.ParitySampler per party and run: no table is built before a
-round of its kind is drawn, and a short table drawn often enough is kept
-for the rest of the run, with a parity code per bin of the words' top
-bits.  Identical configs produce bit-identical transcripts.
+coherent.ParitySampler per run over Bob's kinds and then Eve's: no table
+is built before a round of its kind is drawn, each distinct mean is
+tabulated once and kept for the rest of the run, shared by both parties
+and every worker, and a run of at least as many rounds as a table's guide
+row has bins gives it a parity code per bin of the words' top bits.
+Identical configs produce bit-identical transcripts.
 
 Chunked generation
 ------------------
@@ -36,9 +38,10 @@ and its counts are summed over the chunks, so working memory stays flat
 as the run grows.  The run is split into contiguous ranges of whole
 chunks, one per worker: up to one thread per usable CPU (``_WORKERS``),
 never more than the run has chunks.  Each range starts its own Philox
-generator by counter offset, ``Philox.advance(first round)``, and keeps
-its own samplers, so its draws are exactly the words a whole-run draw
-gives its rounds: neither the chunk size nor the worker count changes any
+generator by counter offset, ``Philox.advance(first round)``, and draws
+through the run's one sampler, so its draws are exactly the words a
+whole-run draw gives its rounds, each mapped through its mean's one
+table: neither the chunk size nor the worker count changes any
 statistic, transcript byte or error.  A range that fails stops every
 later range at its next chunk, and the run raises the error of the first
 failing range, the one a serial run meets first.
@@ -236,15 +239,17 @@ def _parity(odd: bool) -> Parity:
 
 
 def _kind_samplers(config: SimConfig):
-    """Bob's and Eve's (or None) ParitySampler over the round kinds, and the
-    cumulative weights of the channel's components.
+    """The cumulative weights of the channel's components, one ParitySampler
+    over Bob's means and then Eve's, and the offset of Eve's kinds in it,
+    None without an eavesdropper.
 
     A round's kind is prep * len(components) + component, with prep 1 for
     PLUS: the kind fixes both received amplitudes and the announced gamma,
     hence both parity means.  Each mean comes from the same numpy
     expressions a per-round array would take, so it is bitwise the mean of
     every round of its kind.  A mean that overflows is not an error here:
-    the sampler reports it if a round of its kind is ever drawn.
+    the sampler reports it if a round of its kind is ever drawn.  A mean
+    Bob and Eve share (at eta = pi/4, every kind's) is tabulated once.
     """
     prep_amp = np.array([config.alpha - config.beta, config.alpha + config.beta])
     gamma = -prep_amp[:, None]  # gamma2 and gamma1, the announced corrective displacements
@@ -257,8 +262,10 @@ def _kind_samplers(config: SimConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             return _mean_photon_number(received + gamma).ravel()
 
-    eve = None if eves[0] is None else ParitySampler(means(eves))
-    return np.cumsum(weights), ParitySampler(means(bobs)), eve
+    lams, eve = means(bobs), None
+    if eves[0] is not None:
+        lams, eve = np.concatenate((lams, means(eves))), len(lams)
+    return np.cumsum(weights), ParitySampler(lams, int(config.rounds)), eve
 
 
 def _plus_below(p_plus: float) -> int | None:
@@ -273,7 +280,7 @@ def _plus_below(p_plus: float) -> int | None:
 
 def _sample_chunk(samplers, plus_below: int | None, w: np.ndarray):
     """(plus, bob_odd, eve_odd or None) for the rounds whose raw words are ``w``."""
-    cumulative, bob, eve = samplers
+    cumulative, sampler, eve = samplers
     plus = np.ones(len(w), bool) if plus_below is None else w[:, 0] < plus_below
     kind = plus.astype(np.intp)
     if len(cumulative) > 1:
@@ -282,9 +289,11 @@ def _sample_chunk(samplers, plus_below: int | None, w: np.ndarray):
         component = np.searchsorted(cumulative, _uniforms(w[:, 1]), side="right")
         kind *= len(cumulative)
         kind += np.minimum(component, len(cumulative) - 1)
-    bob_odd = bob(kind, w[:, 2])
-    eve_odd = None if eve is None else eve(kind, w[:, 3])
-    return plus, bob_odd, eve_odd
+    bob_odd = sampler(kind, w[:, 2])
+    if eve is None:
+        return plus, bob_odd, None
+    kind += eve  # Eve's kinds follow Bob's
+    return plus, bob_odd, sampler(kind, w[:, 3])
 
 
 def _sample_range(config: SimConfig, samplers, start: int, stop: int, codes, stopped) -> list[int]:
@@ -323,7 +332,9 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     round.  A run of several chunks is split into one contiguous range of
     chunks per worker, up to ``_WORKERS``; the first range runs in the
     calling thread and each other one in a thread of its own, and the
-    output and any error are those of a serial run.  ``keep_transcript=
+    output and any error are those of a serial run.  Every range draws
+    through one ParitySampler, so each distinct Poisson mean is tabulated
+    once per run, whatever the chunk and worker counts.  ``keep_transcript=
     False`` leaves the transcript empty and skips its kind codes (the
     aggregate statistics are unchanged); useful for large repetition
     studies.
@@ -334,7 +345,7 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     workers = min(_WORKERS, chunks)
     # Range w: chunks w * chunks // workers up to the next range's first.
     starts = [min(w * chunks // workers * _LINES, rounds) for w in range(workers + 1)]
-    samplers = [_kind_samplers(config) for _ in range(workers)]  # a sampler keeps state
+    samplers = _kind_samplers(config)  # shared by every worker
     counts: list[list[int] | None] = [None] * workers
     errors: list[BaseException | None] = [None] * workers
 
@@ -344,7 +355,7 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
         def stopped() -> bool:
             return any(error is not None for error in errors[:w])
         try:
-            counts[w] = _sample_range(config, samplers[w], starts[w], starts[w + 1], codes, stopped)
+            counts[w] = _sample_range(config, samplers, starts[w], starts[w + 1], codes, stopped)
         except BaseException as error:
             errors[w] = error
 
@@ -362,7 +373,7 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
         if error is not None:
             raise error
     n_plus, n_bob_odd, n_eve_odd = map(sum, zip(*counts))
-    has_eve = samplers[0][2] is not None
+    has_eve = samplers[2] is not None
 
     p01 = n_bob_odd / rounds
     stats = SimStats(
@@ -461,7 +472,7 @@ class _KindCodes:
 
 # The encoder renders indices in [0, 10**18) with numpy, three digits at a
 # time through the rows "000" to "999" of _TRIPLES; _POWERS gives their
-# digit counts.  It renders any other index with an f-string.
+# digit counts.  It renders any other index with _index_text.
 _TRIPLES = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
 _POWERS = 10 ** np.arange(1, _MAX_RUN_DIGITS, dtype=np.int64)
 _INDEX_LIMIT = 10**_MAX_RUN_DIGITS
@@ -560,10 +571,18 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> np.ndarray:
     return rows[keep[sizes]]
 
 
+def _index_text(i) -> str:
+    """An index as json.dumps renders it, or as str where json.dumps cannot."""
+    try:
+        return json.dumps(i)
+    except TypeError:
+        return str(i)
+
+
 def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple, errors: str) -> np.ndarray | bytes:
     """The JSONL lines of one piece as bytes.  An index numpy cannot
-    render, one outside [0, 10**18) or not an int, goes through an f-string,
-    encoded as UTF-8 with the error handler ``errors``."""
+    render, one outside [0, 10**18) or not an int, goes through
+    ``_index_text``, encoded as UTF-8 with the error handler ``errors``."""
     ok = _renderable(index)
     if ok.all():
         return _render(index.astype(np.int64, copy=False), codes, tails)
@@ -576,7 +595,7 @@ def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple, errors: str) -> 
     cuts = np.concatenate(([0], np.cumsum(sizes)))[others - np.arange(len(others))].tolist()
     parts, done = [], 0
     for cut, i, code in zip(cuts, index[others].tolist(), codes[others].tolist()):
-        parts += (data[done:cut], f"{_HEAD}{i}{tail_text[code]}".encode("utf-8", errors))
+        parts += (data[done:cut], f"{_HEAD}{_index_text(i)}{tail_text[code]}".encode("utf-8", errors))
         done = cut
     parts.append(data[done:])
     return b"".join(parts)

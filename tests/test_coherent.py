@@ -420,14 +420,16 @@ _LAST_WORD = 2**64 - 1
 def _edge_words(lam: float) -> np.ndarray:
     # 0, 2^64 - 1, and for every CDF entry c of the mean's table the last
     # word whose uniform is at most c, ((floor(c 2^53) + 1) << 11) - 1, with
-    # the words on either side; and the first and last word of every bin.
+    # the words on either side; and the first and last word of every bin of
+    # the table's guide row.
     lo, hi = coherent._checked_window(lam)
     cdf = coherent._poisson_cdf(lam, lo, hi)
     last = [((math.floor(c * 2**53) + 1) << 11) - 1 for c in cdf.tolist()]
     words = {0, _LAST_WORD, *(w + d for w in last for d in (-1, 0, 1))}
-    shift = coherent._BIN_SHIFT
-    words |= {b << shift for b in range(coherent._GUIDE_BINS)}
-    words |= {((b + 1) << shift) - 1 for b in range(coherent._GUIDE_BINS)}
+    bins = coherent._guide_bins(hi - lo + 1)
+    shift = 64 - (bins.bit_length() - 1)
+    words |= {b << shift for b in range(bins)}
+    words |= {((b + 1) << shift) - 1 for b in range(bins)}
     return np.array(sorted(w for w in words if 0 <= w <= _LAST_WORD), np.uint64)
 
 
@@ -436,41 +438,65 @@ def _drawn_like_doubles(lams, kinds: np.ndarray, words: np.ndarray) -> np.ndarra
     return batch_parity_is_odd(np.asarray(lams, float)[kinds], (words >> 11) * 2.0**-53)
 
 
+def _row_widths(sampler: ParitySampler) -> list:
+    # Each kind's guide row width, None for a kind without a row.
+    _, _, offsets, shift = sampler._state
+    shifts = np.broadcast_to(shift, offsets.shape).tolist()
+    return [1 << (64 - s) if offset else None for offset, s in zip(offsets.tolist(), shifts)]
+
+
 class TestParitySampler:
     # The vacuum, a mean whose CDF is 1 from its first entry, means on
     # either side of the window's lo = 0 edge (about 184), and a mean whose
-    # table is too long to be kept.
+    # table of 24043 entries takes a row of 2^15 bins.
     MEANS = [0.0, 1e-300, 1.0, 183.0, 185.0, 1e6]
+    # Draws enough for every table of MEANS to get a row.
+    MANY = 1 << 15
 
-    def test_guides_go_to_short_tables_only(self):
-        # Tables of 367, 1739, 2443 and 24043 entries, each drawn often
-        # enough to be kept.
+    def test_guide_rows_are_sized_to_their_tables(self):
+        # Tables of 367, 1739, 2443 and 24043 entries: each gets a row of at
+        # least as many bins, and at least _GUIDE_BINS, once the sampler
+        # expects at least that many draws of a kind.
         lams = [183.0, 5e3, 1e4, 1e6]
-        sampler = ParitySampler(lams)
-        kinds = np.repeat(np.arange(len(lams)), coherent._GUIDE_BINS)
-        sampler(kinds, np.random.Philox(3).random_raw(len(kinds)))
-        assert [offset > 0 for offset in sampler._offset.tolist()] == [True, True, False, False]
-        assert len(sampler._bins) == 3 * coherent._GUIDE_BINS
+        kinds = np.arange(len(lams))
+        words = np.random.Philox(3).random_raw(len(kinds))
+        for draws, widths in [
+            (1023, [None, None, None, None]),
+            (1024, [1024, None, None, None]),
+            (4096, [1024, 2048, 4096, None]),
+            (1 << 15, [1024, 2048, 4096, 1 << 15]),
+        ]:
+            sampler = ParitySampler(lams, draws)
+            assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(lams, kinds, words))
+            assert _row_widths(sampler) == widths
+            assert len(sampler._state[1]) == coherent._GUIDE_BINS + sum(w for w in widths if w)
 
     @pytest.mark.parametrize("lam", MEANS)
     def test_every_cdf_entry_and_its_neighbours(self, lam):
         words = _edge_words(lam)
         kinds = np.zeros(len(words), np.intp)
-        sampler = ParitySampler([lam])
-        assert np.array_equal(sampler(kinds, words), _drawn_like_doubles([lam], kinds, words))
-        # Once kept, the second call reads the bins of the first.
-        assert np.array_equal(sampler(kinds, words), _drawn_like_doubles([lam], kinds, words))
+        expected = _drawn_like_doubles([lam], kinds, words)
+        for draws in (1, self.MANY):  # without and with a guide row
+            sampler = ParitySampler([lam], draws)
+            assert np.array_equal(sampler(kinds, words), expected)
+            # The second call reads the table, and any row, the first kept.
+            assert np.array_equal(sampler(kinds, words), expected)
 
-    def test_bisect_marks_exactly_the_bins_that_hold_an_entry(self):
-        # Bin b's words have the uniforms b / 1024 to (b + 1) / 1024 - 2^-53.
+    def test_bisect_marks_exactly_the_bins_that_hold_an_entry(self, monkeypatch):
+        # Bin b's words have the uniforms b / bins to (b + 1) / bins - 2^-53.
         # Entries at those ends and next to them; the others are the
-        # vacuum's and mean 183's tables.
-        bins = coherent._GUIDE_BINS
+        # vacuum's and mean 183's tables.  Rows of 2^10 and 2^12 bins, coded
+        # in blocks that do not divide them.
+        monkeypatch.setattr(coherent, "_COUNT_BLOCK", 1000)
+        for bins in (coherent._GUIDE_BINS, 4 * coherent._GUIDE_BINS):
+            self._check_row(bins)
+
+    def _check_row(self, bins):
         ends = np.concatenate([np.arange(bins) / bins, np.arange(1, bins + 1) / bins - 2.0**-53])
         edges = np.unique(np.concatenate([ends[::7], np.nextafter(ends[3::7], 0), np.nextafter(ends[5::7], 1)]))
         for cdf, lo in [(np.append(edges[edges < 1.0], 1.0), 3), (np.ones(33), 0),
                         (coherent._poisson_cdf(183.0, 0, 367), 0)]:
-            codes = coherent._parity_bins(cdf, lo)
+            codes = coherent._parity_bins(cdf, lo, bins)
             inside = np.array([np.any((cdf >= a) & (cdf < b)) for a, b in zip(ends[:bins], ends[bins:])])
             assert np.array_equal(codes == coherent._BISECT, inside)
             # Elsewhere, the parity of the entry of every word in the bin.
@@ -478,7 +504,12 @@ class TestParitySampler:
             assert np.array_equal(codes[~inside], ((lo + below) & 1)[~inside])
 
     def test_mixed_kinds_in_one_call(self):
-        # Repeated means share a table; each kind reads its own row of bins.
+        # Repeated means share a table and a row; each kind reads its own
+        # row with its own shift, 1e6's of 2^15 bins among rows of 2^10.
+        for draws, widest in [(1024, None), (self.MANY, 1 << 15)]:
+            self._check_mixed(draws, widest)
+
+    def _check_mixed(self, draws, widest):
         means = [*self.MEANS, 183.0, 0.0]
         edges = [_edge_words(lam) for lam in means]
         kinds = np.concatenate([np.full(len(w), k) for k, w in enumerate(edges)])
@@ -487,46 +518,72 @@ class TestParitySampler:
         order = rng.permutation(len(words))
         kinds, words = kinds[order], words[order]
         words[::97] = rng.integers(0, _LAST_WORD, len(words[::97]), np.uint64, endpoint=True)
-        sampler = ParitySampler(means)
+        sampler = ParitySampler(means, draws)
         assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(means, kinds, words))
-        assert len(sampler._guided) == 5
+        assert len(sampler._kept) == 6
+        assert _row_widths(sampler) == [1024] * 5 + [widest] + [1024] * 2
+        assert len(sampler._state[1]) == 6 * 1024 + (widest or 0)
 
     def test_kinds_are_set_up_when_first_drawn(self, monkeypatch):
         built = []
         cdf = coherent._poisson_cdf
         monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
-        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6, 7.0])
+        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6, 7.0], 2)
 
-        def draw(kinds, each=coherent._GUIDE_BINS):
-            kinds = np.repeat(kinds, each)
-            return sampler(kinds, np.full(len(kinds), 1 << 63, np.uint64))
+        def draw(kinds):
+            return sampler(np.array(kinds, np.intp), np.full(len(kinds), 1 << 63, np.uint64))
 
         draw([4, 0, 2])
         assert built == [2.0, 5.0]  # ascending, once per mean
         draw([2, 0, 4])
         assert built == [2.0, 5.0]
-        # A table too long to be kept, or first drawn fewer times than a
-        # row has bins, is built for each call that draws from it.
+        # Every table is kept, long or short, however few its draws.
         draw([5, 0])
         draw([5])
-        draw([6], each=2)
         draw([6])
-        assert built == [2.0, 5.0, 1e6, 1e6, 7.0, 7.0]
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            draw([0, 1, 3, 0])
-        with pytest.raises(ValueError, match="Poisson mean 1e\\+40 needs a Poisson table"):
-            draw([0, 3, 3, 0])
+        draw([6])
+        assert built == [2.0, 5.0, 1e6, 7.0]
+        # A set-up that fails is not kept: every call that draws the kind
+        # raises.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                draw([0, 1, 3, 0])
+            with pytest.raises(ValueError, match="Poisson mean 1e\\+40 needs a Poisson table"):
+                draw([0, 3, 3, 0])
+        assert built == [2.0, 5.0, 1e6, 7.0]
+        assert sampler._pending == 2
+
+    def test_tables_past_the_budget_are_built_per_call(self, monkeypatch):
+        # Room for the 367 entries of mean 183 and not for the 1739 of 5e3.
+        built = []
+        cdf = coherent._poisson_cdf
+        monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
+        monkeypatch.setattr(coherent, "_KEPT_ENTRIES", 2000)
+        lams = [183.0, 5e3, 183.0]
+        sampler = ParitySampler(lams, self.MANY)
+        kinds = np.arange(3000) % len(lams)
+        words = np.random.Philox(6).random_raw((2, len(kinds)))
+        odd = [sampler(kinds, w) for w in words]
+        assert built == [183.0, 5e3, 5e3]
+        assert sampler._kept_entries == 367 and _row_widths(sampler) == [1024, None, 1024]
+        for drawn, w in zip(odd, words):
+            assert np.array_equal(drawn, _drawn_like_doubles(lams, kinds, w))
 
     def test_guides_stay_within_the_draws(self):
-        # Many distinct means with a few draws each: no table is kept, so
-        # the sampler holds no more than its tables while it bisects.
-        lams = np.linspace(0.0, 50.0, 5000)
+        # Many distinct means with one draw each, tables of 34 to 1739
+        # entries: every table is kept, and a row only where it is no wider
+        # than the draws the sampler expects of a kind.
+        lams = np.linspace(0.0, 5e3, 500)
         words = np.random.Philox(4).random_raw(len(lams))
         kinds = np.arange(len(lams))
-        sampler = ParitySampler(lams)
-        odd = sampler(kinds, words)
-        assert len(sampler._bins) == coherent._GUIDE_BINS and not sampler._guided
-        assert np.array_equal(odd, _drawn_like_doubles(lams, kinds, words))
+        expected_odd = _drawn_like_doubles(lams, kinds, words)
+        for draws in (1, 1023, 1024, 2047, 2048):
+            sampler = ParitySampler(lams, draws)
+            assert np.array_equal(sampler(kinds, words), expected_odd)
+            widths = [coherent._guide_bins(hi - lo + 1) for lo, hi, *_ in sampler._state[0]]
+            expected = [w if w <= draws else None for w in widths]
+            assert _row_widths(sampler) == expected
+            assert len(sampler._state[1]) == coherent._GUIDE_BINS + sum(w for w in expected if w)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -536,17 +593,18 @@ class TestParitySampler:
             max_size=4,
         ),
         draws=st.lists(st.sampled_from([1, 1023, 1024, 3000]), min_size=4, max_size=4),
+        expected=st.sampled_from([1, 1024, 2048, 1 << 15]),
         seed=st.integers(0, 2**64 - 1),
         extra=st.lists(st.integers(0, _LAST_WORD), max_size=20),
     )
-    def test_draws_match_the_double_inversion(self, lams, draws, seed, extra):
-        # Means with short tables kept or not (by their first call's draws)
-        # and long ones that are always bisected, over random words and
-        # words drawn anywhere in [0, 2^64); two calls, so that the second
-        # reads the rows the first kept.
+    def test_draws_match_the_double_inversion(self, lams, draws, expected, seed, extra):
+        # Means with short and long tables, with guide rows or not (by the
+        # draws the sampler expects), over random words and words drawn
+        # anywhere in [0, 2^64); two calls, so that the second reads the
+        # tables and rows the first kept.
         kinds = np.repeat(np.arange(len(lams)), draws[:len(lams)])
         bits = np.random.Philox(key=seed)
-        sampler = ParitySampler(lams)
+        sampler = ParitySampler(lams, expected)
         for _ in range(2):
             words = np.concatenate([bits.random_raw(len(kinds)), np.array(extra, np.uint64)])
             drawn = np.concatenate([kinds, np.arange(len(extra)) % len(lams)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerlab import protocol
+from steerlab import coherent, protocol
 from steerlab.coherent import Parity, batch_parity_is_odd
 from steerlab.keyrate import binary_entropy, bob_error, eve_error
 from steerlab.output import open_atomic
@@ -426,14 +426,14 @@ def test_plus_words_are_those_of_uniforms_below_p_plus(p_plus):
 def _sample_like_uniforms(config: SimConfig, u: np.ndarray):
     # A chunk drawn from double uniforms, as every round was before runs
     # drew raw words: preparation, component and both parities.
-    cumulative, bob, eve = protocol._kind_samplers(config)
+    cumulative, sampler, eve = protocol._kind_samplers(config)
     plus = u[:, 0] < config.p_plus
     kind = plus.astype(np.intp)
     if len(cumulative) > 1:
         component = np.searchsorted(cumulative, u[:, 1], side="right")
         kind = kind * len(cumulative) + np.minimum(component, len(cumulative) - 1)
-    bob_odd = batch_parity_is_odd(bob._lams[kind], u[:, 2])
-    return plus, bob_odd, None if eve is None else batch_parity_is_odd(eve._lams[kind], u[:, 3])
+    bob_odd = batch_parity_is_odd(sampler._lams[kind], u[:, 2])
+    return plus, bob_odd, None if eve is None else batch_parity_is_odd(sampler._lams[kind + eve], u[:, 3])
 
 
 @pytest.mark.parametrize("channel", ["ideal", "clone", "mixture"])
@@ -573,15 +573,42 @@ def test_threads_start_only_for_runs_of_several_chunks(rounds, threads):
     assert len(started) == threads
 
 
+@pytest.mark.parametrize("eta,tables", [(math.pi / 4, 2), (0.785, 4)])
+def test_each_mean_is_tabulated_once_per_run(monkeypatch, eta, tables):
+    # At alpha 3000 every table is long (about 21100 entries).  At eta pi/4
+    # Eve's mean of each kind is bitwise Bob's, so a run builds one table
+    # per preparation, however many chunks and workers draw it; at 0.785
+    # the four means differ.
+    built = []
+    cdf = coherent._poisson_cdf
+    monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
+    config = SimConfig(alpha=3000.0, beta=0.5, channel=GaussianCloneChannel(eta=eta), rounds=1000, seed=3)
+    outputs = []
+    for lines, workers in [(protocol._LINES, 1), (200, 1), (200, 3)]:  # 1 chunk, then 5
+        built.clear()
+        with mock.patch.object(protocol, "_LINES", lines), mock.patch.object(protocol, "_WORKERS", workers):
+            result = run_protocol(config)
+        assert len(built) == len(set(built)) == tables
+        text = io.StringIO()
+        write_transcript(result.transcript, text)
+        outputs.append((result.stats, text.getvalue()))
+    assert outputs[1:] == outputs[:1] * 2
+
+
 @pytest.mark.parametrize("channel", ["clone", "mixture"])
-def test_more_threads_than_cores_agree_with_one(channel):
+def test_more_threads_than_cores_agree_with_one(monkeypatch, channel):
     # Tiny chunks, more workers than cores and a short switch interval, so
     # that the threads interleave between nearly every numpy call while
-    # they fill one array of codes.
+    # they set up the one sampler and fill one array of codes.
+    built = []
+    cdf = coherent._poisson_cdf
+    monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
     config = SimConfig(alpha=1.0, beta=0.5, channel=GOLDEN_CHANNELS[channel], rounds=20_000, seed=8)
     with mock.patch.object(protocol, "_LINES", 101):
         with mock.patch.object(protocol, "_WORKERS", 1):
             serial = run_protocol(config)
+        means = sorted(built)
+        built.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -591,6 +618,7 @@ def test_more_threads_than_cores_agree_with_one(channel):
             sys.setswitchinterval(interval)
     assert threaded.stats == serial.stats
     assert np.array_equal(threaded.transcript._codes, serial.transcript._codes)
+    assert sorted(built) == means and len(set(means)) == len(means)  # each mean built once
 
 
 def test_statistics_only_run_memory_stays_flat():
@@ -961,12 +989,17 @@ def test_every_sink_gets_the_same_bytes(tmp_path):
 
 
 def test_float_indices_render_as_python_does():
-    # Not ints, so not rendered by numpy, even where integral.
-    records = [RoundRecord(i, *_KIND_A) for i in (4, 2.5, 3.0, 5, 1e20)]
+    # Not ints in [0, 10**18), so not rendered by numpy, even where
+    # integral: each line is still what json.dumps writes.
+    indices = (4, 2.5, 3.0, 5, 1e20, math.inf, -math.inf, math.nan, True, False, -3, 10**20)
+    records = [RoundRecord(i, *_KIND_A) for i in indices]
     buf = io.StringIO()
     write_transcript(records, buf)
     assert buf.getvalue() == _reference_encode(records)
-    assert buf.getvalue().splitlines()[2].startswith('{"i":3.0,')
+    heads = [line[:line.index(",")] for line in buf.getvalue().splitlines()]
+    assert heads[2] == '{"i":3.0'
+    assert heads[5:] == ['{"i":Infinity', '{"i":-Infinity', '{"i":NaN', '{"i":true', '{"i":false',
+                         '{"i":-3', '{"i":100000000000000000000']
 
 
 class _WriteRecorder:
