@@ -75,12 +75,12 @@ _MAX_KEYRATE_STEPS = 100_000
 # small means, statistics take about 0.025 s, and statistics with a
 # transcript written to a file about 0.08 s (in-process, medians of nine
 # 5e6-round runs on a 2-core Xeon whose speed varies by up to 2.75x).  At
-# the largest means, statistics take about 0.35-0.43 s per 1e6 rounds
+# the largest means, statistics take about 0.3-0.4 s per 1e6 rounds
 # (alpha 3e5, eta 0.785: four Poisson tables of 2.1e6 entries, each built
 # once per run; in-process, min of 3 runs of 1e6 and of 5e6 rounds).  The
-# largest run thus ends in about 2.5 s at small means and about 40 s at
-# the largest, or about 8 s with a transcript, which would take 6.7 GB
-# (ideal channel) to 7.7 GB (clone channel) of disk.
+# largest run thus ends in about 2.5 s at small means, or about 8 s there
+# with a transcript, which would take 6.7 GB (ideal channel) to 7.7 GB
+# (clone channel) of disk, and in about 30 s at the largest means.
 _MAX_ROUNDS = 100_000_000
 
 

@@ -74,8 +74,7 @@ MAX_TABLE_ENTRIES = 2**22
 # exp(-lam) stays a normal double below this; term recursions start there.
 _DIRECT_EXP_LIMIT = 700.0
 
-# Photon numbers counted, or guide bins coded, at once while a table or its
-# guide row is built.
+# Photon numbers counted at once while a table is built.
 _COUNT_BLOCK = 1 << 16
 
 # Natural log of the smallest positive double, 2^-1074.
@@ -378,6 +377,11 @@ _BISECT = 2  # a bin's code when a CDF entry falls inside it; 0 and 1 are pariti
 # clone run, each with as long a window as a table may have.
 _KEPT_ENTRIES = 4 * MAX_TABLE_ENTRIES
 
+# Widest guide row.  Rows of 2^22 bins (tables of 2.1e6 entries, alpha 3e5)
+# made a 5e6-round clone run slower, 1670 against 1558 ms, and 34 MB
+# larger; rows of 2^20 and 2^21 bins still saved 27-45%.
+_MAX_GUIDE_BINS = 1 << 21
+
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     # The doubles Generator.random() makes of raw 64-bit words.
@@ -392,14 +396,10 @@ def _guide_bins(entries: int) -> int:
 
 def _parity_bins(cdf: np.ndarray, lo: int, bins: int) -> np.ndarray:
     # Per bin of a row of ``bins``, the parity of both its first and last
-    # word's entry, or _BISECT; _COUNT_BLOCK bins at a time.
-    codes = np.empty(bins, np.uint8)
-    for start in range(0, bins, _COUNT_BLOCK):
-        b = np.arange(start, min(start + _COUNT_BLOCK, bins))
-        first = np.searchsorted(cdf, b / bins)
-        last = np.searchsorted(cdf, (b + 1) / bins - 2.0**-53)
-        codes[start:start + len(b)] = np.where(first == last, (lo + first) & 1, _BISECT)
-    return codes
+    # word's entry, or _BISECT.
+    first = np.searchsorted(cdf, np.arange(bins) / bins)
+    last = np.searchsorted(cdf, np.arange(1, bins + 1) / bins - 2.0**-53)
+    return np.where(first == last, (lo + first) & 1, _BISECT).astype(np.uint8)
 
 
 class ParitySampler:
@@ -421,11 +421,12 @@ class ParitySampler:
     is built for each call that draws it.  A kept table of n entries gets
     a guide row of 2^k one-byte codes, 2^k the least power of two at
     least n and _GUIDE_BINS, if ``draws`` (the most draws of one kind the
-    caller will make: a run's rounds) is at least 2^k.  Per bin of a
-    word's top k bits, the row holds the parity every word in it maps to,
-    or _BISECT where a CDF entry falls inside the bin.  Draws in such
-    bins, and on tables without a row, are bisected as doubles, so every
-    draw lands where a bisection of its table lands.
+    caller will make: a run's rounds) is at least 2^k and 2^k is at most
+    _MAX_GUIDE_BINS.  Per bin of a word's top k bits, the row holds the
+    parity every word in it maps to, or _BISECT where a CDF entry falls
+    inside the bin.  Draws in such bins, and on tables without a row, are
+    bisected as doubles, so every draw lands where a bisection of its
+    table lands.
 
     Threads may share a sampler: kinds are set up under one lock, and
     draws read an immutable snapshot of the set-up state without one.
@@ -457,7 +458,7 @@ class ParitySampler:
             return None, 0, _BIN_SHIFT
         cdf, bins = _poisson_cdf(lam, lo, hi), _guide_bins(entries)
         kept = cdf, 0, _BIN_SHIFT
-        if bins <= self._draws:
+        if bins <= min(self._draws, _MAX_GUIDE_BINS):
             kept = cdf, sum(map(len, rows)), 64 - (bins.bit_length() - 1)
             rows.append(_parity_bins(cdf, lo, bins))
         self._kept[lam] = kept
@@ -502,8 +503,12 @@ class ParitySampler:
 
     def __call__(self, kinds: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each draw's photon number is odd; ``kinds`` index the means."""
+        # The count first: a count of 0 is only written after a snapshot with
+        # every kind set up, while a snapshot read first could predate the
+        # set-up that brought the count to 0.
+        pending = self._pending
         state = self._state
-        if self._pending:
+        if pending:
             drawn = np.flatnonzero(np.bincount(kinds, minlength=len(self._lams))).tolist()
             if any(state[0][k] is None for k in drawn):
                 state = self._set_up(drawn)

@@ -28,7 +28,8 @@ coherent.ParitySampler per run over Bob's kinds and then Eve's: no table
 is built before a round of its kind is drawn, each distinct mean is
 tabulated once and kept for the rest of the run, shared by both parties
 and every worker, and a run of at least as many rounds as a table's guide
-row has bins gives it a parity code per bin of the words' top bits.
+row has bins gives a table of up to 2^21 entries a parity code per bin of
+the words' top bits.
 Identical configs produce bit-identical transcripts.
 
 Chunked generation

@@ -221,6 +221,19 @@ class TestParityByTruncation:
         assert not weights[:first].any()
         assert np.count_nonzero(weights == 5e-324) <= 1
 
+    @pytest.mark.parametrize("lam, window", [(250.0, False), (1000.5, False), (2.1e4, True)])
+    def test_counting_in_blocks_moves_no_bit(self, monkeypatch, lam, window):
+        # The recursion from 0, the ratios about the mode down to where they
+        # underflow, and a window above 0, counted in blocks that do not
+        # divide them and in one block.
+        lo, hi = _poisson_window(lam) if window else (0, _poisson_cutoff(lam))
+        tables = []
+        for block in (100, 1 << 30):
+            monkeypatch.setattr(coherent, "_COUNT_BLOCK", block)
+            tables.append(coherent._poisson_weights(lam, lo, hi))
+        (blocked, factor), (whole, whole_factor) = tables
+        assert np.array_equal(blocked, whole) and factor == whole_factor
+
     def test_default_cutoff_checks_the_table_limit_before_rounding(self):
         # |1e200|^2 overflows to inf, which the cutoff formula cannot round.
         with pytest.raises(ValueError, match="mean photon number inf needs a Poisson table"):
@@ -445,6 +458,19 @@ def _row_widths(sampler: ParitySampler) -> list:
     return [1 << (64 - s) if offset else None for offset, s in zip(offsets.tolist(), shifts)]
 
 
+class _SetUpOnRead(ParitySampler):
+    # Once armed, the next read of the snapshot sets up every kind right
+    # after the old snapshot is read, as another thread could.
+    armed = False
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if name == "_state" and self.armed:
+            self.armed = False
+            self._set_up(list(range(len(self._lams))))
+        return value
+
+
 class TestParitySampler:
     # The vacuum, a mean whose CDF is 1 from its first entry, means on
     # either side of the window's lo = 0 edge (about 184), and a mean whose
@@ -453,22 +479,26 @@ class TestParitySampler:
     # Draws enough for every table of MEANS to get a row.
     MANY = 1 << 15
 
-    def test_guide_rows_are_sized_to_their_tables(self):
+    def test_guide_rows_are_sized_to_their_tables(self, monkeypatch):
         # Tables of 367, 1739, 2443 and 24043 entries: each gets a row of at
         # least as many bins, and at least _GUIDE_BINS, once the sampler
-        # expects at least that many draws of a kind.
+        # expects at least that many draws of a kind, unless the row would
+        # be wider than _MAX_GUIDE_BINS.
         lams = [183.0, 5e3, 1e4, 1e6]
         kinds = np.arange(len(lams))
         words = np.random.Philox(3).random_raw(len(kinds))
-        for draws, widths in [
-            (1023, [None, None, None, None]),
-            (1024, [1024, None, None, None]),
-            (4096, [1024, 2048, 4096, None]),
-            (1 << 15, [1024, 2048, 4096, 1 << 15]),
+        for draws, widest, widths in [
+            (1023, None, [None, None, None, None]),
+            (1024, None, [1024, None, None, None]),
+            (4096, None, [1024, 2048, 4096, None]),
+            (1 << 15, None, [1024, 2048, 4096, 1 << 15]),
+            (1 << 15, 4096, [1024, 2048, 4096, None]),
         ]:
+            if widest:
+                monkeypatch.setattr(coherent, "_MAX_GUIDE_BINS", widest)
             sampler = ParitySampler(lams, draws)
             assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(lams, kinds, words))
-            assert _row_widths(sampler) == widths
+            assert _row_widths(sampler) == widths and len(sampler._kept) == len(lams)
             assert len(sampler._state[1]) == coherent._GUIDE_BINS + sum(w for w in widths if w)
 
     @pytest.mark.parametrize("lam", MEANS)
@@ -482,12 +512,10 @@ class TestParitySampler:
             # The second call reads the table, and any row, the first kept.
             assert np.array_equal(sampler(kinds, words), expected)
 
-    def test_bisect_marks_exactly_the_bins_that_hold_an_entry(self, monkeypatch):
+    def test_bisect_marks_exactly_the_bins_that_hold_an_entry(self):
         # Bin b's words have the uniforms b / bins to (b + 1) / bins - 2^-53.
         # Entries at those ends and next to them; the others are the
-        # vacuum's and mean 183's tables.  Rows of 2^10 and 2^12 bins, coded
-        # in blocks that do not divide them.
-        monkeypatch.setattr(coherent, "_COUNT_BLOCK", 1000)
+        # vacuum's and mean 183's tables.  Rows of 2^10 and 2^12 bins.
         for bins in (coherent._GUIDE_BINS, 4 * coherent._GUIDE_BINS):
             self._check_row(bins)
 
@@ -552,6 +580,20 @@ class TestParitySampler:
                 draw([0, 3, 3, 0])
         assert built == [2.0, 5.0, 1e6, 7.0]
         assert sampler._pending == 2
+
+    def test_a_set_up_while_a_call_reads_the_state(self):
+        # Another thread may set up the last kinds between a call's reads of
+        # the pending count and of the snapshot; the call must still find a
+        # table for every kind it draws.
+        lams = [2.0, 5e3]
+        kinds = np.arange(2048) % len(lams)
+        words = np.random.Philox(5).random_raw(len(kinds))
+        for draws in (1, self.MANY):  # without and with guide rows
+            sampler = _SetUpOnRead(lams, draws)
+            sampler(kinds[:1], words[:1])  # kind 0 only
+            sampler.armed = True
+            assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(lams, kinds, words))
+            assert not sampler.armed and sampler._pending == 0
 
     def test_tables_past_the_budget_are_built_per_call(self, monkeypatch):
         # Room for the 367 entries of mean 183 and not for the 1739 of 5e3.
