@@ -17,7 +17,9 @@ Subcommands:
 Common flags: --out PATH ("-" for stdout), --format csv|json|svg (svg only
 for steer-region and keyrate), --seed for the protocol.  Exit codes: 0 on
 success, 2 on usage errors, 1 on runtime failures.  Output files are
-written atomically; a failing command leaves no partial artifact.
+written atomically; a failing command leaves no partial artifact, and an
+output path that is a directory, names no file or is in no directory
+is refused before any work.
 
 Defaults mirror the worked parameter choices used throughout the test
 suite: alpha = 1, beta = 0.5, p = 1/2, corrective displacements
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -399,6 +402,26 @@ def _cmd_uncertainty(args) -> int:
     return 0
 
 
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an output path that ``open_atomic`` could
+    not replace at the end: a directory, a path that names no file ("" or
+    one ending in a separator), or a file in no directory."""
+    for flag in ("out", "transcript"):
+        path = getattr(args, flag, None)
+        if path is None or path == STDOUT_MARKER:
+            continue
+        directory = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.basename(path):
+            problem = "names no file"
+        elif not os.path.isdir(directory):
+            problem = f"directory {directory!r} does not exist"
+        else:
+            continue
+        raise ValueError(f"--{flag} {path!r}: {problem}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Building the tree costs several times a short command's own work, and
@@ -412,6 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "format", None) == "svg" and args.command not in _SVG_COMMANDS:
         parser.error("svg output is only available for steer-region and keyrate")
     try:
+        _check_output_paths(args)
         if args.command == "parity":
             return _cmd_parity(args)
         if args.command == "steer-region":

@@ -68,9 +68,15 @@ lines of learned tails in one numpy pass per block of bytes, so that
 only other lines become ``str``.  Lines of one width and digit count are
 checked together: their bytes less each byte's least value, against how
 far each may exceed it, with the bad lines looked for only in a group
-that has one.  It builds a ``Transcript`` of its own, which also keeps
-the indices when they are not 0, 1, ..., n - 1, and as many kinds as
-the file holds.
+that has one.  A run's lines mostly share one width, all but where the
+index gains a digit or two gammas print at different widths, so a block
+of a path is first cut into rows as wide as its first line: when every
+row is a learned line, the block is decoded with no search for its line
+ends and no UTF-8 pass, and otherwise line by line.  Lines of a text
+source are the source's own, so they are always decoded line by line.
+The decoder builds a ``Transcript`` of its own, which also keeps the
+indices when they are not 0, 1, ..., n - 1, and as many kinds as the
+file holds.
 """
 
 from __future__ import annotations
@@ -691,6 +697,48 @@ class _LineDecoder(_KindCodes):
             self._checks[width, digits] = low, span
         return self._checks[width, digits]
 
+    def _check(self, rows: np.ndarray, width: int, digits: int) -> tuple:
+        """(the rows that are learned lines, None when all are, their indices,
+        their kind codes) of ``rows``, lines of ``digits`` digits and a tail
+        of ``width`` bytes, one per row: a row's bytes less each byte's least
+        value in its class, against how far each may exceed it."""
+        _, codes, probes = self._forms[width]
+        classes = np.zeros(len(rows), np.intp)
+        for col, table in probes:
+            classes = table[classes * 256 + rows[:, digits + col]]
+        low, span = self._bounds(width, digits)
+        excess = np.take(low, classes, axis=0)
+        np.subtract(rows, excess, out=excess)  # wraps round where a byte is below its least value
+        bad = np.greater(excess, span)
+        ok = None
+        if bad.any():  # rows with a bad byte are left to the caller
+            ok = np.flatnonzero(~bad.any(axis=1))
+            classes, excess = classes[ok], excess[ok]
+        number = excess[:, len(_HEAD)].astype(np.int64)
+        if digits > 1:
+            number += 1  # the leading digit's least value
+        for col in range(len(_HEAD) + 1, len(_HEAD) + digits):
+            number *= 10
+            number += excess[:, col]
+        return ok, number, codes[classes]
+
+    def decode_rows(self, block: memoryview) -> tuple | None:
+        """(indices, kind codes) of a block from a path whose lines are all
+        learned lines of the width and digit count of its first, or None.
+
+        The block is cut into rows as wide as its first line and checked as
+        one array, with no search for the other lines' ends: a row that
+        passes ends in its only newline, so the rows are the block's lines.
+        """
+        text, size = block.obj, len(block)  # a view of the start of a bytearray
+        width = text.find(b"\n", 0, size) + 1
+        digits = text.find(b",", 0, width) - len(_HEAD)
+        tail = width - len(_HEAD) - digits
+        if not (0 < digits <= _MAX_RUN_DIGITS and tail in self._forms and size % width == 0):
+            return None
+        ok, number, codes = self._check(np.frombuffer(block, np.uint8).reshape(-1, width), tail, digits)
+        return None if ok is not None else (number, codes)
+
     def decode_fast(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
         """(positions, indices, kind codes) of the learned lines data[starts:stops]."""
         # Group: 32 * (1 + the rank of the tail width) + digits.  A tail starts
@@ -701,32 +749,17 @@ class _LineDecoder(_KindCodes):
             lines = np.flatnonzero((group == 0) & (digits > 0) & (digits <= _MAX_RUN_DIGITS))
             lines = lines[data[stops[lines] - width] == ord(",")]
             group[lines] = 32 * rank + digits[lines]
-        forms = list(self._forms.items())
+        widths = list(self._forms)
         found = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.intp))]
         for key in (np.flatnonzero(np.bincount(group)[1:]) + 1).tolist():
-            width, (_, codes, probes) = forms[key // 32 - 1]
-            digits, size = key % 32, len(_HEAD) + key % 32 + width
+            width, digits = widths[key // 32 - 1], key % 32
+            size = len(_HEAD) + digits + width
             lines = np.flatnonzero(group == key)
             at = starts[lines]
             rows = sliding_window_view(data, size)  # a view where the lines lie end to end
             rows = rows[at[0]:at[-1] + 1:size] if at[-1] - at[0] == size * (len(at) - 1) else rows[at]
-            classes = np.zeros(len(lines), np.intp)
-            for col, table in probes:
-                classes = table[classes * 256 + rows[:, digits + col]]
-            low, span = self._bounds(width, digits)
-            excess = np.take(low, classes, axis=0)
-            np.subtract(rows, excess, out=excess)  # wraps round where a byte is below its least value
-            bad = np.greater(excess, span)
-            if bad.any():  # rows with a bad byte are left to decode_line
-                ok = np.flatnonzero(~bad.any(axis=1))
-                lines, classes, excess = lines[ok], classes[ok], excess[ok]
-            number = excess[:, len(_HEAD)].astype(np.int64)
-            if digits > 1:
-                number += 1  # the leading digit's least value
-            for col in range(len(_HEAD) + 1, len(_HEAD) + digits):
-                number *= 10
-                number += excess[:, col]
-            found.append((lines, number, codes[classes]))
+            ok, number, codes = self._check(rows, width, digits)
+            found.append((lines if ok is None else lines[ok], number, codes))
         return tuple(map(np.concatenate, zip(*found)))
 
     def decode_line(self, line: str) -> tuple[int, int] | None:
@@ -774,12 +807,14 @@ def _decode_block(decoder: _LineDecoder, block: bytes | memoryview, stops: np.nd
     return index[codes >= 0], codes[codes >= 0]
 
 
-def _byte_blocks(fh) -> Iterator[tuple[memoryview, np.ndarray]]:
-    """Blocks of whole lines of the binary file ``fh`` with the end of each
-    line, read as text mode reads them: "\\r\\n" and a lone "\\r" end a line,
-    and bytes that are not UTF-8 raise ``UnicodeDecodeError``.  A "\\r\\n"
-    split between two reads leaves a blank line, which the decoder skips.
-    Every block is a view of one buffer, which the next block overwrites."""
+def _byte_blocks(fh) -> Iterator[memoryview]:
+    """Nonempty blocks of whole lines of the binary file ``fh``, with text
+    mode's newlines: "\\r\\n" and a lone "\\r" become "\\n".  A "\\r\\n" split
+    between two reads leaves a blank line, which the decoder skips.  No line
+    end but the last is looked for, nor any byte checked for UTF-8: a block
+    of learned lines of one width needs neither, and ``_line_stops`` does
+    both for any other.  Every block is a view of the start of one bytearray
+    (``block.obj``), which the next block overwrites."""
     buffer, kept = bytearray(), 0  # kept: the bytes after the last newline so far
     while True:
         size = max(_BLOCK, kept)  # reads grow with a longer line
@@ -791,15 +826,21 @@ def _byte_blocks(fh) -> Iterator[tuple[memoryview, np.ndarray]]:
             buffer[kept:kept + len(read)], got = read, len(read)
         end = kept + got
         cut = buffer.rfind(b"\n", 0, end) + 1 if got else end
-        block = memoryview(buffer)[:cut]
-        data = np.frombuffer(block, np.uint8)
-        if data.max(initial=0) >= 0x80:
-            str(block, "utf-8")
-        newlines = np.flatnonzero(data[:-1] == ord("\n"))
-        yield block, np.append(newlines + 1, cut)  # an empty block is one blank line
+        if cut:
+            yield memoryview(buffer)[:cut]
         if not got:
             return
         buffer[:end - cut], kept = buffer[cut:end], end - cut
+
+
+def _line_stops(block: memoryview) -> np.ndarray:
+    """The end of each line of a block of ``_byte_blocks``, whose bytes must
+    be UTF-8 as text mode reads them, else ``UnicodeDecodeError``."""
+    data = np.frombuffer(block, np.uint8)
+    if data.max(initial=0) >= 0x80:
+        str(block, "utf-8")
+    newlines = np.flatnonzero(data[:-1] == ord("\n"))
+    return np.append(newlines + 1, len(block))
 
 
 def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
@@ -814,12 +855,11 @@ def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
         yield text.encode("utf-8", "surrogatepass"), stops
 
 
-def _decode_blocks(blocks: Iterable[tuple[bytes, np.ndarray]]) -> Transcript:
-    decoder = _LineDecoder()
+def _decode_pieces(decoder: _LineDecoder, pieces: Iterable[tuple]) -> Transcript:
+    """The ``Transcript`` of the (indices, kind codes) pieces ``decoder`` made."""
     code_parts, index_parts = [], []
     rounds = 0
-    for block, stops in blocks:
-        index, codes = _decode_block(decoder, block, stops)
+    for index, codes in pieces:
         code_parts.append(codes.astype(np.min_scalar_type(max(len(decoder.kinds) - 1, 0))))
         sequential = np.array_equal(index, np.arange(rounds, rounds + len(index)))
         index_parts.append(None if sequential else index)
@@ -840,11 +880,18 @@ def read_transcript(source) -> Transcript:
 
     ``source`` may be a path, read as bytes in blocks of ``_BLOCK`` with
     universal newlines, or a text file object, whose ``str`` lines are
-    read ``_LINES`` at a time.  Blank lines and whitespace around a line
-    are ignored.  The view compares equal to the list of the records and
-    builds each ``RoundRecord`` when indexed or iterated.
+    read ``_LINES`` at a time.  A block of a path whose lines are all
+    learned lines of one width is decoded as one array of rows; any other
+    block, and every block of a text source, line by line.  Blank lines
+    and whitespace around a line are ignored.  The view compares equal to
+    the list of the records and builds each ``RoundRecord`` when indexed
+    or iterated.
     """
+    decoder = _LineDecoder()
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return _decode_blocks(_byte_blocks(fh))
-    return _decode_blocks(_text_blocks(source))
+            return _decode_pieces(decoder, (
+                decoder.decode_rows(block) or _decode_block(decoder, block, _line_stops(block))
+                for block in _byte_blocks(fh)
+            ))
+    return _decode_pieces(decoder, (_decode_block(decoder, *block) for block in _text_blocks(source)))

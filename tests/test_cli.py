@@ -857,6 +857,38 @@ class TestExitCodes:
         assert "write failed midway" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["protocol", "--rounds", "5000000", "--transcript"],
+            ["protocol", "--rounds", "5000000", "--out"],
+            ["keyrate", "--steps", "100000", "--out"],
+        ],
+    )
+    @pytest.mark.parametrize("case", ["directory", "missing directory", "empty", "separator"])
+    def test_unwritable_output_path_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch, argv, case):
+        # Refused as typed before the run, which would otherwise write its
+        # whole output to a temp file of open_atomic and then fail to move
+        # it onto the path.
+        from steerlab import keyrate
+
+        calls = []
+        monkeypatch.setattr(protocol, "run_protocol", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(keyrate, "key_rate_curve", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        path, problem = {
+            "directory": (str(tmp_path), "is a directory"),
+            "missing directory": (
+                str(tmp_path / "no" / "out.csv"), f"directory {str(tmp_path / 'no')!r} does not exist"
+            ),
+            "empty": ("", "names no file"),
+            "separator": ("new/", "names no file"),
+        }[case]
+        code, out, err = run_cli([*argv, path], capsys)
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"steerlab: error: {argv[-1]} {path!r}: {problem}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_success_returns_zero(self, capsys):
         code, _, _ = run_cli(["parity"], capsys)
         assert code == 0

@@ -1,0 +1,83 @@
+"""The Monte Carlo protocol against the closed forms it estimates.
+
+The byte pins catch drift, but they were recorded from the code itself, so
+they cannot show a wrong distribution.  These checks compare the statistics
+of ``run_protocol`` with ``keyrate``'s closed forms instead.
+
+Clone-channel runs of 2^20 rounds at alpha 1, beta 0.5, one per point of a
+17-point eta grid over [0, pi/2], each with a seed of its own; point 8 is
+pi/4, where Eve's clone is as good as Bob's copy and the key rate is zero.
+Seeds and bounds were fixed before the first run:
+- p01 and q01 lie within 5.5 sigma of ``bob_error`` and ``eve_error``, a
+  bound wide enough for 34 comparisons;
+- the empirical key rate has the sign of ``key_rate_point(...).rate``
+  wherever that rate is more than 6 sigma from zero;
+- the empirical rate changes sign between points 7 and 9, either side of
+  pi/4.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from steerlab.keyrate import HALF_PI, bob_error, eve_error, key_rate_point
+from steerlab.protocol import SimConfig, run_protocol
+from steerlab.steering import GaussianCloneChannel
+
+ALPHA, BETA = 1.0, 0.5
+ROUNDS = 1 << 20
+ETAS = [HALF_PI * k / 16 for k in range(17)]
+SEEDS = [20_260 + k for k in range(17)]
+ERROR_SIGMAS = 5.5
+RATE_SIGMAS = 6.0
+
+
+@functools.cache
+def _runs():
+    return [
+        run_protocol(
+            SimConfig(alpha=ALPHA, beta=BETA, channel=GaussianCloneChannel(eta=eta), rounds=ROUNDS, seed=seed),
+            keep_transcript=False,
+        ).stats
+        for eta, seed in zip(ETAS, SEEDS)
+    ]
+
+
+def _sigma(p: float) -> float:
+    """Standard deviation of an error rate estimated from ROUNDS rounds."""
+    return math.sqrt(p * (1.0 - p) / ROUNDS)
+
+
+def _rate_sigma(p: float, q: float) -> float:
+    """Delta-method standard deviation of the empirical rate H2(q01) - H2(p01).
+
+    H2'(x) = log2((1 - x) / x).  Bob's and Eve's estimates come from the same
+    rounds, so their covariance is not known here; the sum of the two parts'
+    deviations bounds the rate's for any correlation.  An error rate of 0 or 1
+    is estimated exactly and adds nothing.
+    """
+    return sum(abs(math.log2((1.0 - x) / x)) * _sigma(x) for x in (p, q) if 0.0 < x < 1.0)
+
+
+def test_error_rates_match_the_closed_forms():
+    for eta, stats in zip(ETAS, _runs()):
+        p, q = bob_error(ALPHA, BETA, eta), eve_error(ALPHA, BETA, eta)
+        assert abs(stats.empirical_p01 - p) <= ERROR_SIGMAS * _sigma(p), (eta, stats.empirical_p01, p)
+        assert abs(stats.empirical_q01 - q) <= ERROR_SIGMAS * _sigma(q), (eta, stats.empirical_q01, q)
+
+
+def test_empirical_rate_has_the_sign_of_the_closed_form():
+    checked = 0
+    for eta, stats in zip(ETAS, _runs()):
+        point = key_rate_point(ALPHA, BETA, eta)
+        if abs(point.rate) > RATE_SIGMAS * _rate_sigma(point.p01, point.q01):
+            assert np.sign(stats.empirical_rate) == np.sign(point.rate), (eta, stats.empirical_rate, point.rate)
+            checked += 1
+    assert checked >= 2  # at least the two points either side of pi/4
+
+
+def test_empirical_rate_changes_sign_across_pi_over_4():
+    assert ETAS[8] == math.pi / 4
+    before, after = _runs()[7].empirical_rate, _runs()[9].empirical_rate
+    assert before * after < 0, (before, after)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerlab import coherent, protocol
@@ -1222,16 +1222,86 @@ def test_one_bad_byte_deep_in_a_group_decodes_like_json_loads(line, column, byte
         _assert_decodes_like_reference("".join(lines), Path(tmp))
 
 
+# Lines 1000 to 1511 of the run file above: 4-digit lines whose tails all
+# have one width, so that blocks of whole lines of them are arrays of rows.
+_ONE_WIDTH = "".join(_RUN_LINES[1000:1512]).encode("ascii")
+_WIDTH = len(_RUN_LINES[1000])
+assert len(_ONE_WIDTH) == 512 * _WIDTH
+
+
+def _blocks_decoded_line_by_line(spy) -> int:
+    """How many blocks the ``decode_fast`` spy saw, one ``data`` array each."""
+    return len({id(call.args[1]) for call in spy.call_args_list})
+
+
+def test_blocks_of_one_width_are_decoded_as_rows(tmp_path):
+    # Blocks of 64 lines: the first is decoded line by line and learns the
+    # tails, and each of the other seven as one array of rows.
+    with mock.patch.object(protocol, "_BLOCK", 64 * _WIDTH), _spy("decode_fast") as bulk:
+        _assert_decodes_like_reference(_ONE_WIDTH, tmp_path)
+        assert _blocks_decoded_line_by_line(bulk) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    line=st.integers(min_value=0, max_value=511),
+    column=st.integers(min_value=0, max_value=_WIDTH - 1),
+    byte=st.sampled_from(b'\n\r0179EOeipz," \xc3\xff'),
+)
+@example(line=0, column=0, byte=ord("z"))
+@example(line=63, column=_WIDTH - 1, byte=ord("\r"))
+@example(line=64, column=5, byte=ord("\n"))
+@example(line=127, column=_WIDTH - 2, byte=ord("\r"))
+@example(line=200, column=7, byte=0xC3)
+@example(line=511, column=_WIDTH - 1, byte=ord(" "))
+@example(line=511, column=_WIDTH - 3, byte=0xFF)
+def test_one_bad_byte_in_a_block_of_one_width_decodes_like_json_loads(line, column, byte):
+    # The blocks of test_blocks_of_one_width_are_decoded_as_rows, with one
+    # byte of any line replaced, the first and the last of a block and of
+    # the file included: its block must fall back to the lines, and decode
+    # like json.loads or raise as text mode does.
+    data = bytearray(_ONE_WIDTH)
+    data[line * _WIDTH + column] = byte
+    with mock.patch.object(protocol, "_BLOCK", 64 * _WIDTH), tempfile.TemporaryDirectory() as tmp:
+        _assert_decodes_like_reference(bytes(data), Path(tmp))
+
+
+def test_a_run_file_is_decoded_as_rows_but_for_a_few_blocks(tmp_path):
+    # The benchmark's file: 2e5 clone rounds at alpha 1, beta 0.5.  Only the
+    # first block, where the tails are learned, and the two where the index
+    # gains a digit are decoded line by line.
+    view = run_protocol(
+        SimConfig(alpha=1.0, beta=0.5, channel=GaussianCloneChannel(eta=math.pi / 4), rounds=200_000, seed=31)
+    ).transcript
+    path = tmp_path / "run.jsonl"
+    write_transcript(view, path)
+    with _spy("decode_fast") as bulk:
+        assert _exact(read_transcript(path)) == _exact(view)
+        assert _blocks_decoded_line_by_line(bulk) <= 3
+
+
 def test_a_text_source_keeps_its_own_lines(tmp_path):
-    # Read with newline="\r", each record is one source line, though one
-    # holds a "\n" where JSON allows whitespace; split at its newlines, the
-    # text would not be the same lines.
+    # Read with newline="\r", a source's lines end at "\r" only.  Ended by
+    # "\r", each record is one source line, though one holds a "\n" where
+    # JSON allows whitespace; split at its newlines, the text would not be
+    # the same lines.  Ended by "\n", lines of one width are one source
+    # line, which json.loads cannot read, though as rows of the width of
+    # its first "\n"-ended line each would be a learned line.
     records = [RoundRecord(i, *_KIND_A) for i in range(50)]
-    text = _reference_encode(records).replace("\n", "\r").replace(',"prep"', ',\n"prep"', 1)
     path = tmp_path / "cr.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    with open(path, encoding="utf-8", newline="\r") as fh:
-        assert _exact(read_transcript(fh)) == _exact(records)
+    for text, lines in (
+        (_reference_encode(records).replace("\n", "\r").replace(',"prep"', ',\n"prep"', 1), 50),
+        (_reference_encode(records[:10]), 1),
+    ):
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline="\r") as fh:
+            assert len(list(fh)) == lines
+        with open(path, encoding="utf-8", newline="\r") as fh:
+            if lines == 1:
+                with pytest.raises(json.JSONDecodeError):
+                    read_transcript(fh)
+            else:
+                assert _exact(read_transcript(fh)) == _exact(records)
 
 
 @pytest.mark.parametrize(
