@@ -730,9 +730,9 @@ class _LineDecoder(_KindCodes):
         one array, with no search for the other lines' ends: a row that
         passes ends in its only newline, so the rows are the block's lines.
         """
-        text, size = block.obj, len(block)  # a view of the start of a bytearray
-        width = text.find(b"\n", 0, size) + 1
-        digits = text.find(b",", 0, width) - len(_HEAD)
+        buffer, size = block.obj, len(block)  # a view of the start of a bytearray
+        width = buffer.find(b"\n", 0, size) + 1
+        digits = buffer.find(b",", 0, width) - len(_HEAD)
         tail = width - len(_HEAD) - digits
         if not (0 < digits <= _MAX_RUN_DIGITS and tail in self._forms and size % width == 0):
             return None
