@@ -18,8 +18,9 @@ Common flags: --out PATH ("-" for stdout), --format csv|json|svg (svg only
 for steer-region and keyrate), --seed for the protocol.  Exit codes: 0 on
 success, 2 on usage errors, 1 on runtime failures.  Output files are
 written atomically; a failing command leaves no partial artifact, and an
-output path that is a directory, names no file or is in no directory
-is refused before any work.
+output path that is a directory, names no file or is in no directory,
+or a --transcript file that is the --out file, is refused before any
+work.
 
 Defaults mirror the worked parameter choices used throughout the test
 suite: alpha = 1, beta = 0.5, p = 1/2, corrective displacements
@@ -64,26 +65,15 @@ _VERDICT_NAMES = [verdict.value for verdict in steering.Verdict]
 
 # Largest accepted --steps: a region table grows with steps^2 (at 500, 250 000
 # rows: 14 MB of CSV, 32 MB of JSON, 19 MB of SVG, written a slice at a
-# time), the key-rate curve linearly.  At each cap, as one process on a
-# 2-core Xeon (Python 3.11, numpy 2.4; start-up included; the host's speed
-# varies by up to 2.75x), time and peak RSS measured:
-#   steer-region --steps 500: CSV 0.39-0.69 s and 40-42 MB (ideal and
-#   clone channel), JSON 0.45-0.67 s and 48 MB, SVG 0.30-0.43 s and 34 MB;
-#   keyrate --steps 100000: CSV 0.85-1.30 s and 59-60 MB, JSON 1.51-1.87 s
-#   and 83 MB, SVG 0.80-1.28 s and 81 MB.
+# time), the key-rate curve linearly.
 _MAX_REGION_STEPS = 500
 _MAX_KEYRATE_STEPS = 100_000
 # Largest accepted --rounds.  Memory does not set it, since rounds are
-# generated in fixed chunks; time and disk do.  Per 1e6 clone rounds at
-# small means, statistics take about 0.025 s, and statistics with a
-# transcript written to a file about 0.08 s (in-process, medians of nine
-# 5e6-round runs on a 2-core Xeon whose speed varies by up to 2.75x).  At
-# the largest means, statistics take about 0.3-0.4 s per 1e6 rounds
-# (alpha 3e5, eta 0.785: four Poisson tables of 2.1e6 entries, each built
-# once per run; in-process, min of 3 runs of 1e6 and of 5e6 rounds).  The
-# largest run thus ends in about 2.5 s at small means, or about 8 s there
-# with a transcript, which would take 6.7 GB (ideal channel) to 7.7 GB
-# (clone channel) of disk, and in about 30 s at the largest means.
+# generated in fixed chunks; time and disk do.  Statistics cost time in
+# proportion to the rounds, most per round at the largest means (alpha
+# 3e5, eta 0.785: four Poisson tables of 2.1e6 entries, each built once
+# per run), and a transcript of 10^8 rounds would take 6.7 GB (ideal
+# channel) to 7.7 GB (clone channel) of disk.
 _MAX_ROUNDS = 100_000_000
 
 
@@ -405,7 +395,9 @@ def _cmd_uncertainty(args) -> int:
 def _check_output_paths(args) -> None:
     """Refuse, before any work, an output path that ``open_atomic`` could
     not replace at the end: a directory, a path that names no file ("" or
-    one ending in a separator), or a file in no directory."""
+    one ending in a separator), or a file in no directory; and a
+    transcript path that resolves to the ``--out`` file, whose rename
+    would replace it."""
     for flag in ("out", "transcript"):
         path = getattr(args, flag, None)
         if path is None or path == STDOUT_MARKER:
@@ -417,6 +409,9 @@ def _check_output_paths(args) -> None:
             problem = "names no file"
         elif not os.path.isdir(directory):
             problem = f"directory {directory!r} does not exist"
+        elif (flag == "transcript" and args.out != STDOUT_MARKER
+              and os.path.realpath(path) == os.path.realpath(args.out)):
+            problem = "names the same file as --out"
         else:
             continue
         raise ValueError(f"--{flag} {path!r}: {problem}")

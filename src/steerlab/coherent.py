@@ -17,9 +17,9 @@ that single fact:
 batch_parity_is_odd inverts double uniforms, one search per distinct mean.
 ParitySampler inverts the same tables for the raw 64-bit Philox words of
 the protocol, for a fixed tuple of means indexed per draw by a kind: one
-table per distinct mean, and for a table drawn often enough one parity
-code per bin of the words' top bits, which settles most draws at once;
-the rest are searched.
+table per distinct mean, built when the sampler is made, and for a table
+drawn often enough one parity code per bin of the words' top bits, which
+settles most draws at once; the rest are searched.
 
 A brute-force truncated-sum evaluation of the parity probabilities is kept
 alongside the closed form as an independent oracle.  One numpy builder,
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -356,6 +355,14 @@ def _checked_window(lam: float) -> tuple[int, int]:
     return lo, hi
 
 
+def _checked_windows(lams: list[float]) -> list[tuple[int, int]]:
+    # The windows of ascending means.  ValueError when a mean is not finite
+    # and nonnegative, else for the first mean whose window does not fit.
+    if not all(0.0 <= lam < math.inf for lam in lams):
+        raise ValueError("Poisson means must be finite and nonnegative")
+    return [_checked_window(lam) for lam in lams]
+
+
 def _poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
     # The CDF over the window lo..hi, normalised to end at exactly 1 when
     # it starts above 0.
@@ -378,8 +385,8 @@ _BISECT = 2  # a bin's code when a CDF entry falls inside it; 0 and 1 are pariti
 _KEPT_ENTRIES = 4 * MAX_TABLE_ENTRIES
 
 # Widest guide row.  Rows of 2^22 bins (tables of 2.1e6 entries, alpha 3e5)
-# made a 5e6-round clone run slower, 1670 against 1558 ms, and 34 MB
-# larger; rows of 2^20 and 2^21 bins still saved 27-45%.
+# made a long clone run slower and larger, where rows of 2^20 and 2^21
+# bins still saved time.
 _MAX_GUIDE_BINS = 1 << 21
 
 
@@ -409,12 +416,12 @@ class ParitySampler:
     word ``words[i]``, whose uniform is u = (words[i] >> 11) * 2**-53 as
     ``Generator.random()`` makes it, and maps u to the smallest photon
     number n in that mean's window with u <= CDF(n), or to hi + 1 when no
-    entry reaches it.  A kind is set up the first time a call draws from
-    it, kinds in ascending mean: the call first checks that the means of
-    its new kinds are finite and nonnegative, and a window that would
-    exceed MAX_TABLE_ENTRIES raises ValueError before anything is
-    allocated.  So a kind that is never drawn can hold any mean, and one
-    whose set-up fails raises again in every call that draws it.
+    entry reaches it.  Every kind is set up at construction, in ascending
+    mean.  A kind whose mean is not finite and nonnegative, or whose
+    window would exceed MAX_TABLE_ENTRIES, gets no table, and every call
+    that draws it raises the ValueError batch_parity_is_odd raises for
+    the call's failing means.  So a kind that is never drawn can hold any
+    mean.
 
     Each distinct mean gets one table, kept for the sampler's life while
     the kept tables hold at most _KEPT_ENTRIES entries; a table past that
@@ -428,103 +435,72 @@ class ParitySampler:
     bisected as doubles, so every draw lands where a bisection of its
     table lands.
 
-    Threads may share a sampler: kinds are set up under one lock, and
-    draws read an immutable snapshot of the set-up state without one.
+    A call only reads the sampler, so threads may share one.
     """
 
     def __init__(self, lams, draws: int):
         self._lams = np.asarray(lams, dtype=float)
-        self._draws = draws
-        self._lock = threading.Lock()
-        self._kept: dict[float, tuple] = {}  # mean -> (cdf, row offset, shift)
-        self._kept_entries = 0
-        # The snapshot: per kind (lo, hi, cdf or None, row offset, shift), or
-        # None before set-up; the rows end to end after one that bisects
-        # every bin; the kinds' row offsets; and their shift, an int when
-        # all are equal, else an array.
-        kinds = len(self._lams)
-        self._state = ((None,) * kinds, np.full(_GUIDE_BINS, _BISECT, np.uint8),
-                       np.zeros(kinds, np.int64), _BIN_SHIFT)
-        self._pending = kinds  # kinds not set up yet
-
-    def _keep(self, lam: float, lo: int, hi: int, rows: list) -> tuple:
-        # (cdf, row offset, shift) of a mean's kept table, built on first use
-        # with any row appended to ``rows``, or (None, 0, _BIN_SHIFT) when it
-        # would take the kept entries past _KEPT_ENTRIES.
-        if lam in self._kept:
-            return self._kept[lam]
-        entries = hi - lo + 1
-        if self._kept_entries + entries > _KEPT_ENTRIES:
-            return None, 0, _BIN_SHIFT
-        cdf, bins = _poisson_cdf(lam, lo, hi), _guide_bins(entries)
-        kept = cdf, 0, _BIN_SHIFT
-        if bins <= min(self._draws, _MAX_GUIDE_BINS):
-            kept = cdf, sum(map(len, rows)), 64 - (bins.bit_length() - 1)
-            rows.append(_parity_bins(cdf, lo, bins))
-        self._kept[lam] = kept
-        self._kept_entries += entries
-        return kept
-
-    def _set_up(self, drawn: list[int]) -> tuple:
-        # Sets up the kinds of ``drawn`` not set up yet; the new snapshot.
-        with self._lock:
-            windows, rows = list(self._state[0]), [self._state[1]]
-            new = [k for k in drawn if windows[k] is None]
-            if not new:
-                return self._state
-            lams = self._lams[new]
-            if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
-                raise ValueError("Poisson means must be finite and nonnegative")
+        # Per kind (lo, hi, cdf or None), or None for a kind without a
+        # window; the rows end to end after one that bisects every bin
+        # (the row of every kind without a row of its own); the kinds' row
+        # offsets; and their shift, an int when all are equal, else an array.
+        windows = [None] * len(self._lams)
+        rows = [np.full(_GUIDE_BINS, _BISECT, np.uint8)]
+        offsets = np.zeros(len(self._lams), np.int64)
+        shifts = [_BIN_SHIFT] * len(self._lams)
+        kept: dict[float, tuple] = {}  # mean -> (cdf or None, row offset, shift)
+        kept_entries = 0
+        for k in np.argsort(self._lams, kind="stable").tolist():  # nan last
+            lam = self._lams.item(k)
             try:
-                for k in sorted(new, key=self._lams.item):
-                    lam = self._lams.item(k)
-                    lo, hi = _checked_window(lam)
-                    windows[k] = (lo, hi, *self._keep(lam, lo, hi, rows))
-            finally:  # the kinds before a failing one stay set up
-                shifts = [_BIN_SHIFT if w is None else w[4] for w in windows]
-                self._state = (
-                    tuple(windows),
-                    np.concatenate(rows),
-                    np.array([0 if w is None else w[3] for w in windows], np.int64),
-                    shifts[0] if len(set(shifts)) == 1 else np.array(shifts, np.uint64),
-                )
-                self._pending = windows.count(None)
-            return self._state
+                lo, hi = _checked_windows([lam])[0]
+            except ValueError:  # raised again by every call that draws the kind
+                continue
+            if lam not in kept:
+                cdf, offset, shift = None, 0, _BIN_SHIFT
+                entries = hi - lo + 1
+                if kept_entries + entries <= _KEPT_ENTRIES:
+                    kept_entries += entries
+                    cdf, bins = _poisson_cdf(lam, lo, hi), _guide_bins(entries)
+                    if bins <= min(draws, _MAX_GUIDE_BINS):
+                        offset, shift = sum(map(len, rows)), 64 - (bins.bit_length() - 1)
+                        rows.append(_parity_bins(cdf, lo, bins))
+                kept[lam] = cdf, offset, shift
+            cdf, offsets[k], shifts[k] = kept[lam]
+            windows[k] = lo, hi, cdf
+        self._windows = tuple(windows)
+        self._rows = np.concatenate(rows)
+        self._offsets = offsets
+        self._shift = shifts[0] if len(set(shifts)) == 1 else np.array(shifts, np.uint64)
 
-    def _bisect(self, odd: np.ndarray, windows: tuple, kinds: np.ndarray, uniforms: np.ndarray) -> None:
+    def _bisect(self, odd: np.ndarray, kinds: np.ndarray, uniforms: np.ndarray) -> None:
         # Fill odd by a bisection of each draw's own table.
-        present = np.flatnonzero(np.bincount(kinds, minlength=len(windows))).tolist()
+        present = np.flatnonzero(np.bincount(kinds, minlength=len(self._windows))).tolist()
+        failed = [k for k in present if self._windows[k] is None]
+        if failed:
+            _checked_windows(np.sort(self._lams[failed]).tolist())
         for k in present:
             draws = kinds == k if len(present) > 1 else slice(None)
-            lo, hi, cdf = windows[k][:3]
+            lo, hi, cdf = self._windows[k]
             if cdf is None:
                 cdf = _poisson_cdf(self._lams.item(k), lo, hi)
             odd[draws] = (lo + np.searchsorted(cdf, uniforms[draws], side="left")) & 1
 
     def __call__(self, kinds: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Whether each draw's photon number is odd; ``kinds`` index the means."""
-        # The count first: a count of 0 is only written after a snapshot with
-        # every kind set up, while a snapshot read first could predate the
-        # set-up that brought the count to 0.
-        pending = self._pending
-        state = self._state
-        if pending:
-            drawn = np.flatnonzero(np.bincount(kinds, minlength=len(self._lams))).tolist()
-            if any(state[0][k] is None for k in drawn):
-                state = self._set_up(drawn)
-        windows, rows, offsets, shift = state
-        if len(rows) == _GUIDE_BINS:  # no kept row
+        if len(self._rows) == _GUIDE_BINS:  # no kept row
             odd = np.empty(len(kinds), bool)
-            self._bisect(odd, windows, kinds, _uniforms(words))
+            self._bisect(odd, kinds, _uniforms(words))
             return odd
+        shift = self._shift
         bins = (words >> (shift if isinstance(shift, int) else shift.take(kinds))).view(np.int64)
-        bins += offsets.take(kinds)
-        codes = rows.take(bins)
+        bins += self._offsets.take(kinds)
+        codes = self._rows.take(bins)
         odd = codes == 1
         rest = np.flatnonzero(codes == _BISECT)
         if rest.size:
             found = np.empty(rest.size, bool)
-            self._bisect(found, windows, kinds[rest], _uniforms(words[rest]))
+            self._bisect(found, kinds[rest], _uniforms(words[rest]))
             odd[rest] = found
         return odd
 
@@ -551,9 +527,7 @@ def batch_parity_is_odd(lams: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     if lams.shape != uniforms.shape:
         raise ValueError("lams and uniforms must have matching shapes")
     means, counts = np.unique(lams, return_counts=True)
-    if not np.all(np.isfinite(means)) or np.any(means < 0.0):
-        raise ValueError("Poisson means must be finite and nonnegative")
-    windows = [_checked_window(lam) for lam in means.tolist()]
+    windows = _checked_windows(means.tolist())
     order = np.argsort(lams, axis=None, kind="stable")  # the draws of each mean in turn
     u = uniforms.ravel()[order]
     odd = np.empty(lams.size, bool)

@@ -24,12 +24,12 @@ channel, its component, chosen by its second uniform; the kind fixes
 Bob's and Eve's Poisson means, which a run computes once per kind.  Each
 parity draw maps its single word through the Poisson CDF of its kind's
 mean, tabulated over about 24 sqrt(mean) photon numbers, by one
-coherent.ParitySampler per run over Bob's kinds and then Eve's: no table
-is built before a round of its kind is drawn, each distinct mean is
-tabulated once and kept for the rest of the run, shared by both parties
-and every worker, and a run of at least as many rounds as a table's guide
-row has bins gives a table of up to 2^21 entries a parity code per bin of
-the words' top bits.
+coherent.ParitySampler per run over Bob's kinds and then Eve's, made
+before any round is drawn: each distinct mean of a preparation the run
+can draw is tabulated once and kept for the rest of the run, shared by
+both parties and every worker, and a run of at least as many rounds as a
+table's guide row has bins gives a table of up to 2^21 entries a parity
+code per bin of the words' top bits.
 Identical configs produce bit-identical transcripts.
 
 Chunked generation
@@ -255,11 +255,14 @@ def _kind_samplers(config: SimConfig):
     hence both parity means.  Each mean comes from the same numpy
     expressions a per-round array would take, so it is bitwise the mean of
     every round of its kind.  A mean that overflows is not an error here:
-    the sampler reports it if a round of its kind is ever drawn.  A mean
-    Bob and Eve share (at eta = pi/4, every kind's) is tabulated once.
+    the sampler reports it if a round of its kind is ever drawn.  A
+    preparation that p_plus 0 or 1 rules out gets nan means, so it builds
+    no table.  A mean Bob and Eve share (at eta = pi/4, every kind's) is
+    tabulated once.
     """
     prep_amp = np.array([config.alpha - config.beta, config.alpha + config.beta])
     gamma = -prep_amp[:, None]  # gamma2 and gamma1, the announced corrective displacements
+    drawn = np.array([[config.p_plus < 1.0], [config.p_plus > 0.0]])  # MINUS, PLUS
     weights, bobs, eves = zip(*config.channel.components(prep_amp))
 
     def means(amplitudes) -> np.ndarray:
@@ -267,7 +270,7 @@ def _kind_samplers(config: SimConfig):
         # scalar ones of a mixture, which broadcast over prep.
         received = np.array(amplitudes).T
         with np.errstate(over="ignore", invalid="ignore"):
-            return _mean_photon_number(received + gamma).ravel()
+            return np.where(drawn, _mean_photon_number(received + gamma), np.nan).ravel()
 
     lams, eve = means(bobs), None
     if eves[0] is not None:
@@ -340,11 +343,11 @@ def run_protocol(config: SimConfig, keep_transcript: bool = True) -> ProtocolRes
     chunks per worker, up to ``_WORKERS``; the first range runs in the
     calling thread and each other one in a thread of its own, and the
     output and any error are those of a serial run.  Every range draws
-    through one ParitySampler, so each distinct Poisson mean is tabulated
-    once per run, whatever the chunk and worker counts.  ``keep_transcript=
-    False`` leaves the transcript empty and skips its kind codes (the
-    aggregate statistics are unchanged); useful for large repetition
-    studies.
+    through one ParitySampler, made before any range starts, so each
+    distinct Poisson mean is tabulated once per run, whatever the chunk
+    and worker counts.  ``keep_transcript=False`` leaves the transcript
+    empty and skips its kind codes (the aggregate statistics are
+    unchanged); useful for large repetition studies.
     """
     rounds = int(config.rounds)
     codes = np.empty(rounds, np.uint8) if keep_transcript else None

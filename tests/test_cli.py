@@ -889,6 +889,40 @@ class TestExitCodes:
         assert err == f"steerlab: error: {argv[-1]} {path!r}: {problem}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("transcript", ["same.out", "./same.out", "sub/../same.out", "link.out", "ABS"])
+    def test_transcript_naming_the_out_file_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, transcript
+    ):
+        # The statistics would replace the transcript by their rename, so
+        # the run would exit 0 with the transcript lost.  Resolved paths are
+        # compared: relative, through "..", through a symlink, absolute.
+        calls = []
+        monkeypatch.setattr(protocol, "run_protocol", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.out").symlink_to("same.out")
+        transcript = str(tmp_path / "same.out") if transcript == "ABS" else transcript
+        code, out, err = run_cli(
+            ["protocol", "--rounds", "5", "--transcript", transcript, "--out", "same.out"], capsys
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"steerlab: error: --transcript {transcript!r}: names the same file as --out\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "sub"]
+
+    def test_transcript_and_out_may_both_be_stdout(self, tmp_path, capsys, monkeypatch):
+        code, out, err = run_cli(
+            ["protocol", "--rounds", "2", "--transcript", "-", "--out", "-", "--format", "csv"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].startswith('{"i":0,') and out.splitlines()[2].startswith("n_plus,")
+        # A file named "-" is not stdout.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["protocol", "--rounds", "2", "--transcript", "./-", "--out", "-", "--format", "csv"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("n_plus,") and (tmp_path / "-").read_text().startswith('{"i":0,')
+
     def test_success_returns_zero(self, capsys):
         code, _, _ = run_cli(["parity"], capsys)
         assert code == 0

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -453,22 +455,25 @@ def _drawn_like_doubles(lams, kinds: np.ndarray, words: np.ndarray) -> np.ndarra
 
 def _row_widths(sampler: ParitySampler) -> list:
     # Each kind's guide row width, None for a kind without a row.
-    _, _, offsets, shift = sampler._state
-    shifts = np.broadcast_to(shift, offsets.shape).tolist()
-    return [1 << (64 - s) if offset else None for offset, s in zip(offsets.tolist(), shifts)]
+    shifts = np.broadcast_to(sampler._shift, sampler._offsets.shape).tolist()
+    return [1 << (64 - s) if offset else None for offset, s in zip(sampler._offsets.tolist(), shifts)]
 
 
-class _SetUpOnRead(ParitySampler):
-    # Once armed, the next read of the snapshot sets up every kind right
-    # after the old snapshot is read, as another thread could.
-    armed = False
+def _kept_tables(sampler: ParitySampler) -> list:
+    # The distinct tables the sampler keeps.
+    tables = [window[2] for window in sampler._windows if window is not None]
+    return list({id(cdf): cdf for cdf in tables if cdf is not None}.values())
 
-    def __getattribute__(self, name):
-        value = super().__getattribute__(name)
-        if name == "_state" and self.armed:
-            self.armed = False
-            self._set_up(list(range(len(self._lams))))
+
+def _attributes(sampler: ParitySampler) -> dict:
+    # Each attribute's identity and contents, arrays as their bytes.
+    def contents(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype, value.shape, value.tobytes()
+        if isinstance(value, tuple):
+            return tuple(map(contents, value))
         return value
+    return {name: (id(value), contents(value)) for name, value in vars(sampler).items()}
 
 
 class TestParitySampler:
@@ -498,8 +503,8 @@ class TestParitySampler:
                 monkeypatch.setattr(coherent, "_MAX_GUIDE_BINS", widest)
             sampler = ParitySampler(lams, draws)
             assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(lams, kinds, words))
-            assert _row_widths(sampler) == widths and len(sampler._kept) == len(lams)
-            assert len(sampler._state[1]) == coherent._GUIDE_BINS + sum(w for w in widths if w)
+            assert _row_widths(sampler) == widths and len(_kept_tables(sampler)) == len(lams)
+            assert len(sampler._rows) == coherent._GUIDE_BINS + sum(w for w in widths if w)
 
     @pytest.mark.parametrize("lam", MEANS)
     def test_every_cdf_entry_and_its_neighbours(self, lam):
@@ -548,52 +553,73 @@ class TestParitySampler:
         words[::97] = rng.integers(0, _LAST_WORD, len(words[::97]), np.uint64, endpoint=True)
         sampler = ParitySampler(means, draws)
         assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(means, kinds, words))
-        assert len(sampler._kept) == 6
+        assert len(_kept_tables(sampler)) == 6
         assert _row_widths(sampler) == [1024] * 5 + [widest] + [1024] * 2
-        assert len(sampler._state[1]) == 6 * 1024 + (widest or 0)
+        assert len(sampler._rows) == 6 * 1024 + (widest or 0)
 
-    def test_kinds_are_set_up_when_first_drawn(self, monkeypatch):
+    def test_kinds_are_set_up_once_at_construction(self, monkeypatch):
         built = []
         cdf = coherent._poisson_cdf
         monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
-        sampler = ParitySampler([5.0, math.inf, 2.0, 1e40, 5.0, 1e6, 7.0], 2)
+        lams = [5.0, math.inf, 2.0, 1e40, 5.0, 1e6, 7.0, math.nan, -1.0, 1e50]
+        for draws in (2, self.MANY):  # without and with guide rows
+            built.clear()
+            sampler = ParitySampler(lams, draws)
+            # Ascending, once per mean, drawn or not; none for a kind that
+            # cannot have a table.
+            assert built == [2.0, 5.0, 7.0, 1e6]
+            before = _attributes(sampler)
 
-        def draw(kinds):
-            return sampler(np.array(kinds, np.intp), np.full(len(kinds), 1 << 63, np.uint64))
+            def draw(kinds):
+                return sampler(np.array(kinds, np.intp), np.random.Philox(7).random_raw(len(kinds)))
 
-        draw([4, 0, 2])
-        assert built == [2.0, 5.0]  # ascending, once per mean
-        draw([2, 0, 4])
-        assert built == [2.0, 5.0]
-        # Every table is kept, long or short, however few its draws.
-        draw([5, 0])
-        draw([5])
-        draw([6])
-        draw([6])
-        assert built == [2.0, 5.0, 1e6, 7.0]
-        # A set-up that fails is not kept: every call that draws the kind
-        # raises.
-        for _ in range(2):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                draw([0, 1, 3, 0])
-            with pytest.raises(ValueError, match="Poisson mean 1e\\+40 needs a Poisson table"):
-                draw([0, 3, 3, 0])
-        assert built == [2.0, 5.0, 1e6, 7.0]
-        assert sampler._pending == 2
+            # A failing kind raises in every call that draws it and in no
+            # other: "finite and nonnegative" first, whatever the order of
+            # the kinds, else the least failing mean's message.
+            for _ in range(2):
+                assert draw([4, 0, 2, 5, 6, 6]).shape == (6,)
+                for kinds in ([0, 3, 1, 0], [7], [9, 8], [2] * 3000 + [1]):
+                    with pytest.raises(ValueError, match="^Poisson means must be finite and nonnegative$"):
+                        draw(kinds)
+                with pytest.raises(ValueError, match="^Poisson mean 1e\\+40 needs a Poisson table"):
+                    draw([0, 9, 3, 0])
+                with pytest.raises(ValueError, match="^Poisson mean 1e\\+50 needs a Poisson table"):
+                    draw([9])
+            assert built == [2.0, 5.0, 7.0, 1e6]
+            assert _attributes(sampler) == before
 
-    def test_a_set_up_while_a_call_reads_the_state(self):
-        # Another thread may set up the last kinds between a call's reads of
-        # the pending count and of the snapshot; the call must still find a
-        # table for every kind it draws.
-        lams = [2.0, 5e3]
-        kinds = np.arange(2048) % len(lams)
-        words = np.random.Philox(5).random_raw(len(kinds))
+    def test_threads_share_a_sampler_that_calls_leave_unchanged(self):
+        # Four threads draw interleaved chunks through one sampler, switching
+        # often: every chunk gets the serial result, and no call changes
+        # any attribute of the sampler.
+        lams = [2.0, 5e3, 183.0, 1e6, 5e3]
+        bits = np.random.Philox(5)
+        chunks = [(np.arange(i, i + 4096) % len(lams), bits.random_raw(4096)) for i in range(32)]
         for draws in (1, self.MANY):  # without and with guide rows
-            sampler = _SetUpOnRead(lams, draws)
-            sampler(kinds[:1], words[:1])  # kind 0 only
-            sampler.armed = True
-            assert np.array_equal(sampler(kinds, words), _drawn_like_doubles(lams, kinds, words))
-            assert not sampler.armed and sampler._pending == 0
+            sampler = ParitySampler(lams, draws)
+            before = _attributes(sampler)
+            serial = [sampler(*chunk) for chunk in chunks]
+            drawn = [None] * len(chunks)
+
+            def work(first):
+                for i in range(first, len(chunks), 4):
+                    drawn[i] = sampler(*chunks[i])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert _attributes(sampler) == before
+            for (kinds, words), odd, expected in zip(chunks, drawn, serial):
+                assert np.array_equal(odd, expected)
+                assert np.array_equal(odd, _drawn_like_doubles(lams, kinds, words))
 
     def test_tables_past_the_budget_are_built_per_call(self, monkeypatch):
         # Room for the 367 entries of mean 183 and not for the 1739 of 5e3.
@@ -607,7 +633,8 @@ class TestParitySampler:
         words = np.random.Philox(6).random_raw((2, len(kinds)))
         odd = [sampler(kinds, w) for w in words]
         assert built == [183.0, 5e3, 5e3]
-        assert sampler._kept_entries == 367 and _row_widths(sampler) == [1024, None, 1024]
+        assert sum(map(len, _kept_tables(sampler))) == 367
+        assert _row_widths(sampler) == [1024, None, 1024]
         for drawn, w in zip(odd, words):
             assert np.array_equal(drawn, _drawn_like_doubles(lams, kinds, w))
 
@@ -622,10 +649,10 @@ class TestParitySampler:
         for draws in (1, 1023, 1024, 2047, 2048):
             sampler = ParitySampler(lams, draws)
             assert np.array_equal(sampler(kinds, words), expected_odd)
-            widths = [coherent._guide_bins(hi - lo + 1) for lo, hi, *_ in sampler._state[0]]
+            widths = [coherent._guide_bins(hi - lo + 1) for lo, hi, _ in sampler._windows]
             expected = [w if w <= draws else None for w in widths]
             assert _row_widths(sampler) == expected
-            assert len(sampler._state[1]) == coherent._GUIDE_BINS + sum(w for w in expected if w)
+            assert len(sampler._rows) == coherent._GUIDE_BINS + sum(w for w in expected if w)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -14,16 +14,45 @@ Seeds and bounds were fixed before the first run:
   wherever that rate is more than 6 sigma from zero;
 - the empirical rate changes sign between points 7 and 9, either side of
   pi/4.
+
+Each preparation's own error rates, from the counts of a run's kind codes
+(prep << 2 | bob << 1 | eve), against that branch's closed form, in runs
+of 2^20 rounds with a seed each:
+- clone-channel runs at alpha 1, beta 0.5, eta 0.7, with p_plus 0.1, 0.3
+  and 0.9: Bob's and Eve's odd-parity rates in each preparation against
+  ``odd_parity_closed_form((alpha +- beta)(factor - 1))``;
+- a run through a two-component ``LhsMixtureChannel``: Bob's rate in each
+  preparation against ``steering.branch_probabilities``.
+Those are 14 comparisons, each within 5.5 sigma of the rate's binomial
+deviation over the preparation's rounds (a two-sided false alarm of about
+4e-8 each, 5e-7 for all 14).  Seeds and bounds were fixed before the
+first run.
 """
 
 import functools
 import math
 
 import numpy as np
+import pytest
 
-from steerlab.keyrate import HALF_PI, bob_error, eve_error, key_rate_point
+from steerlab.coherent import Parity
+from steerlab.keyrate import (
+    HALF_PI,
+    bob_amplitude_factor,
+    bob_error,
+    eve_amplitude_factor,
+    eve_error,
+    key_rate_point,
+    odd_parity_closed_form,
+)
 from steerlab.protocol import SimConfig, run_protocol
-from steerlab.steering import GaussianCloneChannel
+from steerlab.steering import (
+    GaussianCloneChannel,
+    LhsMixtureChannel,
+    PreparationEnsemble,
+    SteeringScenario,
+    branch_probabilities,
+)
 
 ALPHA, BETA = 1.0, 0.5
 ROUNDS = 1 << 20
@@ -81,3 +110,47 @@ def test_empirical_rate_changes_sign_across_pi_over_4():
     assert ETAS[8] == math.pi / 4
     before, after = _runs()[7].empirical_rate, _runs()[9].empirical_rate
     assert before * after < 0, (before, after)
+
+
+BRANCH_ETA = 0.7
+P_PLUS_SEEDS = {0.1: 21_101, 0.3: 21_103, 0.9: 21_109}
+MIXTURE = LhsMixtureChannel(states=(0.3 + 0.4j, 1.2), weights=(0.25, 0.75))
+MIXTURE_SEED = 21_120
+BRANCH_SIGMAS = 5.5
+
+
+def _branch_counts(config: SimConfig):
+    """Per preparation, MINUS then PLUS: its rounds, Bob's odd parities and
+    Eve's, counted from the run's kind codes."""
+    codes = run_protocol(config).transcript._codes
+    counts = np.bincount(codes, minlength=8).reshape(2, 2, 2)  # prep, bob, eve
+    return counts.sum(axis=(1, 2)), counts[:, 1, :].sum(axis=1), counts[:, :, 1].sum(axis=1)
+
+
+def _assert_near(odd: int, rounds: int, p: float, label) -> None:
+    assert abs(odd / rounds - p) <= BRANCH_SIGMAS * math.sqrt(p * (1.0 - p) / rounds), (label, odd, rounds, p)
+
+
+@pytest.mark.parametrize("p_plus", sorted(P_PLUS_SEEDS))
+def test_each_preparation_matches_its_branch(p_plus):
+    channel = GaussianCloneChannel(eta=BRANCH_ETA)
+    config = SimConfig(alpha=ALPHA, beta=BETA, p_plus=p_plus, channel=channel, rounds=ROUNDS, seed=P_PLUS_SEEDS[p_plus])
+    rounds, bob_odd, eve_odd = _branch_counts(config)
+    assert rounds.sum() == ROUNDS and rounds.min() > 0.05 * ROUNDS
+    for prep, prepared in enumerate([ALPHA - BETA, ALPHA + BETA]):
+        for party, factor, odd in [("bob", bob_amplitude_factor, bob_odd), ("eve", eve_amplitude_factor, eve_odd)]:
+            p = odd_parity_closed_form(prepared * (factor(BRANCH_ETA) - 1.0))
+            _assert_near(odd[prep], rounds[prep], p, (p_plus, prep, party))
+
+
+def test_mixture_channel_matches_its_branch_probabilities():
+    config = SimConfig(alpha=ALPHA, beta=BETA, channel=MIXTURE, rounds=ROUNDS, seed=MIXTURE_SEED)
+    rounds, bob_odd, _ = _branch_counts(config)
+    scenario = SteeringScenario(
+        ensemble=PreparationEnsemble(alpha=ALPHA, beta=BETA, p_plus=0.5),
+        gamma1=-(ALPHA + BETA), gamma2=-(ALPHA - BETA), outcome=Parity.ODD,
+    )
+    plus, minus = branch_probabilities(scenario, MIXTURE)
+    assert abs(plus - minus) > 0.05  # the announced gammas tell the branches apart
+    for prep, p in enumerate([minus, plus]):
+        _assert_near(bob_odd[prep], rounds[prep], p, ("mixture", prep))

@@ -595,6 +595,25 @@ def test_each_mean_is_tabulated_once_per_run(monkeypatch, eta, tables):
     assert outputs[1:] == outputs[:1] * 2
 
 
+@pytest.mark.parametrize(
+    "p_plus,tables", [(0.0, 2), (5e-324, 4), (0.5, 4), (1 - 2**-53, 4), (1.0, 2)]
+)
+def test_a_preparation_that_cannot_be_drawn_builds_no_table(monkeypatch, p_plus, tables):
+    # Four distinct means at eta 0.785, two per preparation.  p_plus 0 and
+    # 1 rule one preparation out, and the sampler is made with nan means
+    # for it; any other p_plus leaves both drawable, however unlikely.
+    built = []
+    cdf = coherent._poisson_cdf
+    monkeypatch.setattr(coherent, "_poisson_cdf", lambda lam, lo, hi: built.append(lam) or cdf(lam, lo, hi))
+    config = SimConfig(alpha=3000.0, beta=0.5, p_plus=p_plus, channel=GaussianCloneChannel(eta=0.785), rounds=10)
+    cumulative, sampler, eve = protocol._kind_samplers(config)
+    assert len(built) == len(set(built)) == tables
+    assert np.isnan(sampler._lams).sum() == 4 - tables
+    stats = run_protocol(config).stats
+    if tables == 2:
+        assert stats.n_plus == 10 * p_plus
+
+
 @pytest.mark.parametrize("channel", ["clone", "mixture"])
 def test_more_threads_than_cores_agree_with_one(monkeypatch, channel):
     # Tiny chunks, more workers than cores and a short switch interval, so
