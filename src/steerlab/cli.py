@@ -14,9 +14,12 @@ Subcommands:
                  and min-entropy check for one configuration
     report       the model discrepancy report (markdown)
 
-Common flags: --out PATH ("-" for stdout), --format csv|json|svg (svg only
-for steer-region and keyrate), --seed for the protocol.  Exit codes: 0 on
-success, 2 on usage errors, 1 on runtime failures.  Output files are
+Common flags: --out PATH ("-" for stdout) and --format: csv|json|svg for
+steer-region and keyrate, csv|json for parity, protocol and uncertainty.
+A JSON document's meta.params holds every option of the command except
+--out, --transcript and --format, in the order the parser declares them
+(eta is null unless the channel is clone).  Exit codes: 0 on success, 2
+on usage errors, 1 on runtime failures.  Output files are
 written atomically; a failing command leaves no partial artifact, and an
 output path that is a directory, names no file or is in no directory,
 or a --transcript file that is the --out file, is refused before any
@@ -31,6 +34,7 @@ over [0, pi/2].
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -58,8 +62,6 @@ from .output import (
 
 __all__ = ["main", "build_parser"]
 
-_FORMATS = ("csv", "json", "svg")
-_SVG_COMMANDS = {"steer-region", "keyrate"}
 # Indexed by steering.verdict_codes; code 0 is within_bounds.
 _VERDICT_NAMES = [verdict.value for verdict in steering.Verdict]
 
@@ -88,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"steerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run, formats=("csv", "json")):
         p.add_argument("--out", default=STDOUT_MARKER, help="output path, - for stdout")
-        p.add_argument("--format", choices=_FORMATS, default="csv", help="output format")
+        p.add_argument("--format", choices=formats, default="csv", help="output format")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("parity", help="parity distribution of one coherent state")
     p.add_argument("--re", type=float, default=0.0, help="real part of the amplitude")
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate the truncated-sum oracle and the difference",
     )
     p.add_argument("--cutoff", type=int, default=None, help="oracle truncation cutoff")
-    add_common(p)
+    add_common(p, _cmd_parity)
 
     p = sub.add_parser("steer-region", help="steering sums over a (beta, p) grid")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -112,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50, help="grid points per axis")
     p.add_argument("--channel", choices=("ideal", "clone"), default="ideal")
     p.add_argument("--eta", type=float, default=math.pi / 4, help="cloning parameter")
-    add_common(p)
+    add_common(p, _cmd_steer_region, ("csv", "json", "svg"))
 
     p = sub.add_parser("keyrate", help="key-rate curve over the cloning parameter")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=64, help="eta grid intervals on [0, pi/2]")
-    add_common(p)
+    add_common(p, _cmd_keyrate, ("csv", "json", "svg"))
 
     p = sub.add_parser("protocol", help="seeded Monte Carlo protocol run")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("ideal", "clone"), default="ideal")
     p.add_argument("--eta", type=float, default=math.pi / 4)
     p.add_argument("--transcript", default=None, help="also write a JSONL transcript here")
-    add_common(p)
+    add_common(p, _cmd_protocol)
 
     p = sub.add_parser("uncertainty", help="uncertainty-relation checks")
     p.add_argument("--sigma-x", type=float, default=1.0)
@@ -140,17 +143,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-re", type=float, default=0.5)
     p.add_argument("--beta-im", type=float, default=0.0)
     p.add_argument("--p-beta", type=float, default=0.5)
-    add_common(p)
+    add_common(p, _cmd_uncertainty)
 
     p = sub.add_parser("report", help="model discrepancy report (markdown)")
     p.add_argument("--out", default=STDOUT_MARKER, help="output path, - for stdout")
+    p.set_defaults(run=lambda args, parser: write_text(args.out, report.build_report()))
 
     return parser
 
 
-def _emit_table(args, header: list[str], columns: list[Column], meta: dict) -> None:
+# Parsed arguments that are no input of the run.
+_NOT_PARAMS = {"command", "run", "out", "format", "transcript"}
+
+
+def _emit_table(args, header: list[str], columns: list[Column]) -> None:
+    """Write the table in ``args.format``; a JSON meta's params are the
+    command's parsed arguments, in the order the parser declares them."""
     with open_atomic(args.out) as fh:
         if args.format == "json":
+            params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+            if "eta" in params and args.channel != "clone":
+                params["eta"] = None
+            meta = {"command": args.command, "version": __version__, "params": params}
             write_json(fh, meta, header, columns)
         else:
             write_csv(fh, header, columns)
@@ -160,14 +174,9 @@ def _row_columns(rows: list[list]) -> list[Column]:
     return [Column(cells) for cells in zip(*rows)]
 
 
-def _meta(command: str, params: dict) -> dict:
-    return {"command": command, "version": __version__, "params": params}
-
-
-def _cmd_parity(args) -> int:
+def _cmd_parity(args, parser: argparse.ArgumentParser) -> None:
     mu = complex(args.re, args.im)
     closed = parity_probabilities(mu)
-    header = ["source", "p_even", "p_odd"]
     rows: list[list] = [["closed_form", closed.p_even, closed.p_odd]]
     if args.oracle:
         cutoff = args.cutoff if args.cutoff is not None else default_cutoff(mu)
@@ -180,13 +189,7 @@ def _cmd_parity(args) -> int:
                 abs(closed.p_odd - truncated.p_odd),
             ]
         )
-    _emit_table(
-        args,
-        header,
-        _row_columns(rows),
-        _meta("parity", {"re": args.re, "im": args.im, "oracle": args.oracle}),
-    )
-    return 0
+    _emit_table(args, ["source", "p_even", "p_odd"], _row_columns(rows))
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -195,7 +198,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
-def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> None:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
     if args.steps > _MAX_REGION_STEPS:
@@ -212,20 +215,6 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
     p_grid = _linspace(args.p_min, args.p_max, args.steps)
     sums = steering.region_sweep(beta_grid, p_grid, args.alpha, channel)
     verdicts = steering.verdict_codes(sums)
-    header = ["beta", "p", "sum", "verdict"]
-    meta = _meta(
-        "steer-region",
-        {
-            "alpha": args.alpha,
-            "beta_min": args.beta_min,
-            "beta_max": args.beta_max,
-            "p_min": args.p_min,
-            "p_max": args.p_max,
-            "steps": args.steps,
-            "channel": args.channel,
-            "eta": args.eta if args.channel == "clone" else None,
-        },
-    )
     if args.format == "svg":
         boundary = []
         for beta in beta_grid:
@@ -239,18 +228,17 @@ def _cmd_steer_region(args, parser: argparse.ArgumentParser) -> int:
                 fh, beta_grid, p_grid, verdicts == 0, boundary,
                 (args.beta_min, args.beta_max), (args.p_min, args.p_max),
             )
-    else:
-        columns = [
-            Column(beta_grid, repeat=len(p_grid)),
-            Column(p_grid, tile=len(beta_grid)),
-            Column(sums.ravel()),
-            Column(_VERDICT_NAMES, codes=verdicts.ravel()),
-        ]
-        _emit_table(args, header, columns, meta)
-    return 0
+        return
+    columns = [
+        Column(beta_grid, repeat=len(p_grid)),
+        Column(p_grid, tile=len(beta_grid)),
+        Column(sums.ravel()),
+        Column(_VERDICT_NAMES, codes=verdicts.ravel()),
+    ]
+    _emit_table(args, ["beta", "p", "sum", "verdict"], columns)
 
 
-def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> None:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
     if args.steps > _MAX_KEYRATE_STEPS:
@@ -270,7 +258,7 @@ def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
                 "eta",
                 "bits",
             )
-        return 0
+        return
     header = ["eta", "p01", "q01", "i_ab", "i_ae", "rate", "p01_sinh_form", "q01_sinh_form"]
     columns = [getattr(curve, name) for name in header]
     finite = np.isfinite(columns[6]) & np.isfinite(columns[7])
@@ -278,13 +266,7 @@ def _cmd_keyrate(args, parser: argparse.ArgumentParser) -> int:
         k = int(np.argmin(finite))  # the first such eta, Bob's column first
         name, column = next((n, c) for n, c in zip(header[6:], columns[6:]) if not np.isfinite(c[k]))
         raise ValueError(f"column {name} is not finite at eta {etas[k]!r}: {column.item(k)!r}")
-    _emit_table(
-        args,
-        header,
-        list(map(Column, columns)),
-        _meta("keyrate", {"alpha": args.alpha, "beta": args.beta, "steps": args.steps}),
-    )
-    return 0
+    _emit_table(args, header, list(map(Column, columns)))
 
 
 def _make_channel(args):
@@ -293,7 +275,7 @@ def _make_channel(args):
     return steering.IdealChannel()
 
 
-def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_protocol(args, parser: argparse.ArgumentParser) -> None:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if args.rounds > _MAX_ROUNDS:
@@ -312,32 +294,11 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> int:
     if args.transcript is not None:
         with open_atomic(args.transcript) as fh:
             protocol.write_transcript(result.transcript, fh)
-    stats = result.stats
-    stats_obj = {
-        "n_plus": stats.n_plus,
-        "n_minus": stats.n_minus,
-        "empirical_p01": stats.empirical_p01,
-        "empirical_q01": stats.empirical_q01,
-        "stderr_p01": stats.stderr_p01,
-        "empirical_rate": stats.empirical_rate,
-    }
-    meta = _meta(
-        "protocol",
-        {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "p_plus": args.p_plus,
-            "rounds": args.rounds,
-            "seed": args.seed,
-            "channel": args.channel,
-            "eta": args.eta if args.channel == "clone" else None,
-        },
-    )
-    _emit_table(args, list(stats_obj), [Column([value]) for value in stats_obj.values()], meta)
-    return 0
+    stats = dataclasses.asdict(result.stats)
+    _emit_table(args, list(stats), [Column([value]) for value in stats.values()])
 
 
-def _cmd_uncertainty(args) -> int:
+def _cmd_uncertainty(args, parser: argparse.ArgumentParser) -> None:
     lo, hi = uncertainty.STANDARD_GRID_SIGMA_X_RANGE
     if not lo <= args.sigma_x <= hi:
         raise ValueError(f"--sigma-x must lie in [{lo:g}, {hi:g}], got {args.sigma_x!r}")
@@ -351,7 +312,6 @@ def _cmd_uncertainty(args) -> int:
     fg_even = uncertainty.fine_grained_sum(state, beta, args.p_beta, Parity.EVEN)
     fg_odd = uncertainty.fine_grained_sum(state, beta, args.p_beta, Parity.ODD)
     min_ent = uncertainty.min_entropy_bound_check(state, beta)
-    header = ["quantity", "value", "flag"]
     rows: list[list] = [
         ["variance_product", uncertainty.variance_product(profile), ""],
         ["h_x_nats", entropic.h_x, ""],
@@ -371,25 +331,7 @@ def _cmd_uncertainty(args) -> int:
         ["min_entropy_sum_bits", min_ent.sum, "satisfied" if min_ent.satisfied else "violated"],
         ["min_entropy_bound_bits", min_ent.bound, ""],
     ]
-    _emit_table(
-        args,
-        header,
-        _row_columns(rows),
-        _meta(
-            "uncertainty",
-            {
-                "sigma_x": args.sigma_x,
-                "x0": args.x0,
-                "k0": args.k0,
-                "state_re": args.state_re,
-                "state_im": args.state_im,
-                "beta_re": args.beta_re,
-                "beta_im": args.beta_im,
-                "p_beta": args.p_beta,
-            },
-        ),
-    )
-    return 0
+    _emit_table(args, ["quantity", "value", "flag"], _row_columns(rows))
 
 
 def _check_output_paths(args) -> None:
@@ -427,24 +369,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) == "svg" and args.command not in _SVG_COMMANDS:
-        parser.error("svg output is only available for steer-region and keyrate")
     try:
         _check_output_paths(args)
-        if args.command == "parity":
-            return _cmd_parity(args)
-        if args.command == "steer-region":
-            return _cmd_steer_region(args, parser)
-        if args.command == "keyrate":
-            return _cmd_keyrate(args, parser)
-        if args.command == "protocol":
-            return _cmd_protocol(args, parser)
-        if args.command == "uncertainty":
-            return _cmd_uncertainty(args)
-        if args.command == "report":
-            write_text(args.out, report.build_report())
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        args.run(args, parser)
     except SystemExit:
         raise
     except Exception as exc:
