@@ -272,8 +272,9 @@ _NEGATIVE_ZERO_SWEEP = ["steer-region", "--steps", "1", "--beta-min=-0.0"]
          "08c059dc0b6e97b2ae9904f40eba647f9746df250aca425b0da5cbeda9ff0204"),
         (["protocol", "--rounds", "5", "--p-plus", "1", "--format", "json"],
          "5d265fda21fab1935a5b65b30e9fefd65b55a4d78692e22009e42e35e5478ae4"),
+        # Re-recorded when the meta gained "cutoff": null; rows unchanged.
         (["parity", "--oracle", "--re", "1", "--format", "json"],
-         "c178729619cd57c43d39c247e4196a3078c67f90d763827bdcf9696c8491dd30"),
+         "a4c32b5673503e1fea88ae2a801e0e1679cf10f716a69b7d4f56e84266a99e20"),
         (["uncertainty", "--format", "json"],
          "fb23cd86c1242f4d24a52bff17236c4a834a8b0ea25e79581419b8133d0526c3"),
     ],
