@@ -295,10 +295,12 @@ def _sample_chunk(samplers, plus_below: int | None, w: np.ndarray):
     kind = plus.astype(np.intp)
     if len(cumulative) > 1:
         # A preparation-independent mixture: one component per round, drawn
-        # by the round's component uniform.
+        # by the round's component uniform.  A uniform at or above the total
+        # weight (which may fall short of 1) goes to the last component
+        # whose cumulative weight rises, never to one of weight 0.
         component = np.searchsorted(cumulative, _uniforms(w[:, 1]), side="right")
         kind *= len(cumulative)
-        kind += np.minimum(component, len(cumulative) - 1)
+        kind += np.minimum(component, np.searchsorted(cumulative, cumulative[-1]))
     bob_odd = sampler(kind, w[:, 2])
     if eve is None:
         return plus, bob_odd, None

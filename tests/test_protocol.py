@@ -452,6 +452,23 @@ def test_words_sample_like_their_uniforms(channel, p_plus):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def test_a_component_of_weight_zero_is_never_drawn():
+    # The weights sum to 1 - 5e-13, within the channel's tolerance, so
+    # component uniforms from there up to 1 - 2**-53 lie beyond every
+    # cumulative weight.  They go to component 0, the last of nonzero
+    # weight, and not to component 1.
+    channel = LhsMixtureChannel(states=(0.0, 1.0), weights=(1 - 5e-13, 0.0))
+    config = SimConfig(alpha=1.0, beta=0.5, p_plus=1.0, channel=channel, rounds=2)
+    cumulative, sampler, eve = protocol._kind_samplers(config)
+    kinds = []
+    samplers = (cumulative, lambda kind, words: kinds.append(kind.copy()) or sampler(kind, words), eve)
+    w = np.zeros((2, 4), np.uint64)
+    w[:, 1] = [(2**53 - 1) << 11, int((1 - 1e-13) * 2**53) << 11]
+    assert np.all((w[:, 1] >> 11) * 2.0**-53 >= cumulative[-1])
+    protocol._sample_chunk(samplers, protocol._plus_below(config.p_plus), w)
+    assert len(kinds) == 1 and kinds[0].tolist() == [2, 2]  # PLUS, component 0
+
+
 @pytest.mark.parametrize("key,offset,count",[(0, 0, 9), (67, 5, 1000), (2**64 - 1, 2**40 + 3, 333)])
 def test_raw_philox_words_are_the_generators_uniforms(key, offset, count):
     # Generator.random() of a Philox stream is (word >> 11) * 2**-53 of its
