@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from steerlab import protocol
-from steerlab.cli import main
+from steerlab.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -76,11 +76,6 @@ class TestParityCommand:
         code, out, _ = run_cli(["parity", "--oracle", *argv], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_svg_not_allowed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["parity", "--format", "svg"])
-        assert exc.value.code == 2
 
 
 # Amplitude parts from every corner an argument can reach: zero, small
@@ -298,6 +293,50 @@ class TestRepeatedCalls:
         assert again == first
         assert plain.splitlines()[1].startswith("closed_form,1,")
         assert len(plain.splitlines()) == 2
+
+
+# Every option of each table command at a value other than its default.
+_EVERY_OPTION = {
+    "parity": ["--re", "0.5", "--im=-0.25", "--oracle", "--cutoff", "40"],
+    "steer-region": ["--alpha", "0.8", "--beta-min", "0.1", "--beta-max", "2", "--p-min", "0.1",
+                     "--p-max", "0.9", "--steps", "3", "--channel", "clone", "--eta", "0.3"],
+    "keyrate": ["--alpha", "0.9", "--beta", "0.4", "--steps", "4"],
+    "protocol": ["--alpha", "0.9", "--beta", "0.4", "--p-plus", "0.3", "--rounds", "50",
+                 "--seed", "5", "--channel", "clone", "--eta", "0.3"],
+    "uncertainty": ["--sigma-x", "1.5", "--x0", "0.1", "--k0", "0.2", "--state-re", "0.9",
+                    "--state-im", "0.1", "--beta-re", "0.4", "--beta-im", "0.05", "--p-beta", "0.4"],
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("command", ["parity", "protocol", "uncertainty"])
+    def test_svg_not_allowed(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "svg"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'svg'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_EVERY_OPTION))
+    def test_meta_params_are_the_parsed_arguments(self, tmp_path, capsys, command):
+        argv = [command, *_EVERY_OPTION[command], "--format", "json"]
+        if command == "protocol":
+            argv += ["--transcript", str(tmp_path / "run.jsonl")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        parsed = vars(build_parser().parse_args(argv))
+        defaults = vars(build_parser().parse_args([command]))
+        for name in ("command", "run", "out", "format", "transcript"):
+            parsed.pop(name, None)
+        assert meta["command"] == command
+        assert list(meta["params"].items()) == list(parsed.items())  # in declaration order
+        assert all(value != defaults[name] for name, value in parsed.items())
+
+    @pytest.mark.parametrize("command", ["steer-region", "protocol"])
+    def test_eta_is_null_without_the_clone_channel(self, capsys, command):
+        code, out, _ = run_cli([command, "--channel", "ideal", "--eta", "0.3", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["params"]["eta"] is None
 
 
 class TestSteerRegionCommand:
