@@ -27,6 +27,20 @@ Those are 14 comparisons, each within 5.5 sigma of the rate's binomial
 deviation over the preparation's rounds (a two-sided false alarm of about
 4e-8 each, 5e-7 for all 14).  Seeds and bounds were fixed before the
 first run.
+
+Two more (alpha, beta, eta) points, clone-channel runs of 2^20 rounds with
+a seed each: p01 and q01 within 5.5 sigma of ``bob_error`` and
+``eve_error`` (4 comparisons).  At (2, 1.5, 0.3) the parity means run from
+5e-4 to 6.1; at (40, 5, 0.7) they are 68 to 256, so Eve's PLUS table is a
+window that does not start at 0, and every closed form there is 1/2.
+
+The coverage of ``stderr_p01``: 2000 clone runs of 4096 rounds at alpha 1,
+beta 0.5, eta 0.7, seeds 23000 to 24999.  The runs with
+|p01 - P01| <= 1.96 stderr_p01 are as many as Binomial(2000, 0.95) allows
+at a two-sided false alarm of 4e-8, the per-comparison rate of 5.5 sigma
+(one comparison).  The Wald interval's exact coverage there is 0.9513,
+2.6 runs above the nominal 0.95 of the 2000.  Seeds and bounds were fixed
+before the first run.
 """
 
 import functools
@@ -154,3 +168,52 @@ def test_mixture_channel_matches_its_branch_probabilities():
     assert abs(plus - minus) > 0.05  # the announced gammas tell the branches apart
     for prep, p in enumerate([minus, plus]):
         _assert_near(bob_odd[prep], rounds[prep], p, ("mixture", prep))
+
+
+PAIRS = {(2.0, 1.5, 0.3): 22_201, (40.0, 5.0, 0.7): 22_202}
+
+
+@pytest.mark.parametrize("alpha, beta, eta", sorted(PAIRS))
+def test_error_rates_match_the_closed_forms_at_other_amplitudes(alpha, beta, eta):
+    config = SimConfig(alpha=alpha, beta=beta, channel=GaussianCloneChannel(eta=eta), rounds=ROUNDS,
+                       seed=PAIRS[alpha, beta, eta])
+    stats = run_protocol(config, keep_transcript=False).stats
+    p, q = bob_error(alpha, beta, eta), eve_error(alpha, beta, eta)
+    assert abs(stats.empirical_p01 - p) <= ERROR_SIGMAS * _sigma(p), (stats.empirical_p01, p)
+    assert abs(stats.empirical_q01 - q) <= ERROR_SIGMAS * _sigma(q), (stats.empirical_q01, q)
+
+
+COVERAGE_SEEDS = range(23_000, 25_000)
+COVERAGE_ROUNDS = 4096
+COVERAGE_FALSE_ALARM = 4e-8
+
+
+def _binomial_interval(n: int, p: float, false_alarm: float) -> tuple[int, int]:
+    """The narrowest [lo, hi] with at most false_alarm / 2 of Binomial(n, p)
+    below lo and at most that above hi."""
+    pmf = [
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * math.log(p) + (n - k) * math.log1p(-p))
+        for k in range(n + 1)
+    ]
+    lo, tail = 0, pmf[0]
+    while tail <= false_alarm / 2:
+        lo += 1
+        tail += pmf[lo]
+    hi, tail = n, pmf[n]
+    while tail <= false_alarm / 2:
+        hi -= 1
+        tail += pmf[hi]
+    return lo, hi
+
+
+def test_stderr_p01_covers_p01_at_its_nominal_rate():
+    channel = GaussianCloneChannel(eta=BRANCH_ETA)
+    p = bob_error(ALPHA, BETA, BRANCH_ETA)
+    covered = 0
+    for seed in COVERAGE_SEEDS:
+        config = SimConfig(alpha=ALPHA, beta=BETA, channel=channel, rounds=COVERAGE_ROUNDS, seed=seed)
+        stats = run_protocol(config, keep_transcript=False).stats
+        covered += abs(stats.empirical_p01 - p) <= 1.96 * stats.stderr_p01
+    lo, hi = _binomial_interval(len(COVERAGE_SEEDS), 0.95, COVERAGE_FALSE_ALARM)
+    assert lo <= covered <= hi, (covered, lo, hi)
