@@ -123,14 +123,11 @@ _UNIFORMS_PER_ROUND = 4
 # and sampled, lines encoded and written, lines read from a text source
 # and entries converted to Python ints, at once.  Each bounds working
 # memory, and no output depends on either.  _LINES keeps a piece near
-# 1 MB of text, which malloc serves from memory it has already mapped:
-# 2^16 lines wrote files more slowly, raised the peak RSS of a
-# write-then-read cycle by about 3 MB, and read a 1e6-line text source in
-# 490-540 ms against 360-380 ms.  It keeps a chunk of rounds, its 512 kB
-# of uniforms and their temporaries, within a core's L2 cache (2 MB on
-# the Xeon it was measured on): in one thread, a 1e6-round clone run took
-# about as long with chunks of 2^13 to 2^15 rounds, and 1.5 times as long
-# with 2^16 and 2.2 times with 2^11.
+# 1 MB of text, which malloc serves from memory it has already mapped
+# (2^16 lines wrote and read text more slowly and raised the peak RSS),
+# and a chunk of rounds, its 512 kB of uniforms and their temporaries,
+# within a core's L2 cache (much larger or smaller chunks made a clone run
+# slower).  CHANGES.md has the measurements.
 _BLOCK = 1 << 19
 _LINES = 1 << 14
 
