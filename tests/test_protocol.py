@@ -1140,6 +1140,56 @@ def test_chunk_boundaries_round_trip_bytes():
     assert rewritten.getvalue() == buf.getvalue()
 
 
+def _records_digest(records) -> str:
+    """SHA-256 of each record's fields as text, gammas by repr."""
+    text = "".join(
+        f"{r.index!r} {r.prep.value} {r.announced_gamma!r} {r.bob_outcome.value} "
+        f"{None if r.eve_outcome is None else r.eve_outcome.value}\n"
+        for r in records
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mixed_width_clone_transcript_pin(tmp_path):
+    # Gammas -0.5 and -0.30000000000000004: lines of two widths in every
+    # piece.  Recorded while the encoder still spliced the lines of indices
+    # numpy cannot render into the bytes it rendered for the rest.
+    rounds = 2 * 16_384 + 77
+    assert rounds == 2 * protocol._LINES + 77
+    config = SimConfig(alpha=0.4, beta=0.1, channel=GaussianCloneChannel(eta=0.7), rounds=rounds, seed=19)
+    path = tmp_path / "mixed.jsonl"
+    write_transcript(run_protocol(config).transcript, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b73a1abd46934c288a0bb427c0d95fd0d27cfb378c3b5ffe13b77f9b07b3d23c"
+    )
+    assert _records_digest(read_transcript(path)) == (
+        "018bb85b4c6e8f94ec94d90d8e0f487844513b78886998bc4a305e6922f0df3d"
+    )
+
+
+def test_pieces_of_mixed_indices_pin(tmp_path):
+    # Indices numpy cannot render (outside [0, 10**18), or not ints) next to
+    # ones it can, in the pieces on both sides of the first piece boundary,
+    # among kinds of two tail widths.  Recorded while the encoder still
+    # spliced such lines into the bytes numpy rendered for the rest.
+    chunk = 16_384
+    assert chunk == protocol._LINES
+    kinds = [_KIND_A, _KIND_B, _KIND_C, _KIND_D]
+    indices = [*range(chunk - 2), 10**20, -1, 2.5, *range(chunk, 2 * chunk + 40), True, 10**18]
+    records = [RoundRecord(i, *kinds[k % 7 % 4]) for k, i in enumerate(indices)]
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    path, text = tmp_path / "path.jsonl", tmp_path / "text.jsonl"
+    write_transcript(records, path)
+    with open(text, "w", encoding="utf-8", newline="\n") as fh:
+        write_transcript(records, fh)
+    digest = "8f3ee94d974137c8cbdd3663b2a0e214bd88643b4c5c510c0e9b207ddf468b8b"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(text.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    assert buf.getvalue() == _reference_encode(records)
+
+
 def test_runs_follow_the_source_lines(tmp_path):
     # Opened with newline="\r", the file below is two source lines, the
     # second holding 499 "\n"-ended lines; it must fail as json.loads of
