@@ -8,9 +8,10 @@ indent=2)`` gives.  SVG plots are static renderings built from
 primitives: a two-tone cell grid for region sweeps and polylines for
 curves.
 
-Tables are given as columns.  The writers format a column's cells in one
-pass per slice of rows, and a column given as distinct entries plus a
-code per row formats each entry once, however many rows repeat it.  They
+Tables are given as columns.  The writers format every table, however
+short, a column at a time, in one pass per slice of rows, and a column
+given as distinct entries plus a code per row formats each entry once,
+however many rows repeat it.  They
 write into an open text file one bounded slice of rows at a time, so a
 table's text is never held whole.  Files are opened through a
 temp-file-and-rename, so failures never leave partial artifacts behind.
@@ -197,21 +198,9 @@ def _column_slices(column: Column, cells, entry_cells):
         yield part
 
 
-def _row_slices(columns: list[Column], cells, entry_cells=None):
-    """Per slice of rows, one list of formatted cells per column.
-
-    ``entry_cells`` formats the entries of columns not in the default form
-    (``cells`` if not given).
-    """
-    rows = len(columns[0]) if columns else 0
-    if 0 < rows <= _SLICE_ROWS and all(
-        column.codes is None and column.repeat == column.tile == 1 for column in columns
-    ):
-        # Default columns in one slice: their cells in one pass over the rows.
-        values = zip(*(_as_list(column.values) for column in columns))
-        flat = cells(list(itertools.chain.from_iterable(values)))
-        return [[flat[k::len(columns)] for k in range(len(columns))]]
-    entry_cells = entry_cells or cells
+def _row_slices(columns: list[Column], cells, entry_cells):
+    """Per slice of rows, one list of formatted cells per column, as
+    ``_column_slices`` formats them."""
     return zip(*(_column_slices(column, cells, entry_cells) for column in columns))
 
 
@@ -254,7 +243,7 @@ def write_json(fh, meta: dict, header: list[str], columns: list[Column]) -> None
     row = ",\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     fh.write(empty[:-len("]\n}")])
     lead = 1  # no comma before the first row
-    for parts in _row_slices([columns[k] for k in last.values()], _json_cells):
+    for parts in _row_slices([columns[k] for k in last.values()], _json_cells, _json_cells):
         text = (row * len(parts[0])) % tuple(itertools.chain.from_iterable(zip(*parts)))
         fh.write(text[lead:])
         lead = 0

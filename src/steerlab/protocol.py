@@ -60,9 +60,10 @@ encoder renders one line tail per kind and builds the lines of up to
 broadcast, the index digits looked up three at a time in a table of
 "000" to "999", and the tails gathered by kind code.  Where lines differ
 in width, the rows are right-padded and then cut to each line's width.
-Only an index outside [0, 10**18) is rendered per line.  The bytes go to
-a file, or to the buffer under a UTF-8 text file, as they are; only a
-sink with no such buffer gets ``str``.  The decoder learns each kind's
+A piece holding any index numpy cannot render, one outside [0, 10**18)
+or not an int, is rendered line by line instead.  The bytes go to a
+file, or to the buffer under a UTF-8 text file, as they are; only a sink
+with no such buffer gets ``str``.  The decoder learns each kind's
 tail from a line parsed by ``json.loads``, and checks and decodes the
 lines of learned tails in one numpy pass per block of bytes, so that
 only other lines become ``str``.  Lines of one width and digit count are
@@ -481,7 +482,8 @@ class _KindCodes:
 
 # The encoder renders indices in [0, 10**18) with numpy, three digits at a
 # time through the rows "000" to "999" of _TRIPLES; _POWERS gives their
-# digit counts.  It renders any other index with _index_text.
+# digit counts.  A piece with any other index is rendered line by line,
+# each index through _index_text.
 _TRIPLES = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
 _POWERS = 10 ** np.arange(1, _MAX_RUN_DIGITS, dtype=np.int64)
 _INDEX_LIMIT = 10**_MAX_RUN_DIGITS
@@ -536,10 +538,6 @@ def _renderable(index: np.ndarray) -> np.ndarray:
     return np.fromiter((type(i) is int and 0 <= i < _INDEX_LIMIT for i in values), bool, len(values))
 
 
-def _digit_counts(index: np.ndarray) -> np.ndarray:
-    return 1 + np.searchsorted(_POWERS, index, side="right")
-
-
 def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> np.ndarray:
     """The lines of rounds with int64 indices in [0, 10**18) as one flat
     array of bytes, built a row per line, right-padded where lines differ
@@ -558,7 +556,7 @@ def _render(index: np.ndarray, codes: np.ndarray, tails: tuple) -> np.ndarray:
         digits, groups = None, [(slice(None), most)]
         rows = np.take(forms, codes, axis=0)
     else:
-        digits = _digit_counts(index)
+        digits = 1 + np.searchsorted(_POWERS, index, side="right")
         groups = [(np.flatnonzero(digits == count), count) for count in range(fewest, most + 1)]
         rows = np.empty((len(index), head + most + tail), np.uint8)
         rows[:, :head] = _HEAD_BYTES
@@ -589,25 +587,16 @@ def _index_text(i) -> str:
 
 
 def _encode(index: np.ndarray, codes: np.ndarray, tails: tuple, errors: str) -> np.ndarray | bytes:
-    """The JSONL lines of one piece as bytes.  An index numpy cannot
-    render, one outside [0, 10**18) or not an int, goes through
-    ``_index_text``, encoded as UTF-8 with the error handler ``errors``."""
-    ok = _renderable(index)
-    if ok.all():
+    """The JSONL lines of one piece as bytes.  A piece whose indices are all
+    ints in [0, 10**18) is rendered by numpy; any other piece line by line,
+    each index through ``_index_text``, and encoded as UTF-8 with the error
+    handler ``errors``."""
+    if _renderable(index).all():
         return _render(index.astype(np.int64, copy=False), codes, tails)
-    tail_text, _, widths = tails
-    lines, others = np.flatnonzero(ok), np.flatnonzero(~ok)
-    fine = index[lines].astype(np.int64)
-    data = memoryview(_render(fine, codes[lines], tails) if len(lines) else b"")
-    sizes = len(_HEAD) + _digit_counts(fine) + widths[codes[lines]]
-    # Other line k follows the rendered lines before it.
-    cuts = np.concatenate(([0], np.cumsum(sizes)))[others - np.arange(len(others))].tolist()
-    parts, done = [], 0
-    for cut, i, code in zip(cuts, index[others].tolist(), codes[others].tolist()):
-        parts += (data[done:cut], f"{_HEAD}{_index_text(i)}{tail_text[code]}".encode("utf-8", errors))
-        done = cut
-    parts.append(data[done:])
-    return b"".join(parts)
+    tail_text = tails[0]
+    return "".join(
+        f"{_HEAD}{_index_text(i)}{tail_text[code]}" for i, code in zip(index.tolist(), codes.tolist())
+    ).encode("utf-8", errors)
 
 
 def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
@@ -618,8 +607,9 @@ def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     Each line is byte-identical to ``json.dumps`` of the record with
     compact separators.  Records are coded by kind, a view's codes are
     used as they are, and the lines of at most ``_LINES`` rounds at a time
-    are built by numpy as one array of bytes and written at once, so that
-    about 1 MB of text is held at a time.  A path is opened in binary mode.
+    are built by numpy as one array of bytes (line by line if an index is
+    not an int in [0, 10**18)) and written at once, so that about 1 MB of
+    text is held at a time.  A path is opened in binary mode.
     A UTF-8 text file (``sys.stdout``, a file from ``open``) is flushed
     once and then gets the bytes through its ``buffer``, past its own
     newline translation; any other sink (``io.StringIO``) gets ``str``.

@@ -1038,6 +1038,38 @@ def test_float_indices_render_as_python_does():
                          '{"i":-3', '{"i":100000000000000000000']
 
 
+class _Label:
+    """An index that json.dumps cannot render, written as its str."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def test_a_piece_with_an_index_numpy_cannot_render_is_written_line_by_line(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mixed piece reached _render")
+
+    monkeypatch.setattr(protocol, "_render", refuse)
+    records = [RoundRecord(i, *_KIND_A) for i in (0, 1, _Label("é"), 3)]
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    assert [line[:line.index(",")] for line in buf.getvalue().splitlines()] == [
+        '{"i":0', '{"i":1', '{"i":é', '{"i":3'
+    ]
+    write_transcript(records, tmp_path / "label.jsonl")
+    assert (tmp_path / "label.jsonl").read_bytes() == buf.getvalue().encode("utf-8")
+    # A lone surrogate passes to a StringIO and fails strict UTF-8 to a path.
+    records[2] = records[2]._replace(index=_Label("\udc80"))
+    buf = io.StringIO()
+    write_transcript(records, buf)
+    assert buf.getvalue().splitlines()[2].startswith('{"i":\udc80,')
+    with pytest.raises(UnicodeEncodeError):
+        write_transcript(records, tmp_path / "surrogate.jsonl")
+
+
 class _WriteRecorder:
     """A text sink that keeps the number of lines of each write."""
 
