@@ -115,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50, help="grid points per axis")
     p.add_argument("--channel", choices=("ideal", "clone"), default="ideal")
     p.add_argument("--eta", type=float, default=math.pi / 4, help="cloning parameter")
-    add_common(p, _cmd_steer_region, ("csv", "json", "svg"))
+    # A handler that refuses an argument gets its own subcommand's parser,
+    # so that its usage errors read as argparse's own do.
+    add_common(p, functools.partial(_cmd_steer_region, parser=p), ("csv", "json", "svg"))
 
     p = sub.add_parser("keyrate", help="key-rate curve over the cloning parameter")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=64, help="eta grid intervals on [0, pi/2]")
-    add_common(p, _cmd_keyrate, ("csv", "json", "svg"))
+    add_common(p, functools.partial(_cmd_keyrate, parser=p), ("csv", "json", "svg"))
 
     p = sub.add_parser("protocol", help="seeded Monte Carlo protocol run")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("ideal", "clone"), default="ideal")
     p.add_argument("--eta", type=float, default=math.pi / 4)
     p.add_argument("--transcript", default=None, help="also write a JSONL transcript here")
-    add_common(p, _cmd_protocol)
+    add_common(p, functools.partial(_cmd_protocol, parser=p))
 
     p = sub.add_parser("uncertainty", help="uncertainty-relation checks")
     p.add_argument("--sigma-x", type=float, default=1.0)
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="model discrepancy report (markdown)")
     p.add_argument("--out", default=STDOUT_MARKER, help="output path, - for stdout")
-    p.set_defaults(run=lambda args, parser: write_text(args.out, report.build_report()))
+    p.set_defaults(run=lambda args: write_text(args.out, report.build_report()))
 
     return parser
 
@@ -174,7 +176,7 @@ def _row_columns(rows: list[list]) -> list[Column]:
     return [Column(cells) for cells in zip(*rows)]
 
 
-def _cmd_parity(args, parser: argparse.ArgumentParser) -> None:
+def _cmd_parity(args) -> None:
     mu = complex(args.re, args.im)
     closed = parity_probabilities(mu)
     rows: list[list] = [["closed_form", closed.p_even, closed.p_odd]]
@@ -298,7 +300,7 @@ def _cmd_protocol(args, parser: argparse.ArgumentParser) -> None:
     _emit_table(args, list(stats), [Column([value]) for value in stats.values()])
 
 
-def _cmd_uncertainty(args, parser: argparse.ArgumentParser) -> None:
+def _cmd_uncertainty(args) -> None:
     lo, hi = uncertainty.STANDARD_GRID_SIGMA_X_RANGE
     if not lo <= args.sigma_x <= hi:
         raise ValueError(f"--sigma-x must lie in [{lo:g}, {hi:g}], got {args.sigma_x!r}")
@@ -367,11 +369,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_output_paths(args)
-        args.run(args, parser)
+        args.run(args)
     except SystemExit:
         raise
     except Exception as exc:

@@ -316,6 +316,22 @@ class TestDispatch:
         assert exc.value.code == 2
         assert "invalid choice: 'svg'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["steer-region", "--steps", "0"], "--steps must be at least 1"),
+            (["keyrate", "--steps", "0"], "--steps must be at least 1"),
+            (["protocol", "--seed", "-1"], "--seed must be nonnegative"),
+        ],
+    )
+    def test_handler_usage_errors_read_as_the_subcommands_own(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: steerlab {argv[0]} ")
+        assert err.endswith(f"steerlab {argv[0]}: error: {message}\n")
+
     @pytest.mark.parametrize("command", sorted(_EVERY_OPTION))
     def test_meta_params_are_the_parsed_arguments(self, tmp_path, capsys, command):
         argv = [command, *_EVERY_OPTION[command], "--format", "json"]
