@@ -86,9 +86,6 @@ class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
 
-    def complement(self) -> "Parity":
-        return Parity.ODD if self is Parity.EVEN else Parity.EVEN
-
 
 class CutoffTooSmallError(ValueError):
     """Truncation cutoff leaves more than the allowed Poisson tail.
@@ -147,9 +144,6 @@ class TruncatedParityDistribution:
     p_even: float
     p_odd: float
     tail_bound: float
-
-    def prob(self, outcome: Parity) -> float:
-        return self.p_even if outcome is Parity.EVEN else self.p_odd
 
 
 def displace(state: complex, gamma: complex) -> complex:
@@ -247,8 +241,8 @@ def default_cutoff(mu: complex) -> int:
     return _poisson_cutoff(lam)
 
 
-def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND) -> int:
-    """Smallest cutoff N whose Poisson tail P(X > N) is below tail_bound.
+def minimal_admissible_cutoff(lam: float) -> int:
+    """Smallest cutoff N whose Poisson tail P(X > N) is below POISSON_TAIL_BOUND.
 
     Uses the Chernoff bound P(X >= x) <= exp(-lam) (e lam / x)^x, valid for
     x > lam, so the returned cutoff is sufficient (possibly not tight).
@@ -257,7 +251,7 @@ def minimal_admissible_cutoff(lam: float, tail_bound: float = POISSON_TAIL_BOUND
         raise ValueError(f"Poisson mean must be nonnegative, got {lam!r}")
     if lam == 0.0:
         return 0
-    log_tol = math.log(tail_bound)
+    log_tol = math.log(POISSON_TAIL_BOUND)
     n = max(int(math.ceil(lam)), 0)
     while True:
         x = n + 1

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import steerlab
+from steerlab.coherent import Parity, TruncatedParityDistribution, minimal_admissible_cutoff
 from steerlab.uncertainty import GaussianBeamProfile
 
 # Public names removed from the package; none may come back half-way.
@@ -27,3 +29,6 @@ def test_every_exported_name_resolves_and_deleted_names_are_gone():
     assert [f.name for f in dataclasses.fields(GaussianBeamProfile)] == ["x0", "k0", "sigma_x"]
     for name in ("is_minimum_uncertainty", "effective_sigma_p"):
         assert not hasattr(GaussianBeamProfile, name)
+    assert not hasattr(Parity, "complement")
+    assert not hasattr(TruncatedParityDistribution, "prob")
+    assert list(inspect.signature(minimal_admissible_cutoff).parameters) == ["lam"]
