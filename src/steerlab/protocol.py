@@ -103,7 +103,7 @@ from .coherent import Parity, ParitySampler, _mean_photon_number, _uniforms
 # wraps this name in this module.
 from .coherent import batch_parity_is_odd  # noqa: F401
 from .keyrate import binary_entropy
-from .steering import Channel, IdealChannel
+from .steering import Channel, IdealChannel, _check_preparation
 
 __all__ = [
     "Prep",
@@ -151,10 +151,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if not (0.0 <= self.p_plus <= 1.0):
-            raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus!r}")
+        _check_preparation(self.alpha, self.beta, self.p_plus)
         if not isinstance(self.channel, Channel):
             raise ValueError(f"unknown channel model: {self.channel!r}")
         if int(self.rounds) != self.rounds or self.rounds < 1:

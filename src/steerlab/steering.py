@@ -93,6 +93,14 @@ class Verdict(Enum):
     VIOLATES_LOWER = "violates_lower"
 
 
+def _check_preparation(alpha: float, beta: float, p_plus: float) -> None:
+    """Raise ValueError unless alpha and beta are finite and p_plus lies in [0, 1]."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
+    if not (0.0 <= p_plus <= 1.0):
+        raise ValueError(f"p_plus must lie in [0, 1], got {p_plus!r}")
+
+
 @dataclass(frozen=True)
 class PreparationEnsemble:
     """Alice's game parameters: real alpha, real beta, branch probability."""
@@ -102,10 +110,7 @@ class PreparationEnsemble:
     p_plus: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if not (0.0 <= self.p_plus <= 1.0):
-            raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus!r}")
+        _check_preparation(self.alpha, self.beta, self.p_plus)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from steerlab.protocol import (
     run_protocol,
     write_transcript,
 )
-from steerlab.steering import GaussianCloneChannel, IdealChannel, LhsMixtureChannel
+from steerlab.steering import GaussianCloneChannel, IdealChannel, LhsMixtureChannel, PreparationEnsemble
 
 
 class TestRunProtocol:
@@ -143,6 +143,22 @@ class TestRunProtocol:
             SimConfig(alpha=float("nan"), beta=0.5)
         with pytest.raises(ValueError):
             SimConfig(alpha=1.0, beta=0.5, channel="ideal")
+
+    @pytest.mark.parametrize(
+        "alpha,beta,p_plus,message",
+        [
+            (math.nan, 0.5, 0.5, "alpha and beta must be finite"),
+            (1.0, -math.inf, 0.5, "alpha and beta must be finite"),
+            (math.inf, 0.5, 2.0, "alpha and beta must be finite"),
+            (1.0, 0.5, -0.25, "p_plus must lie in [0, 1], got -0.25"),
+            (1.0, 0.5, math.nan, "p_plus must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_preparation_errors_match_the_ensemble(self, alpha, beta, p_plus, message):
+        for make in (SimConfig, PreparationEnsemble):
+            with pytest.raises(ValueError) as exc:
+                make(alpha=alpha, beta=beta, p_plus=p_plus)
+            assert str(exc.value) == message
 
 
 class TestEmpiricalKeyRate:
