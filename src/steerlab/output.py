@@ -11,10 +11,10 @@ curves.
 Tables are given as columns.  The writers format every table, however
 short, a column at a time, in one pass per slice of rows, and a column
 given as distinct entries plus a code per row formats each entry once,
-however many rows repeat it.  They
-write into an open text file one bounded slice of rows at a time, so a
-table's text is never held whole.  Files are opened through a
-temp-file-and-rename, so failures never leave partial artifacts behind.
+however many rows repeat it.  They write into an open text file one
+bounded slice of rows at a time, so a table's text is never held whole.
+Files are opened through a temp-file-and-rename, so failures never leave
+partial artifacts behind.
 """
 
 from __future__ import annotations

@@ -604,12 +604,13 @@ def write_transcript(transcript: Iterable[RoundRecord], sink) -> None:
     Each line is byte-identical to ``json.dumps`` of the record with
     compact separators.  Records are coded by kind, a view's codes are
     used as they are, and the lines of at most ``_LINES`` rounds at a time
-    are built by numpy as one array of bytes (line by line if an index is
-    not an int in [0, 10**18)) and written at once, so that about 1 MB of
-    text is held at a time.  A path is opened in binary mode.
-    A UTF-8 text file (``sys.stdout``, a file from ``open``) is flushed
-    once and then gets the bytes through its ``buffer``, past its own
-    newline translation; any other sink (``io.StringIO``) gets ``str``.
+    are built by numpy as one array of bytes (line by line where one of
+    them has an index that is not an int in [0, 10**18)) and written at
+    once, so that about 1 MB of text is held at a time.  A path is opened
+    in binary mode.  A UTF-8 text file (``sys.stdout``, a file from
+    ``open``) is flushed once and then gets the bytes through its
+    ``buffer``, past its own newline translation; any other sink
+    (``io.StringIO``) gets ``str``.
     """
     pieces = _pieces(transcript)
     if isinstance(sink, (str, os.PathLike)):
